@@ -26,6 +26,8 @@ import ast
 import decimal
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 # Exact rational scalar used across the package.
@@ -88,6 +90,14 @@ class SymPoly:
         self.terms = clean
 
     # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def _wrap(cls, nvars: int, terms: dict[tuple[int, ...], Fraction]) -> "SymPoly":
+        """Adopt an already clean terms dict (nonzero Fractions) without copying."""
+        res = cls.__new__(cls)
+        res.nvars = nvars
+        res.terms = terms
+        return res
 
     @classmethod
     def constant(cls, nvars: int, value: RationalLike) -> "SymPoly":
@@ -156,18 +166,12 @@ class SymPoly:
                 out.pop(exps, None)
             else:
                 out[exps] = s
-        res = SymPoly.__new__(SymPoly)
-        res.nvars = self.nvars
-        res.terms = out
-        return res
+        return SymPoly._wrap(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "SymPoly":
-        res = SymPoly.__new__(SymPoly)
-        res.nvars = self.nvars
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
+        return SymPoly._wrap(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "SymPoly":
         other = self._coerce(other)
@@ -182,22 +186,20 @@ class SymPoly:
         return other + (-self)
 
     def __mul__(self, other) -> "SymPoly":
+        """Product over a common denominator: int numerators, one Fraction per term."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        res = SymPoly.__new__(SymPoly)
-        res.nvars = self.nvars
-        res.terms = out
-        return res
+        items1, den1 = _int_numerators(self.terms)
+        items2, den2 = _int_numerators(other.terms)
+        acc: dict[tuple[int, ...], int] = {}
+        get = acc.get
+        for e1, n1 in items1:
+            for e2, n2 in items2:
+                e = tuple(map(add, e1, e2))
+                acc[e] = get(e, 0) + n1 * n2
+        den = den1 * den2
+        return SymPoly._wrap(self.nvars, {e: Fraction(n, den) for e, n in acc.items() if n})
 
     __rmul__ = __mul__
 
@@ -258,12 +260,19 @@ class SymPoly:
                 powers[n] = power(n - 1) * replacement
             return powers[n]
 
-        acc = SymPoly.zero(self.nvars)
+        # group the terms by their exponent of `var`, then accumulate every
+        # group's product with the matching power into one dict
+        groups: dict[int, dict[tuple[int, ...], Fraction]] = {}
         for exps, c in self.terms.items():
-            e = exps[var]
-            base = SymPoly(self.nvars, {exps[:var] + (0,) + exps[var + 1:]: c})
-            acc = acc + (base * power(e) if e else base)
-        return acc
+            groups.setdefault(exps[var], {})[exps[:var] + (0,) + exps[var + 1:]] = c
+        out: dict[tuple[int, ...], Fraction] = {}
+        for e, base in groups.items():
+            part = SymPoly._wrap(self.nvars, base)
+            if e:
+                part = part * power(e)
+            for exps, c in part.terms.items():
+                out[exps] = out.get(exps, 0) + c
+        return SymPoly._wrap(self.nvars, {e: c for e, c in out.items() if c})
 
     def eval(self, point: Sequence[RationalLike]) -> Fraction:
         if len(point) != self.nvars:
@@ -329,6 +338,12 @@ class SymPoly:
         for (e,), c in self.terms.items():
             coeffs[e] = c
         return coeffs
+
+
+def _int_numerators(terms: Mapping[tuple[int, ...], Fraction]) -> tuple[list, int]:
+    """(exponents, integer numerator) pairs over the common denominator, and that denominator."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()], den
 
 
 def poly_eval(p: SymPoly, point: Sequence[RationalLike]) -> Fraction:

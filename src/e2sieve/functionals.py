@@ -45,9 +45,8 @@ from .algebra import (
     SymPoly,
     TestFunction,
     as_rational,
-    definite_integral_one_var,
 )
-from .simplex import I_k, J_k_m, monomial_simplex_integral
+from .simplex import I_k, integrate_out, monomial_simplex_integral
 
 
 class BudgetExceeded(RuntimeError):
@@ -141,11 +140,15 @@ class InnerFunctional:
         if self.G.nvars != 1:
             raise ValueError("G must be univariate")
 
+    @property
+    def power(self) -> int:
+        """The power of (1 - a) dividing G: 1 for L, 2 for M."""
+        return 1 if self.kind == "L" else 2
+
     def quotient_poly(self) -> SymPoly:
-        """G(a) / (1-a)^power as an exact polynomial (power = 1 for L, 2 for M)."""
-        power = 1 if self.kind == "L" else 2
+        """G(a) / (1-a)^power as an exact polynomial."""
         coeffs = self.G.univariate_coeffs()
-        for _ in range(power):
+        for _ in range(self.power):
             coeffs = _divide_by_one_minus_x(coeffs)
         return SymPoly(1, {(i,): c for i, c in enumerate(coeffs)})
 
@@ -192,28 +195,26 @@ def _check_box_bound(F: TestFunction, a_min: Fraction | None) -> bool:
     )
 
 
-def _inner_G(F: TestFunction, m: int, squared: bool) -> SymPoly:
-    """The univariate polynomial G(a) for inner kind L (squared=False) or M."""
+def _inner_G(F: TestFunction, m: int, kinds: str) -> tuple[SymPoly, ...]:
+    """The univariate G(a) of each inner kind in `kinds` ("L", "M" or "LM").
+
+    All kinds share one h1 = int_a^{1-s} F dt_m; the L kind multiplies it by
+    h2 = int_0^{1-s} F dt_m, which is h1 at a = 0.
+    """
     k = F.k
     if not 1 <= m <= k:
         raise ValueError(f"m must be in 1..{k}")
     var = m - 1
     ring = k + 1  # u1..uk plus the substitution offset a
     lifted = SymPoly(ring, {exps + (0,): c for exps, c in F.poly.terms.items()})
-    a = SymPoly.variable(ring, k)
-    s = SymPoly.zero(ring)
-    for i in range(k):
-        if i != var:
-            s = s + SymPoly.variable(ring, i)
-    upper = 1 - s
+    h1 = integrate_out(lifted, var, k, lower=SymPoly.variable(ring, k))
+    h2 = h1.substitute(k, 0)
+    return tuple(_rescaled_simplex_integral(h1 * (h1 if kind == "M" else h2), var, k)
+                 for kind in kinds)
 
-    h1 = definite_integral_one_var(lifted, var, a, upper)  # int_a^{1-s} F dt
-    if squared:
-        q = h1 * h1
-    else:
-        h2 = definite_integral_one_var(lifted, var, 0, upper)  # int_0^{1-s} F dt
-        q = h1 * h2
 
+def _rescaled_simplex_integral(q: SymPoly, var: int, k: int) -> SymPoly:
+    """int of q(u, a) over {u_i >= 0 (i != var), sum u_i <= 1 - a}, as a polynomial in a."""
     # Rescale u_i = (1 - a) v_i for i != m (Jacobian (1-a)^(k-1)): a monomial
     # with u-degree t just picks up a factor (1-a)^t, and the v-integral over
     # the unit simplex is the Dirichlet value.  Group by t to keep the
@@ -244,14 +245,14 @@ def inner_L(F: TestFunction, m: int, a_min: Fraction | None = None) -> InnerFunc
     """Inner L functional: G_L(a) with semantic value G_L(a)/(1-a)."""
     if _check_box_bound(F, a_min):
         return InnerFunctional(m=m, kind="L", G=SymPoly.zero(1))
-    return InnerFunctional(m=m, kind="L", G=_inner_G(F, m, squared=False))
+    return InnerFunctional(m=m, kind="L", G=_inner_G(F, m, "L")[0])
 
 
 def inner_M(F: TestFunction, m: int, a_min: Fraction | None = None) -> InnerFunctional:
     """Inner M functional: G_M(a) with semantic value G_M(a)/(1-a)^2."""
     if _check_box_bound(F, a_min):
         return InnerFunctional(m=m, kind="M", G=SymPoly.zero(1))
-    return InnerFunctional(m=m, kind="M", G=_inner_G(F, m, squared=True))
+    return InnerFunctional(m=m, kind="M", G=_inner_G(F, m, "M")[0])
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +262,8 @@ def inner_M(F: TestFunction, m: int, a_min: Fraction | None = None) -> InnerFunc
 
 def _outer_weight_poly(inner: InnerFunctional, c: Fraction) -> list[Fraction]:
     """Coefficients of P(xi) = c^power * G(xi/c), power = 1 (L) or 2 (M)."""
-    power = 1 if inner.kind == "L" else 2
     g = inner.G.univariate_coeffs()
-    return [gi * c ** (power - i) for i, gi in enumerate(g)]
+    return [gi * c ** (inner.power - i) for i, gi in enumerate(g)]
 
 
 def _closed_form_outer(pcoeffs: list[Fraction], eta: Fraction, c: Fraction) -> LogLinear:
@@ -296,6 +296,14 @@ def _closed_form_outer(pcoeffs: list[Fraction], eta: Fraction, c: Fraction) -> L
     ])
 
 
+def _outer_value(inner: InnerFunctional, params: SieveParams) -> LogLinear:
+    """The closed-form outer integral of one inner functional."""
+    if inner.G.is_zero():
+        return LogLinear.zero()
+    c = params.r_exponent
+    return _closed_form_outer(_outer_weight_poly(inner, c), params.eta, c)
+
+
 def outer_L(F: TestFunction, m: int, params: SieveParams) -> LogLinear:
     """L^(m): the weighted outer integral of the inner L functional, exact.
 
@@ -303,25 +311,17 @@ def outer_L(F: TestFunction, m: int, params: SieveParams) -> LogLinear:
     SieveParams itself never produces that combination.
     """
     c = params.r_exponent
-    eta = params.eta
-    if eta >= c:
+    if params.eta >= c:
         return LogLinear.zero()
-    inner = inner_L(F, m, a_min=eta / c)
-    if inner.G.is_zero():
-        return LogLinear.zero()
-    return _closed_form_outer(_outer_weight_poly(inner, c), eta, c)
+    return _outer_value(inner_L(F, m, a_min=params.eta / c), params)
 
 
 def outer_M(F: TestFunction, m: int, params: SieveParams) -> LogLinear:
     """M^(m): the weighted outer integral of the inner M functional, exact."""
     c = params.r_exponent
-    eta = params.eta
-    if eta >= c:
+    if params.eta >= c:
         return LogLinear.zero()
-    inner = inner_M(F, m, a_min=eta / c)
-    if inner.G.is_zero():
-        return LogLinear.zero()
-    return _closed_form_outer(_outer_weight_poly(inner, c), eta, c)
+    return _outer_value(inner_M(F, m, a_min=params.eta / c), params)
 
 
 def quad_outer(
@@ -427,6 +427,44 @@ class LeadingCoefficient:
 VARIANTS = ("S", "Sprime")
 
 
+def _swap_representatives(poly: SymPoly) -> list[int]:
+    """For each coordinate m (1-based), the first r <= m whose swap with m fixes poly.
+
+    Invariance under the swap of u_r and u_m is an equivalence relation, so m
+    only needs testing against the representatives found so far.
+    """
+    k = poly.nvars
+    reps: list[int] = []
+    out: list[int] = []
+    for m in range(k):
+        for r in reps:
+            perm = list(range(k))
+            perm[r], perm[m] = m, r
+            if poly.permuted(perm) == poly:
+                out.append(r + 1)
+                break
+        else:
+            reps.append(m)
+            out.append(m + 1)
+    return out
+
+
+def _coordinate_values(F: TestFunction, m: int,
+                       params: SieveParams) -> tuple[Fraction, LogLinear, LogLinear]:
+    """(J^(m), L^(m), M^(m)) from one inner pass.
+
+    At a = 0 the two bracketed integrals coincide, so G_L(0) = J^(m) exactly;
+    it is read off the untruncated G_L even when a box bound zeroes L and M.
+    """
+    boxed_out = _check_box_bound(F, params.eta / params.r_exponent)
+    G_L, G_M = _inner_G(F, m, "LM")
+    J = G_L.eval((0,))
+    if boxed_out:
+        return J, LogLinear.zero(), LogLinear.zero()
+    return (J, _outer_value(InnerFunctional(m=m, kind="L", G=G_L), params),
+            _outer_value(InnerFunctional(m=m, kind="M", G=G_M), params))
+
+
 def leading_coefficient(F: TestFunction, params: SieveParams, variant: str = "Sprime") -> LeadingCoefficient:
     """Exact leading coefficient  -2c sum L + c^2 c_eta sum J + sum M - rho c I.
 
@@ -441,9 +479,10 @@ def leading_coefficient(F: TestFunction, params: SieveParams, variant: str = "Sp
     eta = params.eta
 
     I_val = I_k(F)
-    J_vals = tuple(J_k_m(F, m) for m in range(1, params.k + 1))
-    L_vals = tuple(outer_L(F, m, params) for m in range(1, params.k + 1))
-    M_vals = tuple(outer_M(F, m, params) for m in range(1, params.k + 1))
+    # coordinates whose swap leaves F unchanged share their J, L and M
+    reps = _swap_representatives(F.poly)
+    values = {r: _coordinate_values(F, r, params) for r in set(reps)}
+    J_vals, L_vals, M_vals = zip(*(values[r] for r in reps))
 
     sum_L = LogLinear.zero()
     for v in L_vals:

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import SymPoly, TestFunction, definite_integral_one_var
+from .algebra import RationalLike, SymPoly, TestFunction, definite_integral_one_var
 
 # ---------------------------------------------------------------------------
 # Exact integrals
@@ -73,6 +73,20 @@ def _integrate_poly_simplex_excluding(p: SymPoly, skip: int) -> Fraction:
     return total
 
 
+def integrate_out(p: SymPoly, var: int, k: int, lower: SymPoly | RationalLike = 0) -> SymPoly:
+    """int_lower^{1-s} p du_var with s = sum_{i < k, i != var} u_i, exactly.
+
+    The first k variables are the simplex coordinates; any further variable
+    (such as a substitution offset) is a parameter and may appear in `lower`.
+    The result no longer involves u_var.
+    """
+    upper = SymPoly.constant(p.nvars, 1)
+    for i in range(k):
+        if i != var:
+            upper = upper - SymPoly.variable(p.nvars, i)
+    return definite_integral_one_var(p, var, lower, upper)
+
+
 def I_k(F: TestFunction) -> Fraction:
     """I_k(F) = int_{R_k} F^2, exactly."""
     return integrate_poly_simplex(F.poly * F.poly)
@@ -91,11 +105,7 @@ def J_k_m(F: TestFunction, m: int) -> Fraction:
     if not 1 <= m <= k:
         raise ValueError(f"m must be in 1..{k}")
     var = m - 1
-    upper = SymPoly.constant(k, 1)
-    for i in range(k):
-        if i != var:
-            upper = upper - SymPoly.variable(k, i)
-    inner = definite_integral_one_var(F.poly, var, 0, upper)
+    inner = integrate_out(F.poly, var, k)
     squared = inner * inner
     if k == 1:
         return squared.constant_value()
@@ -215,11 +225,7 @@ def mc_simplex_integral(
         if m is None or not 1 <= m <= k:
             raise ValueError(f"kind 'J' needs m in 1..{k}")
         var = m - 1
-        upper = SymPoly.constant(k, 1)
-        for i in range(k):
-            if i != var:
-                upper = upper - SymPoly.variable(k, i)
-        inner = definite_integral_one_var(F.poly, var, 0, upper)
+        inner = integrate_out(F.poly, var, k)
         # drop the integrated-out variable, keeping the others in order
         reduced_terms = {
             exps[:var] + exps[var + 1:]: c for exps, c in inner.terms.items()

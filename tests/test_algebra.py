@@ -68,6 +68,43 @@ def test_zero_coefficients_are_dropped():
     assert q.terms == {}
 
 
+def _fraction_product(f: SymPoly, g: SymPoly) -> dict:
+    """Reference product: one Fraction multiply-add per pair of terms."""
+    out: dict = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c != 0}
+
+
+mixed_rationals = st.builds(
+    Fraction,
+    st.integers(min_value=-60, max_value=60),
+    st.sampled_from([1, 2, 3, 4, 6, 7, 9, 10, 12, 25, 49, 1000, 2 ** 40 + 15]),
+)
+
+
+@st.composite
+def sparse_pairs(draw):
+    nvars = draw(st.integers(1, 4))
+    exponent = st.tuples(*([st.integers(0, 5)] * nvars))
+    terms = st.dictionaries(exponent, mixed_rationals, max_size=8)
+    return SymPoly(nvars, draw(terms)), SymPoly(nvars, draw(terms))
+
+
+@given(sparse_pairs())
+@settings(max_examples=200)
+def test_product_matches_fraction_double_loop(pair):
+    f, g = pair
+    # (f + g)(f - g) = f^2 - g^2: the cross terms cancel inside the product
+    for left, right in ((f, g), (f + g, f - g), (f, f), (f, -f)):
+        product = left * right
+        assert product.terms == _fraction_product(left, right)
+        assert all(isinstance(c, Fraction) and c != 0 for c in product.terms.values())
+    assert (f + g) * (f - g) == f * f - g * g
+
+
 def test_pow_matches_repeated_multiplication():
     p = 1 + SymPoly.variable(3, 0) - 2 * SymPoly.variable(3, 2)
     assert p ** 3 == p * p * p

@@ -81,14 +81,20 @@ def test_inner_G_k2_constant():
     assert inner_M(F, 1).G == Fraction(1, 3) * one - a + a ** 2 - Fraction(1, 3) * a ** 3
 
 
+# F symmetric in u1 and u2 only, and F fixed by no swap of coordinates
+SYM12 = "1 - P1 + u1*u2 + 3*u3**2 - u4/7 + (u1+u2)**2*u3"
+ASYMMETRIC = "1 - P1 + u1/3 - 2*u2**2 + u1*u3*u4 + u4**3/5 - 7*u2*u3/4"
+
+
 def test_inner_G_at_zero_recovers_J():
     # with no shift (a = 0) both bracketed integrals coincide with the plain
-    # marginal, so G(0) = J for every test function
-    for expr, k in [("(1-u1)*(1-u2)*(1-u3)", 3), ("1 - P1", 2)]:
+    # marginal, so G(0) = J for every test function and every coordinate
+    for expr, k in [("(1-u1)*(1-u2)*(1-u3)", 3), ("1 - P1", 2), (SYM12, 4), (ASYMMETRIC, 4)]:
         F = TestFunction(k=k, poly=parse_poly(expr, k))
-        J = J_k_m(F, 1)
-        assert inner_L(F, 1).G.eval([Fraction(0)]) == J
-        assert inner_M(F, 1).G.eval([Fraction(0)]) == J
+        for m in range(1, k + 1):
+            J = J_k_m(F, m)
+            assert inner_L(F, m).G.eval([Fraction(0)]) == J
+            assert inner_M(F, m).G.eval([Fraction(0)]) == J
 
 
 def test_quotient_poly_divides_exactly():
@@ -117,6 +123,10 @@ def test_box_bound_forces_vanishing():
     # a_min = eta/c = 2/25 >= 1/50
     assert outer_L(F, 1, params) == LogLinear.zero()
     assert outer_M(F, 1, params) == LogLinear.zero()
+    # the coefficient still takes J from the untruncated inner polynomial
+    lc = leading_coefficient(F, params, "S")
+    assert lc.J_values == (J_k_m(F, 1), J_k_m(F, 2)) == (Fraction(1, 3), Fraction(1, 3))
+    assert lc.L_values == lc.M_values == (LogLinear.zero(), LogLinear.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +156,22 @@ def test_outer_is_m_independent_for_symmetric_F():
     Ms = [outer_M(F, m, params) for m in (1, 2, 3)]
     assert Ls[0] == Ls[1] == Ls[2]
     assert Ms[0] == Ms[1] == Ms[2]
+
+
+@pytest.mark.parametrize("expr", [SYM12, ASYMMETRIC])
+def test_leading_coefficient_values_match_direct_calls_per_coordinate(expr):
+    # the coefficient reuses one coordinate's values for every coordinate it
+    # can be swapped with, and reads J off the inner pass: each entry must
+    # still equal the direct computation at that m
+    F = TestFunction(k=4, poly=parse_poly(expr, 4))
+    params = SieveParams(k=4, rho=2, theta=Fraction(1), eta=Fraction(1, 100))
+    lc = leading_coefficient(F, params, "S")
+    for m in range(1, 5):
+        assert lc.J_values[m - 1] == J_k_m(F, m)
+        assert lc.L_values[m - 1] == outer_L(F, m, params)
+        assert lc.M_values[m - 1] == outer_M(F, m, params)
+    distinct_J = len(set(lc.J_values))
+    assert distinct_J == (3 if expr == SYM12 else 4)
 
 
 def test_rho_monotonicity_is_exactly_minus_cI(target_coefficients):
