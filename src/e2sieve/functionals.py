@@ -28,8 +28,11 @@ inside [eta, c].  Partial fractions then give the exact closed form
     P(0) (ln c - ln eta) + P(1) (ln(1-eta) - ln(1-c)) + Qhat(c) - Qhat(eta)
 
 with Q = (P - P(0)(1-xi) - P(1) xi) / (xi (1-xi)) an exact polynomial
-quotient and Qhat its antiderivative: a LogLinear value.  An adaptive
-Simpson quadrature over the same integrand provides an independent check.
+quotient and Qhat its antiderivative: a LogLinear value.  An independent
+check integrates the same polynomial numerically after the substitution
+xi = e^t, which turns the integrand into the smooth, bounded
+P(e^t) / (1 - e^t) on [ln eta, ln c], and evaluates it by tanh-sinh
+quadrature without the partial fractions.
 """
 
 from __future__ import annotations
@@ -330,14 +333,17 @@ def quad_outer(
     params: SieveParams,
     kind: str,
     tol: float = 1e-13,
-    max_depth: int = 60,
     max_evals: int = 500_000,
 ) -> float:
-    """Adaptive-Simpson check of outer_L / outer_M (kind 'L' or 'M').
+    """Quadrature check of outer_L / outer_M (kind 'L' or 'M').
 
-    Runs at 40 working digits so the requested absolute tolerance (>= 1e-13)
-    is meaningful; deterministic; raises BudgetExceeded if the subdivision
-    budget runs out before the error estimate drops below tol.
+    Substitutes xi = e^t, so the outer integral becomes
+    int_{ln eta}^{ln c} P(e^t) / (1 - e^t) dt with a smooth, bounded
+    integrand (c <= 1/2), and integrates it by tanh-sinh quadrature at 40
+    working digits, which makes the absolute tolerance (>= 1e-13)
+    meaningful.  Nothing of the closed form's partial fractions is used.
+    Deterministic; raises BudgetExceeded if the integrand needs more than
+    max_evals evaluations or the error estimate exceeds tol.
     """
     if kind not in ("L", "M"):
         raise ValueError("kind must be 'L' or 'M'")
@@ -351,52 +357,28 @@ def quad_outer(
     if inner.G.is_zero():
         return 0.0
     pcoeffs = _outer_weight_poly(inner, c)
+    evals = 0
 
     with mpmath.workdps(40):
-        pm = [mpmath.mpf(p.numerator) / mpmath.mpf(p.denominator) for p in pcoeffs]
+        pm = [mpmath.mpf(p.numerator) / p.denominator for p in pcoeffs]
 
-        def integrand(x):
+        def integrand(t):
+            nonlocal evals
+            evals += 1
+            if evals > max_evals:
+                raise BudgetExceeded(f"quadrature exceeded {max_evals} evaluations")
+            x = mpmath.exp(t)
             acc = mpmath.mpf(0)
             for coeff in reversed(pm):
                 acc = acc * x + coeff
-            return acc / (x * (1 - x))
+            return acc / (1 - x)
 
-        lo = mpmath.mpf(eta.numerator) / mpmath.mpf(eta.denominator)
-        hi = mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
-        value = _adaptive_simpson(integrand, lo, hi, mpmath.mpf(tol), max_depth, max_evals)
+        lo = mpmath.log(mpmath.mpf(eta.numerator) / eta.denominator)
+        hi = mpmath.log(mpmath.mpf(c.numerator) / c.denominator)
+        value, err = mpmath.quad(integrand, [lo, hi], error=True)
+        if err > tol:
+            raise BudgetExceeded(f"quadrature error estimate {mpmath.nstr(err, 3)} exceeds {tol}")
         return float(value)
-
-
-def _adaptive_simpson(f, a, b, tol, max_depth, max_evals):
-    evals = [0]
-
-    def ev(x):
-        evals[0] += 1
-        if evals[0] > max_evals:
-            raise BudgetExceeded(f"quadrature exceeded {max_evals} evaluations")
-        return f(x)
-
-    def simpson(lo, hi, flo, fmid, fhi):
-        return (hi - lo) / 6 * (flo + 4 * fmid + fhi)
-
-    def recurse(lo, hi, flo, fmid, fhi, whole, eps, depth):
-        if depth > max_depth:
-            raise BudgetExceeded(f"quadrature exceeded depth {max_depth}")
-        mid = (lo + hi) / 2
-        fl = ev((lo + mid) / 2)
-        fr = ev((mid + hi) / 2)
-        left = simpson(lo, mid, flo, fl, fmid)
-        right = simpson(mid, hi, fmid, fr, fhi)
-        err = (left + right - whole) / 15
-        if abs(err) <= eps:
-            return left + right + err
-        return (recurse(lo, mid, flo, fl, fmid, left, eps / 2, depth + 1)
-                + recurse(mid, hi, fmid, fr, fhi, right, eps / 2, depth + 1))
-
-    fa, fb = ev(a), ev(b)
-    fm = ev((a + b) / 2)
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, 0)
 
 
 # ---------------------------------------------------------------------------

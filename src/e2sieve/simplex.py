@@ -154,6 +154,12 @@ class MCEstimate:
     m: int | None = None
 
 
+# Samples are drawn and evaluated this many rows at a time, so the memory of a
+# call stays bounded whatever the sample count.  The generator yields the same
+# rows in chunks as in one draw, so the estimate does not depend on the size.
+_MC_CHUNK = 1 << 16
+
+
 def _compile_poly(p: SymPoly) -> tuple[np.ndarray, np.ndarray]:
     """(exponent matrix, float coefficient vector) for vectorized evaluation."""
     if p.is_zero():
@@ -163,10 +169,9 @@ def _compile_poly(p: SymPoly) -> tuple[np.ndarray, np.ndarray]:
     return exps, coeffs
 
 
-def _eval_poly_array(p: SymPoly, X: np.ndarray) -> np.ndarray:
-    """Evaluate p at the rows of X (n x nvars) using cached power tables."""
+def _eval_poly_array(exps: np.ndarray, coeffs: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Evaluate a compiled polynomial at the rows of X (n x nvars) using power tables."""
     n, nv = X.shape
-    exps, coeffs = _compile_poly(p)
     if len(coeffs) == 0:
         return np.zeros(n)
     max_deg = exps.max(axis=0)
@@ -219,8 +224,6 @@ def mc_simplex_integral(
     if kind == "I":
         dim = k
         base = F.poly
-        X = _sample_solid_simplex(rng, samples, dim)
-        vals = _eval_poly_array(base, X)
     else:
         if m is None or not 1 <= m <= k:
             raise ValueError(f"kind 'J' needs m in 1..{k}")
@@ -230,15 +233,18 @@ def mc_simplex_integral(
         reduced_terms = {
             exps[:var] + exps[var + 1:]: c for exps, c in inner.terms.items()
         }
-        h = SymPoly(k - 1, reduced_terms)
+        base = SymPoly(k - 1, reduced_terms)
         dim = k - 1
         if dim == 0:
-            v = float(h.constant_value()) ** 2
+            v = float(base.constant_value()) ** 2
             return MCEstimate(value=v, stderr=0.0, samples=samples, seed=seed, kind="J", m=m)
-        X = _sample_solid_simplex(rng, samples, dim)
-        vals = _eval_poly_array(h, X)
 
-    sq = vals * vals
+    exps, coeffs = _compile_poly(base)
+    sq = np.empty(samples)
+    for start in range(0, samples, _MC_CHUNK):
+        rows = min(_MC_CHUNK, samples - start)
+        vals = _eval_poly_array(exps, coeffs, _sample_solid_simplex(rng, rows, dim))
+        np.multiply(vals, vals, out=sq[start:start + rows])
     vol = 1.0 / float(_factorial(dim))
     value = vol * float(sq.mean())
     stderr = vol * float(sq.std(ddof=1)) / float(np.sqrt(samples))

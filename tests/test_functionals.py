@@ -1,10 +1,14 @@
 """Outer weighted functionals, leading coefficients, and the large-k plan."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from e2sieve import TARGETS
 from e2sieve.algebra import LogLinear, SymPoly, TestFunction, loglinear_eval, parse_poly
 from e2sieve.functionals import (
     BudgetExceeded,
@@ -134,19 +138,56 @@ def test_box_bound_forces_vanishing():
 # ---------------------------------------------------------------------------
 
 
+def _assert_quadrature_matches_closed_form(F, m, params):
+    for kind, closed in (("L", outer_L(F, m, params)), ("M", outer_M(F, m, params))):
+        quad = quad_outer(F, m, params, kind)
+        assert abs(quad - float(closed.evaluate_decimal(25))) <= 1e-12, (kind, params.eta)
+
+
 def test_closed_form_matches_quadrature_k2():
     F = TestFunction(k=2, poly=parse_poly("(1-u1)*(1-u2)", 2))
-    for kind, closed in (("L", outer_L(F, 1, PARAMS_K2)), ("M", outer_M(F, 1, PARAMS_K2))):
-        quad = quad_outer(F, 1, PARAMS_K2, kind)
-        assert abs(quad - float(closed.evaluate_decimal(25))) <= 1e-12
+    _assert_quadrature_matches_closed_form(F, 1, PARAMS_K2)
 
 
 def test_closed_form_matches_quadrature_with_delta():
     params = SieveParams(k=2, rho=1, theta=Fraction(1), delta=Fraction(1, 8), eta=Fraction(1, 20))
     F = TestFunction(k=2, poly=parse_poly("1 - P1 + P2", 2))
-    for kind, closed in (("L", outer_L(F, 2, params)), ("M", outer_M(F, 2, params))):
-        quad = quad_outer(F, 2, params, kind)
-        assert abs(quad - float(closed.evaluate_decimal(25))) <= 1e-12
+    _assert_quadrature_matches_closed_form(F, 2, params)
+
+
+ETA_TINY = Fraction(1, 10 ** 30)
+
+
+def _thm13_at_tiny_eta():
+    target = TARGETS["thm1.3"]
+    return target.test_function(), replace(target.params(), eta=ETA_TINY)
+
+
+def test_closed_form_matches_quadrature_at_tiny_eta():
+    F, params = _thm13_at_tiny_eta()
+    _assert_quadrature_matches_closed_form(F, 1, params)
+
+
+@given(eta=st.one_of(
+    st.integers(1, 60).map(lambda j: Fraction(1, 10 ** j)),
+    st.fractions(min_value=0, max_value=PARAMS_K2.r_exponent, max_denominator=10 ** 9)
+    .filter(lambda x: 0 < x < PARAMS_K2.r_exponent),
+))
+@settings(max_examples=40, deadline=None)
+def test_closed_form_matches_quadrature_over_the_eta_domain(eta):
+    # PARAMS_K2 has c = 1/4, so (0, c) is every eta that SieveParams accepts
+    F = TestFunction(k=2, poly=parse_poly("(1-u1)*(1-u2)", 2))
+    _assert_quadrature_matches_closed_form(F, 1, replace(PARAMS_K2, eta=eta))
+
+
+def test_quad_evaluation_budget_covers_the_targets():
+    # the cost of the check, pinned by a count: every target and the tiny-eta
+    # case finish within 2000 integrand evaluations
+    cases = [(t.test_function(), t.params()) for t in TARGETS.values()]
+    cases.append(_thm13_at_tiny_eta())
+    for F, params in cases:
+        for kind in ("L", "M"):
+            quad_outer(F, 1, params, kind, max_evals=2000)
 
 
 def test_outer_is_m_independent_for_symmetric_F():

@@ -1,6 +1,7 @@
 """Simplex integrals: exact Dirichlet formula, I/J functionals, MC oracle."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import iterated_simplex_integral
+from e2sieve import TARGETS
 from e2sieve.algebra import SymPoly, TestFunction, power_sum_build
 from e2sieve.simplex import (
     I_k,
@@ -119,6 +121,29 @@ def test_mc_is_deterministic_per_seed():
     c = mc_simplex_integral(F, "I", 20_000, 6)
     assert (a.value, a.stderr) == (b.value, b.stderr)
     assert a.value != c.value
+
+
+def test_mc_chunked_draws_match_the_single_draw_figures():
+    # 200,000 samples span four chunks of 2**16 rows, the last one partial;
+    # the figures were recorded when the estimator drew all rows at once
+    F = TestFunction.from_expression(3, "1 - P1 + 2*P2")
+    est_i = mc_simplex_integral(F, "I", 200_000, 20261018)
+    assert (repr(est_i.value), repr(est_i.stderr)) == (
+        "0.12612381479016965", "0.00014165144429627072")
+    est_j = mc_simplex_integral(F, "J", 200_000, 20261018, m=2)
+    assert (repr(est_j.value), repr(est_j.stderr)) == (
+        "0.059183497305287984", "0.00017988240162779623")
+
+
+def test_mc_memory_stays_bounded():
+    F = TARGETS["thm1.2"].test_function()  # k = 6
+    tracemalloc.start()
+    try:
+        mc_simplex_integral(F, "I", 10 ** 6, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 def test_mc_agrees_with_exact_within_4_sigma():
