@@ -56,13 +56,35 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     return [lo + i for i, flag in enumerate(seg) if flag and lo + i >= 2]
 
 
-def _is_prime(n: int) -> bool:
-    # sympy's deterministic test; used only for cofactor checks at desk scale
-    if n < 2:
-        return False
-    from sympy import isprime
+_FACTOR_TABLE_BUDGET = 4_000_000
 
-    return bool(isprime(n))
+
+def factor_table(limit: int) -> np.ndarray:
+    """Smallest prime factor of every v in [0, limit) as a flat int32 array.
+
+    spf[v] == v exactly when v is prime (spf[0] = 0, spf[1] = 1), so any
+    v < limit factors by repeated lookup, and so does every cofactor v // p.
+    Raises ValueError above _FACTOR_TABLE_BUDGET entries, before allocating.
+    """
+    if limit > _FACTOR_TABLE_BUDGET:
+        raise ValueError(f"factor table of {limit} entries exceeds the budget "
+                         f"of {_FACTOR_TABLE_BUDGET}")
+    spf = np.arange(limit, dtype=np.int32)
+    # largest prime first, so the smallest prime factor is written last
+    for p in reversed(primes_up_to(math.isqrt(max(limit - 1, 0)))):
+        spf[p * p:: p] = p
+    return spf
+
+
+def beta_mask(spf: np.ndarray, values: np.ndarray, N: int, Y: int) -> np.ndarray:
+    """beta(v) for each v of `values` (all below len(spf)), read off the table.
+
+    v = p1 * m with p1 its least prime factor; m must be prime with m^2 > N,
+    which also forces m > p1 >= 2 once p1^2 <= N.
+    """
+    p1 = spf[values].astype(np.int64)
+    m = values // p1
+    return (p1 > Y) & (p1 * p1 <= N) & (m * m > N) & (spf[m] == m)
 
 
 def is_squarefree(n: int) -> bool:
@@ -165,7 +187,11 @@ def _smallest_prime_factor(n: int, base: Sequence[int]) -> int | None:
 
 
 def beta(n: int, N: int, eta: Fraction) -> int:
-    """Indicator that n = p1 p2 with floor(N^eta) < p1 <= sqrt(N) < p2."""
+    """Indicator that n = p1 p2 with floor(N^eta) < p1 <= sqrt(N) < p2.
+
+    Trial division by the primes up to sqrt(n), for a single n of any size;
+    the window counts below read the same predicate off `factor_table`.
+    """
     eta = as_rational(eta)
     if n < 2:
         return 0
@@ -177,37 +203,18 @@ def beta(n: int, N: int, eta: Fraction) -> int:
     if not (p1 > Y and p1 * p1 <= N):
         return 0
     m = n // p1
-    if p1 * m != n or m == p1:
+    if m == p1 or m * m <= N:
         return 0
-    if m * m <= N:
-        return 0
-    return 1 if _is_prime(m) else 0
+    return 1 if _smallest_prime_factor(m, base) is None else 0
 
 
 @lru_cache(maxsize=16)
 def _beta_numbers(N: int, eta: Fraction) -> tuple[int, ...]:
-    """All n in (N, 2N] with beta(n) = 1, via a segmented least-factor scan."""
-    eta = as_rational(eta)
-    Y = floor_rational_power(N, eta)
-    lo, hi = N + 1, 2 * N + 1  # half-open [lo, hi) == (N, 2N]
-    base = primes_up_to(math.isqrt(hi - 1))
-    spf = [0] * (hi - lo)
-    for p in base:
-        if p * p > N:
-            break  # p1 must satisfy p1^2 <= N, larger factors cannot qualify
-        start = ((lo + p - 1) // p) * p
-        for idx in range(start - lo, hi - lo, p):
-            if spf[idx] == 0:
-                spf[idx] = p
-    out = []
-    for idx, p in enumerate(spf):
-        if p == 0 or p <= Y:
-            continue
-        n = lo + idx
-        m = n // p
-        if n == p * m and m != p and m * m > N and _is_prime(m):
-            out.append(n)
-    return tuple(out)
+    """All n in (N, 2N] with beta(n) = 1, read off one factor table."""
+    spf = factor_table(2 * N + 1)
+    values = np.arange(N + 1, 2 * N + 1, dtype=np.int64)
+    flags = beta_mask(spf, values, N, floor_rational_power(N, as_rational(eta)))
+    return tuple(values[flags].tolist())
 
 
 def pi_beta(N: int, eta: Fraction) -> int:
@@ -440,18 +447,15 @@ def tuple_hit_count(shifts: Sequence[int], limit: int, universe: str, threshold:
         raise ValueError("threshold must be between 0 and |shifts|")
     if universe not in ("E2", "P2"):
         raise ValueError("universe must be 'E2' or 'P2' for tuple hits")
-    top = limit + hs[-1]
-    members = bytearray(top + 1)
-    for v in _universe_sequence(universe, top):
-        members[v] = 1
-    count = 0
-    witnesses: list[int] = []
-    for n in range(1, limit + 1):
-        hits = sum(members[n + h] for h in hs)
-        if hits >= threshold:
-            count += 1
-            if len(witnesses) < 10:
-                witnesses.append(n)
+    dtype = np.min_scalar_type(len(hs))  # holds every count without a wider temporary
+    members = np.zeros(limit + hs[-1] + 1, dtype=dtype)
+    members[_universe_sequence(universe, limit + hs[-1])] = 1
+    hits = np.zeros(limit, dtype=dtype)  # hits[i] counts n = i + 1
+    for h in hs:
+        hits += members[1 + h: limit + 1 + h]
+    qualifying = hits >= threshold
+    count = int(np.count_nonzero(qualifying))
+    witnesses = [int(i) + 1 for i in np.flatnonzero(qualifying)[:10]]
     return TupleHitReport(
         shifts=hs,
         universe=universe,

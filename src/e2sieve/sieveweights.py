@@ -20,105 +20,47 @@ Two deliberate implementation choices keep the whole pipeline exact:
   scaling all hold exactly, not just to rounding.
 * `y_from_lambda` applies the exact Mobius inversion of the lambda
   transform (weights mu(r_i) phi(r_i) and 1/prod d_i), so a roundtrip
-  through lambda reproduces the y table identically.  The classical
-  asymptotic recovery with the singular-series weight g(p) = p - 2 is
-  provided as `y_from_lambda_g` for comparison; it agrees only up to
-  1 + O(1/p) factors and is not used in any identity.
+  through lambda reproduces the y table identically.
+
+Factorizations come from `numth.factor_table`: one table below R for the
+moduli, and one over [0, 2N + max h) for the window that `s_sums` scans
+(`weight_w`, for a single n, tests the primes below R instead).
 """
 
 from __future__ import annotations
 
 import decimal
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 from typing import Sequence
 
+import numpy as np
+
 from .algebra import TestFunction, as_rational
-from .numth import (
-    euler_phi,
-    floor_rational_power,
-    is_squarefree,
-    primes_in_range,
-    primes_up_to,
-)
+from .numth import beta_mask, factor_table, floor_rational_power, is_squarefree, primes_up_to
 
 _TUPLE_BUDGET = 2_000_000
 
 
-def _mobius_squarefree(n: int) -> int:
-    """mu(n) for squarefree n (counts prime factors)."""
-    if n == 1:
-        return 1
-    count = 0
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            count += 1
-            m //= d
-            if m % d == 0:
-                raise ValueError(f"{n} is not squarefree")
-        d += 1
-    if m > 1:
-        count += 1
-    return -1 if count % 2 else 1
-
-
-def _squarefree_kernel_product(n: int, fn) -> int:
-    """prod over primes p | n of fn(p), for squarefree n."""
-    out = 1
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out *= fn(d)
-            m //= d
-        d += 1
-    if m > 1:
-        out *= fn(m)
+def _prime_factors(spf: np.ndarray, v: int) -> list[int]:
+    """Prime factors of v (with multiplicity, ascending) by table lookup."""
+    out = []
+    while v > 1:
+        p = int(spf[v])
+        out.append(p)
+        v //= p
     return out
 
 
-def _divisors(n: int) -> list[int]:
+def _divisors_below(primes: Sequence[int], bound: int) -> list[int]:
+    """Products of subsets of the distinct `primes` that stay below `bound`."""
     out = [1]
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            exps = 0
-            while m % d == 0:
-                m //= d
-                exps += 1
-            out = [a * d ** e for a in out for e in range(exps + 1)]
-        d += 1
-    if m > 1:
-        out = [a * p for a in out for p in (1, m)]
-    return sorted(out)
-
-
-@dataclass(frozen=True)
-class IndexTuple:
-    """A k-tuple of positive moduli indexing one sieve weight."""
-
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        vals = tuple(int(v) for v in self.values)
-        if not vals or any(v < 1 for v in vals):
-            raise ValueError("index tuple needs positive entries")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def product(self) -> int:
-        out = 1
-        for v in self.values:
-            out *= v
-        return out
-
-    def is_supported(self, ctx: "SieveContext") -> bool:
-        return ctx.is_supported(self.values)
+    for p in primes:
+        out += [d * p for d in out if d * p < bound]
+    return out
 
 
 class SieveContext:
@@ -191,13 +133,26 @@ class SieveContext:
         self.nu0 = self._find_nu0()
 
         self._log_cache: dict[int, Fraction] = {1: Fraction(0)}
-        self._sf_values = [
-            v for v in range(1, self.R)
-            if is_squarefree(v) and math.gcd(v, self.W) == 1
-        ]
+        # prime factors of every squarefree v < R coprime to W
+        spf = factor_table(self.R)
+        self._factors: dict[int, list[int]] = {}
+        for v in range(1, self.R):
+            primes = _prime_factors(spf, v)
+            if len(set(primes)) == len(primes) and math.gcd(v, self.W) == 1:
+                self._factors[v] = primes
+        self._small_primes = [v for v, primes in self._factors.items() if primes == [v]]
         self._tuples = self._enumerate_supported()
         self._y_table = {t: self._y_value(t) for t in self._tuples}
         self._lambda_table = self._build_lambda()
+        # the same table as int numerators over one common denominator, in a
+        # trie keyed by d_1, ..., d_k
+        self._lambda_den = math.lcm(*(v.denominator for v in self._lambda_table.values()))
+        self._lambda_trie: dict = {}
+        for d, v in self._lambda_table.items():
+            node = self._lambda_trie
+            for x in d[:-1]:
+                node = node.setdefault(x, {})
+            node[d[-1]] = v.numerator * (self._lambda_den // v.denominator)
 
     # -- context structure ----------------------------------------------------
 
@@ -231,7 +186,7 @@ class SieveContext:
                 if len(out) > _TUPLE_BUDGET:
                     raise ValueError("supported-tuple enumeration exceeds budget")
                 return
-            for v in self._sf_values:
+            for v in self._factors:
                 newprod = prod * v
                 if newprod >= self.R:
                     continue
@@ -288,21 +243,15 @@ class SieveContext:
     def _build_lambda(self) -> dict[tuple[int, ...], Fraction]:
         acc: dict[tuple[int, ...], Fraction] = {}
         for r in self._tuples:
-            phis = 1
-            for v in r:
-                phis *= euler_phi(v)
-            contrib = self._y_table[r] / phis
+            factors = [self._factors[v] for v in r]
+            contrib = self._y_table[r] / math.prod(p - 1 for primes in factors for p in primes)
             if contrib == 0:
                 continue
-            divisor_lists = [_divisors(v) for v in r]
-            for d in iter_product(*divisor_lists):
+            for d in iter_product(*(_divisors_below(primes, self.R) for primes in factors)):
                 acc[d] = acc.get(d, Fraction(0)) + contrib
         table: dict[tuple[int, ...], Fraction] = {}
         for d, s in acc.items():
-            front = 1
-            for v in d:
-                front *= _mobius_squarefree(v) * v
-            val = front * s
+            val = math.prod((-1) ** len(self._factors[v]) * v for v in d) * s
             if val != 0:
                 table[d] = val
         return table
@@ -318,56 +267,31 @@ class SieveContext:
         return self._y_table[t]
 
 
-def lambda_weight(ctx: SieveContext, t: IndexTuple | Sequence[int]) -> Fraction:
+def lambda_weight(ctx: SieveContext, t: Sequence[int]) -> Fraction:
     """The sieve weight lambda_d, exactly; zero off support."""
-    values = t.values if isinstance(t, IndexTuple) else tuple(int(v) for v in t)
+    values = tuple(int(v) for v in t)
     if not ctx.is_supported(values):
         return Fraction(0)
     return ctx._lambda_table.get(values, Fraction(0))
 
 
-def y_from_lambda(ctx: SieveContext, r: IndexTuple | Sequence[int]) -> Fraction:
+def y_from_lambda(ctx: SieveContext, r: Sequence[int]) -> Fraction:
     """Recover y_r from the lambda table by exact Mobius inversion.
 
     y_r = (prod_i mu(r_i) phi(r_i)) * sum_{r_i | d_i} lambda_d / prod_i d_i.
     On the support this reproduces ctx.y_table_value(r) identically.
     """
-    values = r.values if isinstance(r, IndexTuple) else tuple(int(v) for v in r)
+    values = tuple(int(v) for v in r)
     if not ctx.is_supported(values):
         return Fraction(0)
     acc = Fraction(0)
     for d, lam in ctx._lambda_table.items():
         if all(dv % rv == 0 for dv, rv in zip(d, values)):
-            prod_d = 1
-            for dv in d:
-                prod_d *= dv
-            acc += lam / prod_d
+            acc += lam / math.prod(d)
     front = 1
     for rv in values:
-        front *= _mobius_squarefree(rv) * euler_phi(rv)
-    return front * acc
-
-
-def y_from_lambda_g(ctx: SieveContext, r: IndexTuple | Sequence[int]) -> Fraction:
-    """Asymptotic recovery with the singular-series weight g(p) = p - 2.
-
-    Not an exact inverse: it reproduces y_r only up to factors 1 + O(1/p)
-    coming from g(p)/phi(p) mismatches (e.g. a single coordinate r = (5,)
-    at R = 10 comes back scaled by 15/16).  Kept for diagnostics.
-    """
-    values = r.values if isinstance(r, IndexTuple) else tuple(int(v) for v in r)
-    if not ctx.is_supported(values):
-        return Fraction(0)
-    acc = Fraction(0)
-    for d, lam in ctx._lambda_table.items():
-        if all(dv % rv == 0 for dv, rv in zip(d, values)):
-            phis = 1
-            for dv in d:
-                phis *= euler_phi(dv)
-            acc += lam / phis
-    front = 1
-    for rv in values:
-        front *= _mobius_squarefree(rv) * _squarefree_kernel_product(rv, lambda p: p - 2)
+        primes = ctx._factors[rv]
+        front *= (-1) ** len(primes) * math.prod(p - 1 for p in primes)
     return front * acc
 
 
@@ -376,49 +300,26 @@ def y_from_lambda_g(ctx: SieveContext, r: IndexTuple | Sequence[int]) -> Fractio
 # ---------------------------------------------------------------------------
 
 
-def _supported_divisor_values(ctx: SieveContext, value: int) -> list[int]:
-    return [
-        d for d in _divisors(value)
-        if d < ctx.R and math.gcd(d, ctx.W) == 1 and is_squarefree(d)
-    ]
+def _lambda_numerator(ctx: SieveContext, divisor_lists: list[list[int]]) -> int:
+    """Sum of lambda_d * ctx._lambda_den over d in the product of the lists.
 
-
-def _lambda_sum(ctx: SieveContext, divisor_lists: list[list[int]],
-                fixed: dict[int, int] | None = None) -> Fraction:
-    """Sum of lambda over divisor tuples, optionally with coordinates pinned."""
-    total = Fraction(0)
-    table = ctx._lambda_table
-
-    lists = []
-    for i, lst in enumerate(divisor_lists):
-        if fixed is not None and i in fixed:
-            lists.append([fixed[i]])
-        else:
-            lists.append(lst)
-
-    def rec(pos: int, prefix: tuple[int, ...], prod: int):
-        nonlocal total
-        if pos == len(lists):
-            total += table.get(prefix, Fraction(0))
-            return
-        for d in lists[pos]:
-            newprod = prod * d
-            if newprod >= ctx.R:
-                continue
-            if math.gcd(d, prod) == 1:
-                rec(pos + 1, prefix + (d,), newprod)
-
-    rec(0, (), 1)
-    return total
+    The walk down the trie drops every prefix that no supported d extends
+    (product >= R or a shared factor), so it needs no bound or gcd test.
+    """
+    nodes = [ctx._lambda_trie]
+    for divisors in divisor_lists:
+        nodes = [child for node in nodes for d in divisors if (child := node.get(d)) is not None]
+    return sum(nodes)
 
 
 def weight_w(ctx: SieveContext, n: int) -> Fraction:
     """w_n = (sum over divisor tuples of the shifted values of lambda)^2."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    lists = [_supported_divisor_values(ctx, n + h) for h in ctx.shifts]
-    a = _lambda_sum(ctx, lists)
-    return a * a
+    lists = [_divisors_below([p for p in ctx._small_primes if (n + h) % p == 0], ctx.R)
+             for h in ctx.shifts]
+    a = _lambda_numerator(ctx, lists)
+    return Fraction(a * a, ctx._lambda_den ** 2)
 
 
 @dataclass(frozen=True)
@@ -443,62 +344,69 @@ class SSums:
 
 
 def s_sums(ctx: SieveContext, rho: int) -> SSums:
-    """Accumulate S0, S1^(m), S2^(m) (with the four-way split), S and S'."""
+    """Accumulate S0, S1^(m), S2^(m) (with the four-way split), S and S'.
+
+    w_n depends on n only through the kernels of n + h_i (the product of the
+    primes p < R, p coprime to W, dividing it), so the scan groups the n by
+    their kernel tuple and sums count * lambda-sum^2 per group, in ints over
+    the common denominator ctx._lambda_den^2.
+    """
     if rho < 1:
         raise ValueError("rho must be >= 1")
-    k = ctx.k
-    max_shift = ctx.shifts[-1]
-    prime_set = set(primes_in_range(ctx.N, 2 * ctx.N + max_shift + 1))
+    N, W, R = ctx.N, ctx.W, ctx.R
+    spf = factor_table(2 * N + ctx.shifts[-1])  # raises above its budget, before allocating
 
-    from .numth import beta as beta_indicator  # local to avoid cycle at import time
+    kernel = np.ones(N + ctx.shifts[-1], dtype=np.int64)  # kernel of N + i
+    for p in ctx._small_primes:
+        kernel[-N % p:: p] *= p
+    n = np.arange(N + (ctx.nu0 - N) % W, 2 * N, W, dtype=np.int64)
+    values = [n + h for h in ctx.shifts]
+    # group the n by their kernel tuple; each kernel is below len(spf), and the
+    # group index is renumbered after every coordinate, so the code fits int64
+    group = np.zeros(len(n), dtype=np.int64)
+    for v in values:
+        _, first, group = np.unique(group * len(spf) + kernel[v - N],
+                                    return_index=True, return_inverse=True)
+    keys = list(zip(*(kernel[v[first] - N].tolist() for v in values)))
+    divisors = {kv: _divisors_below(_prime_factors(spf, kv), R) for kv in set().union(*keys)}
+    divisors[1] = [1]
 
-    beta_cache: dict[int, int] = {}
+    def total(key: tuple[int, ...]) -> int:
+        """The lambda-sum numerator of every n whose kernels are `key`."""
+        return _lambda_numerator(ctx, [divisors[kv] for kv in key])
 
-    def beta_at(v: int) -> int:
-        got = beta_cache.get(v)
-        if got is None:
-            got = beta_indicator(v, ctx.N, ctx.eta)
-            beta_cache[v] = got
-        return got
+    totals = [total(key) for key in keys]
+    pinned_total = functools.cache(total)  # few distinct keys once d_m = 1
 
-    S0 = Fraction(0)
-    S1 = [Fraction(0)] * k
-    S2 = [Fraction(0)] * k
-    parts = [
-        {"I": Fraction(0), "II": Fraction(0), "III": Fraction(0), "IV": Fraction(0)}
-        for _ in range(k)
-    ]
-    scanned = 0
+    def per_group(mask=None) -> list[int]:
+        return np.bincount(group if mask is None else group[mask], minlength=len(keys)).tolist()
 
-    start = ctx.N + ((ctx.nu0 - ctx.N) % ctx.W)
-    for n in range(start, 2 * ctx.N, ctx.W):
-        scanned += 1
-        lists = [_supported_divisor_values(ctx, n + h) for h in ctx.shifts]
-        a_total = _lambda_sum(ctx, lists)
-        w = a_total * a_total
-        S0 += w
-        for m in range(k):
-            v = n + ctx.shifts[m]
-            if v in prime_set:
-                S1[m] += w
-            if beta_at(v):
-                S2[m] += w
-                a1 = _lambda_sum(ctx, lists, fixed={m: 1})
-                ap = a_total - a1
-                parts[m]["I"] += ap * a1
-                parts[m]["II"] += a1 * ap
-                parts[m]["III"] += a1 * a1
-                parts[m]["IV"] += ap * ap
+    S0 = sum(c * a * a for c, a in zip(per_group(), totals))
+    S1, S2, parts = [], [], []
+    for m, v in enumerate(values):
+        S1.append(sum(c * a * a for c, a in zip(per_group(spf[v] == v), totals)))
+        part_i = part_iii = part_iv = 0
+        for c, a, key in zip(per_group(beta_mask(spf, v, N, ctx.Y)), totals, keys):
+            if c:
+                a1 = pinned_total(key[:m] + (1,) + key[m + 1:])  # d_m = 1
+                ap = a - a1
+                part_i += c * ap * a1
+                part_iii += c * a1 * a1
+                part_iv += c * ap * ap
+        S2.append(2 * part_i + part_iii + part_iv)
+        parts.append((part_i, part_iii, part_iv))
 
-    s_val = sum(S2, Fraction(0)) - rho * S0
-    sprime_val = sum(S1, Fraction(0)) + sum(S2, Fraction(0)) - rho * S0
+    den = ctx._lambda_den ** 2
     return SSums(
         rho=rho,
-        S0=S0,
-        S1=tuple(S1),
-        S2=tuple(S2),
-        parts=tuple(parts),
-        S=s_val,
-        Sprime=sprime_val,
-        n_scanned=scanned,
+        S0=Fraction(S0, den),
+        S1=tuple(Fraction(x, den) for x in S1),
+        S2=tuple(Fraction(x, den) for x in S2),
+        # I = ap * a1 and II = a1 * ap are equal by construction
+        parts=tuple({"I": Fraction(i, den), "II": Fraction(i, den),
+                     "III": Fraction(iii, den), "IV": Fraction(iv, den)}
+                    for i, iii, iv in parts),
+        S=Fraction(sum(S2) - rho * S0, den),
+        Sprime=Fraction(sum(S1) + sum(S2) - rho * S0, den),
+        n_scanned=len(n),
     )

@@ -1,19 +1,24 @@
 """Primes, two-prime-factor sequences, admissibility, scans, distribution tables."""
 
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from e2sieve.numth import (
+    _FACTOR_TABLE_BUDGET,
     AdmissibleSet,
     beta,
+    beta_mask,
     bv_table,
     delta_beta,
     e2_sequence,
     euler_phi,
+    factor_table,
     floor_rational_power,
     gap_scan,
     gen_admissible,
@@ -227,6 +232,56 @@ def test_tuple_hit_count():
         tuple_hit_count((0, 2), 100, "P2", 3)   # threshold > |H|
     with pytest.raises(ValueError):
         tuple_hit_count((0, 2), 100, "primes", 1)  # universe not supported here
+
+
+def test_tuple_hit_count_matches_a_brute_loop():
+    rng = random.Random(20161)
+    limit = 3000
+    members = {"E2": set(e2_sequence(limit + 40)), "P2": set(p2_sequence(limit + 40))}
+    cases = 0
+    while cases < 6:
+        k = rng.randint(1, 4)
+        shifts = tuple(sorted(rng.sample(range(0, 41, 2), k)))
+        if not is_admissible(shifts)[0]:
+            continue
+        cases += 1
+        for universe, members_u in members.items():
+            hits = [sum(n + h in members_u for h in shifts) for n in range(1, limit + 1)]
+            for threshold in range(k + 1):
+                rep = tuple_hit_count(shifts, limit, universe, threshold)
+                qualifying = [n for n, c in zip(range(1, limit + 1), hits) if c >= threshold]
+                assert rep.count == len(qualifying)
+                assert rep.witnesses == tuple(qualifying[:10])
+
+
+# ---------------------------------------------------------------------------
+# the shared factor table
+# ---------------------------------------------------------------------------
+
+
+def test_factor_table_matches_primes_and_beta_on_a_window():
+    N, eta = 2500, Fraction(1, 10)
+    lo, hi = N, 2 * N + 7
+    spf = factor_table(hi)
+    assert len(spf) == hi and spf.dtype == np.int32
+    window_primes = set(primes_in_range(lo, hi))
+    base = primes_up_to(hi)
+    for v in range(lo, hi):
+        p = int(spf[v])
+        assert (p == v) == (v in window_primes), v
+        assert p in base and v % p == 0, v                            # a prime factor
+        assert all(v % q for q in base if q < p), v                   # ... the least one
+    values = np.arange(lo, hi, dtype=np.int64)
+    flags = beta_mask(spf, values, N, floor_rational_power(N, eta))
+    assert flags.tolist() == [bool(beta(v, N, eta)) for v in range(lo, hi)]
+    assert factor_table(0).tolist() == [] and factor_table(3).tolist() == [0, 1, 2]
+
+
+def test_factor_table_budget():
+    with pytest.raises(ValueError, match="budget"):
+        factor_table(_FACTOR_TABLE_BUDGET + 1)
+    with pytest.raises(ValueError, match="budget"):
+        pi_beta(_FACTOR_TABLE_BUDGET // 2, Fraction(1, 10))   # 2N + 1 entries
 
 
 def test_bv_table_primes():

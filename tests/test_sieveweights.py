@@ -1,6 +1,9 @@
 """Sieve weights: support, surrogate logs, Mobius inversion, weighted sums."""
 
+import hashlib
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -9,13 +12,11 @@ import pytest
 from e2sieve.algebra import SymPoly, TestFunction, parse_poly
 from e2sieve.numth import euler_phi, is_squarefree
 from e2sieve.sieveweights import (
-    IndexTuple,
     SieveContext,
     lambda_weight,
     s_sums,
     weight_w,
     y_from_lambda,
-    y_from_lambda_g,
 )
 
 
@@ -101,15 +102,6 @@ def test_supported_tuples_k2_pairwise_coprime():
     for t in ctx.supported_tuples():
         prod = t[0] * t[1]
         assert prod < ctx.R and is_squarefree(prod)
-
-
-def test_index_tuple_validation():
-    t = IndexTuple((2, 3))
-    assert t.product == 6
-    with pytest.raises(ValueError):
-        IndexTuple((0, 3))
-    with pytest.raises(ValueError):
-        IndexTuple(())
 
 
 # ---------------------------------------------------------------------------
@@ -199,16 +191,6 @@ def test_roundtrip_tracks_the_true_function_values():
             assert abs(float(recovered) - true_val) < 1e-12  # sanity on the float path
 
 
-def test_g_weighted_inversion_is_only_asymptotic():
-    # with the classical phi-style weights g(p) = p - 2 the recovery picks up
-    # a finite-level correction factor: at r=(5,), R=10 it is exactly 15/16
-    ctx = make_ctx_k1()
-    exact = y_from_lambda(ctx, (5,))
-    weighted = y_from_lambda_g(ctx, (5,))
-    assert weighted == Fraction(15, 16) * exact
-    assert weighted != exact
-
-
 # ---------------------------------------------------------------------------
 # assembled weights and counting sums
 # ---------------------------------------------------------------------------
@@ -271,3 +253,86 @@ def test_scaling_F_scales_lambda_linearly_and_sums_quadratically():
     assert b.S0 == 9 * a.S0
     assert b.S == 9 * a.S
     assert b.Sprime == 9 * a.Sprime
+
+
+# ---------------------------------------------------------------------------
+# the direct scan against an independent dual form, golden pins, budget
+# ---------------------------------------------------------------------------
+
+DESK = dict(theta=Fraction(1), delta=Fraction(149, 2000), eta=Fraction(1, 10))
+
+
+def desk_ctx(N, shifts, expression, **overrides) -> SieveContext:
+    k = len(shifts)
+    kwargs = dict(DESK, **overrides)
+    return SieveContext(N=N, shifts=shifts, F=TestFunction(k=k, poly=parse_poly(expression, k)),
+                        **kwargs)
+
+
+def crt(congruences):
+    """(a, M) with x = a (mod M) exactly when x meets every (b, q); None if none does."""
+    a, M = 0, 1
+    for b, q in congruences:
+        g = math.gcd(M, q)
+        if (b - a) % g:
+            return None
+        t = (b - a) // g * pow(M // g, -1, q // g) % (q // g)
+        a, M = (a + M * t) % (M * q // g), M * q // g
+    return a, M
+
+
+def dual_S0(ctx: SieveContext) -> Fraction:
+    """sum_{d,e} lambda_d lambda_e #{n in [N, 2N): n = nu0 (W), [d_i, e_i] | n + h_i}."""
+    lam = [(t, lambda_weight(ctx, t)) for t in ctx.supported_tuples()]
+    lam = [(t, v) for t, v in lam if v]
+    total = Fraction(0)
+    for d, ld in lam:
+        for e, le in lam:
+            sol = crt([(ctx.nu0, ctx.W)] + [(-h, math.lcm(di, ei))
+                                            for h, di, ei in zip(ctx.shifts, d, e)])
+            if sol is not None:
+                a, M = sol
+                total += ld * le * ((2 * ctx.N - 1 - a) // M - (ctx.N - 1 - a) // M)
+    return total
+
+
+@pytest.mark.parametrize("N, shifts, expression, overrides", [
+    (10_000, (0, 2), "(1-u1)*(1-u2)", {}),                                 # W = 2
+    (5_000, (0, 2), "(1-u1)*(1-u2)", {"W": 1}),
+    (6_000, (0, 2, 6), "(1-u1)*(1-u2)*(1-u3)", {}),                        # k = 3
+    (7_000, (0, 4), "1 - u1 + u1*u2/3 - 2*u2**2", {"W": 6}),               # asymmetric F
+    (3_000, (0, 2, 8), "1 - u1 - u2/2 + u3**2", {"W": 1}),                 # k = 3, W = 1
+], ids=["W2", "W1", "k3", "asymmetric", "k3_W1"])
+def test_direct_S0_equals_the_dual_form(N, shifts, expression, overrides):
+    ctx = desk_ctx(N, shifts, expression, **overrides)
+    assert s_sums(ctx, 1).S0 == dual_S0(ctx)
+
+
+@pytest.mark.parametrize("N, shifts, expression, rho, overrides, digest", [
+    (10_000, (0, 2), "(1-u1)*(1-u2)", 1, {},
+     "cb317609b7466eeed84354fb9dccbe470b327005b6b16c6d8e78fd92ef213d4f"),
+    (10_000, (0, 2, 6), "(1-u1)*(1-u2)*(1-u3)", 2, {},
+     "0ed49ed825065c487170a9eb60149c23b7650247fd86a3634cea7597aaf5e6e6"),
+    (10_000, (0, 2), "(1-u1)*(1-u2)", 1, {"W": 1},
+     "9bbb05ac13ab9b12ee399c77b18f20abd8d8695b5f4b5b1392318b3f09e6f978"),
+], ids=["desk_k2", "desk_k3", "desk_k2_W1"])
+def test_s_sums_repr_is_pinned(N, shifts, expression, rho, overrides, digest):
+    sums = s_sums(desk_ctx(N, shifts, expression, **overrides), rho)
+    assert hashlib.sha256(repr(sums).encode()).hexdigest() == digest
+
+
+def test_s_sums_over_the_table_budget_raises_before_allocating():
+    # 2N + max h = 4,000,002 entries, just over the factor table's budget;
+    # theta = 1/5 keeps R = 4, so the context itself is small
+    ctx = desk_ctx(2_000_000, (0, 2), "(1-u1)*(1-u2)", theta=Fraction(1, 5),
+                   delta=Fraction(0), eta=Fraction(1, 100))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ValueError, match="budget"):
+            s_sums(ctx, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 0.5
+    assert peak < 2 ** 20
