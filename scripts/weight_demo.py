@@ -8,7 +8,6 @@
 
 import argparse
 from fractions import Fraction
-from time import perf_counter
 
 from e2sieve import SieveContext, TestFunction, parse_poly, s_sums, y_from_lambda
 
@@ -42,10 +41,8 @@ def main() -> None:
     exact = {t: ctx.y_table_value(t) for t in tuples}
     print(f"smooth coordinates recovered from weights exactly: {recovered == exact}")
 
-    t0 = perf_counter()
     sums = s_sums(ctx, RHO)
-    dt = perf_counter() - t0
-    print(f"\nweighted sums over [{ctx.N}, {2 * ctx.N})  ({sums.n_scanned} residues, {dt:.1f}s)")
+    print(f"\nweighted sums over [{ctx.N}, {2 * ctx.N})  ({sums.n_scanned} residues)")
     print(f"  S0 = {sums.S0} = {float(sums.S0):.6g}")
     for m, (s1, s2) in enumerate(zip(sums.S1, sums.S2), 1):
         print(f"  m={m}: S1 = {float(s1):.6g}   S2 = {float(s2):.6g}")

@@ -8,14 +8,11 @@ sanity-check the analytic side against direct counts.
 """
 
 from .algebra import (
-    BigRational,
     LogLinear,
     SymPoly,
     TestFunction,
     loglinear_eval,
     parse_poly,
-    poly_eval,
-    power_sum_build,
 )
 from .catalog import TARGETS, VerificationTarget, get_target
 from .functionals import (
@@ -64,11 +61,9 @@ from .simplex import (
     I_k,
     J_k_m,
     MCEstimate,
-    SimplexIntegralResult,
     integrate_poly_simplex,
     mc_simplex_integral,
     monomial_simplex_integral,
-    simplex_integral,
 )
 
 __version__ = "0.1.0"
@@ -76,7 +71,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmissibleSet",
     "BVTable",
-    "BigRational",
     "BudgetExceeded",
     "GapReport",
     "I_k",
@@ -88,7 +82,6 @@ __all__ = [
     "SSums",
     "SieveContext",
     "SieveParams",
-    "SimplexIntegralResult",
     "SymPoly",
     "TARGETS",
     "TestFunction",
@@ -118,13 +111,10 @@ __all__ = [
     "parse_poly",
     "pi_beta",
     "pi_flat",
-    "poly_eval",
-    "power_sum_build",
     "primes_in_range",
     "primes_up_to",
     "quad_outer",
     "s_sums",
-    "simplex_integral",
     "theorem11_plan",
     "tuple_hit_count",
     "weight_w",

@@ -4,9 +4,7 @@ Everything downstream (simplex integrals, substituted functionals, sieve
 weights) is built on three value types that are closed under the operations
 we need:
 
-* ``BigRational`` -- arbitrary-precision rationals; an alias of
-  :class:`fractions.Fraction`.  There is nothing to add to Fraction, so we
-  do not wrap it.
+* ``Fraction``    -- arbitrary-precision rationals, used as they are.
 * ``SymPoly``     -- multivariate polynomials with Fraction coefficients,
   stored sparsely as {exponent tuple: coefficient}.
 * ``LogLinear``   -- exact values of the shape  r0 + sum_i r_i * ln(q_i)
@@ -29,9 +27,6 @@ from fractions import Fraction
 from math import lcm
 from operator import add
 from typing import Iterable, Mapping, Sequence
-
-# Exact rational scalar used across the package.
-BigRational = Fraction
 
 RationalLike = Fraction | int
 
@@ -346,11 +341,6 @@ def _int_numerators(terms: Mapping[tuple[int, ...], Fraction]) -> tuple[list, in
     return [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()], den
 
 
-def poly_eval(p: SymPoly, point: Sequence[RationalLike]) -> Fraction:
-    """Evaluate p at an exact rational point."""
-    return p.eval(point)
-
-
 def definite_integral_one_var(
     f: SymPoly,
     var: int,
@@ -456,16 +446,6 @@ def parse_poly(expression: str, k: int) -> SymPoly:
         raise ValueError(f"unsupported syntax element {type(node).__name__}")
 
     return build(tree)
-
-
-def power_sum_build(k: int, expression: str) -> SymPoly:
-    """Build a symmetric k-variable polynomial from a power-sum expression.
-
-    Example: power_sum_build(2, "P1") == u1 + u2.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return parse_poly(expression, k)
 
 
 # ---------------------------------------------------------------------------

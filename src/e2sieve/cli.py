@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import LogLinear, TestFunction, loglinear_eval, parse_poly
-from .catalog import TARGETS, get_target
+from .catalog import TARGETS, VerificationTarget, get_target
 from .functionals import (
     BudgetExceeded,
     SieveParams,
@@ -201,24 +201,23 @@ def _emit_csv(rows: list[tuple]) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _target_params(cfg: RunConfig, target: VerificationTarget) -> tuple[SieveParams, str]:
+    """The target's parameters and variant, each replaced by its flag where one was given."""
+    def pick(name: str):
+        return getattr(cfg, name) if name in cfg.explicit else getattr(target, name)
+
+    params = SieveParams(k=target.k, rho=pick("rho"), theta=pick("theta"),
+                         delta=cfg.delta, eta=pick("eta"))
+    return params, pick("variant")
+
+
 def cmd_verify(cfg: RunConfig) -> int:
     if not cfg.theorem:
         raise ValueError("verify needs --theorem")
     target = get_target(cfg.theorem)
     F = target.test_function()
+    params, variant = _target_params(cfg, target)
     overridden = bool({"rho", "theta", "delta", "eta", "variant"} & cfg.explicit)
-    if overridden:
-        params = SieveParams(
-            k=target.k,
-            rho=cfg.rho if "rho" in cfg.explicit else target.rho,
-            theta=cfg.theta if "theta" in cfg.explicit else target.theta,
-            delta=cfg.delta,
-            eta=cfg.eta if "eta" in cfg.explicit else target.eta,
-        )
-        variant = cfg.variant if "variant" in cfg.explicit else target.variant
-    else:
-        params = target.params()
-        variant = target.variant
     lc = leading_coefficient(F, params, variant)
     log_const = lemma41_constant(params.eta)
 
@@ -289,14 +288,7 @@ def _resolve_functional_inputs(cfg: RunConfig) -> tuple[TestFunction, SieveParam
         if k != target.k:
             raise ValueError(f"builtin {target.name} has k={target.k}, got --k {k}")
         expression = target.expression
-        params = SieveParams(
-            k=k,
-            rho=cfg.rho if "rho" in cfg.explicit else target.rho,
-            theta=cfg.theta if "theta" in cfg.explicit else target.theta,
-            delta=cfg.delta,
-            eta=cfg.eta if "eta" in cfg.explicit else target.eta,
-        )
-        variant = cfg.variant if "variant" in cfg.explicit else target.variant
+        params, variant = _target_params(cfg, target)
     else:
         if cfg.k is None:
             raise ValueError("functional with a custom expression needs --k")
@@ -484,7 +476,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="sequence diagnostics")
     p_scan.add_argument("--mode", choices=["gaps", "hits", "bv"], help="what to scan (default gaps)")
-    p_scan.add_argument("--limit", type=int, help="scan bound (N for --mode bv)")
+    p_scan.add_argument("--limit", type=int,
+                        help="scan bound (N for --mode bv); its factor table (limit + max H + 1 "
+                             "entries, about 2N for bv) may not exceed 4,000,000 entries")
     p_scan.add_argument("--rho", type=int, help="gap step for --mode gaps")
     p_scan.add_argument("--universe", help="E2, P2 or primes (bv: primes or beta)")
     p_scan.add_argument("--H", type=_parse_shifts, help="comma-separated shifts for --mode hits")

@@ -43,7 +43,6 @@ from fractions import Fraction
 import mpmath
 
 from .algebra import (
-    BigRational,
     LogLinear,
     SymPoly,
     TestFunction,
@@ -107,20 +106,6 @@ class SieveParams:
 # ---------------------------------------------------------------------------
 # Inner functionals
 # ---------------------------------------------------------------------------
-
-
-def substitute_m_delta(F: TestFunction, m: int) -> SymPoly:
-    """F with u_m replaced by a + (1 - a) u_m, symbolic in a.
-
-    Returns a polynomial in k + 1 variables (u1..uk followed by a).
-    """
-    k = F.k
-    if not 1 <= m <= k:
-        raise ValueError(f"m must be in 1..{k}")
-    lifted = SymPoly(k + 1, {exps + (0,): c for exps, c in F.poly.terms.items()})
-    a = SymPoly.variable(k + 1, k)
-    um = SymPoly.variable(k + 1, m - 1)
-    return lifted.substitute(m - 1, a + (1 - a) * um)
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,19 @@ Conventions (kept exactly as in the analytic setup this package models):
   The asymmetry is deliberate and matched by the tests.
 * E2 numbers are products of two *distinct* primes (4, 9, 25, ... excluded);
   P2 = primes union E2.
+
+Every bulk question -- is v prime, E2 or beta, what are the prime factors of
+q -- is read off one smallest-prime-factor table, `factor_table`, capped at
+4*10^6 entries: the sequences, the gap and tuple scans, the beta numbers and
+the BV table all raise ValueError before allocating past the cap.  The byte
+sieve `primes_up_to` supplies the table's base primes, and together with the
+single-value `beta`, `is_squarefree` and `euler_phi` (trial division) it is
+the independent oracle the tests compare against.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -42,18 +49,12 @@ def primes_up_to(limit: int) -> list[int]:
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
-    """Primes in [lo, hi) by a segmented sieve (independent of primes_up_to
-    beyond the base primes)."""
-    if hi <= lo or hi <= 2:
-        return []
+    """Primes in [lo, hi), read off factor_table(hi)."""
     lo = max(lo, 2)
-    base = primes_up_to(math.isqrt(hi - 1))
-    seg = bytearray([1]) * (hi - lo)
-    for p in base:
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        if start < hi:
-            seg[start - lo:: p] = bytearray(len(seg[start - lo:: p]))
-    return [lo + i for i, flag in enumerate(seg) if flag and lo + i >= 2]
+    if hi <= lo:
+        return []
+    spf = factor_table(hi)
+    return (np.flatnonzero(spf[lo:] == np.arange(lo, hi, dtype=np.int32)) + lo).tolist()
 
 
 _FACTOR_TABLE_BUDGET = 4_000_000
@@ -74,6 +75,16 @@ def factor_table(limit: int) -> np.ndarray:
     for p in reversed(primes_up_to(math.isqrt(max(limit - 1, 0)))):
         spf[p * p:: p] = p
     return spf
+
+
+def _prime_factors(spf: np.ndarray, v: int) -> list[int]:
+    """Prime factors of v (with multiplicity, ascending) by table lookup."""
+    out = []
+    while v > 1:
+        p = int(spf[v])
+        out.append(p)
+        v //= p
+    return out
 
 
 def beta_mask(spf: np.ndarray, values: np.ndarray, N: int, Y: int) -> np.ndarray:
@@ -254,31 +265,39 @@ def delta_beta(N: int, eta: Fraction, q: int, a: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def e2_sequence(limit: int) -> list[int]:
-    """All products of two distinct primes up to limit, ascending.
+UNIVERSES = ("E2", "P2", "primes")
 
-    Uses an additive Omega sieve (numpy): one increment per prime divisor
-    and per prime-power divisor gives Omega(n) with multiplicity; keep
-    Omega = 2 and drop the prime squares.
+
+def _members(universe: str, limit: int) -> np.ndarray:
+    """Bool mask over [0, limit]: which v lie in the universe.
+
+    Read off factor_table(limit + 1): v >= 2 is prime iff spf[v] == v, and v
+    is E2 iff its cofactor m = v // spf[v] is a prime larger than spf[v].
     """
-    if limit < 1:
-        return []
-    omega = np.zeros(limit + 1, dtype=np.int8)
-    for p in primes_up_to(limit):
-        omega[p::p] += 1
-        pe = p * p
-        while pe <= limit:
-            omega[pe::pe] += 1
-            pe *= p
-    mask = omega == 2
-    for p in primes_up_to(math.isqrt(limit)):
-        mask[p * p] = False
-    return [int(n) for n in np.nonzero(mask)[0]]
+    if universe not in UNIVERSES:
+        raise ValueError(f"universe must be one of {UNIVERSES}")
+    spf = factor_table(limit + 1)
+    m = np.arange(limit + 1, dtype=np.int32)
+    prime = spf == m
+    prime[:2] = False
+    if universe == "primes":
+        return prime
+    m[2:] //= spf[2:]
+    e2 = m > spf
+    e2 &= spf[m] == m
+    if universe == "P2":
+        e2 |= prime
+    return e2
+
+
+def e2_sequence(limit: int) -> list[int]:
+    """All products of two distinct primes up to limit, ascending."""
+    return np.flatnonzero(_members("E2", limit)).tolist()
 
 
 def p2_sequence(limit: int) -> list[int]:
-    """Primes and E2 numbers up to limit, merged ascending."""
-    return sorted(primes_up_to(limit) + e2_sequence(limit))
+    """Primes and E2 numbers up to limit, ascending."""
+    return np.flatnonzero(_members("P2", limit)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -356,19 +375,6 @@ def gen_admissible(k: int) -> AdmissibleSet:
 # Gap scans and tuple hit counts
 # ---------------------------------------------------------------------------
 
-UNIVERSES = ("E2", "P2", "primes")
-
-
-def _universe_sequence(universe: str, limit: int) -> list[int]:
-    if universe == "E2":
-        return e2_sequence(limit)
-    if universe == "P2":
-        return p2_sequence(limit)
-    if universe == "primes":
-        return primes_up_to(limit)
-    raise ValueError(f"universe must be one of {UNIVERSES}")
-
-
 @dataclass(frozen=True)
 class GapReport:
     """Minimum rho-step gap in a sequence up to `limit`, with a witness."""
@@ -399,21 +405,19 @@ def gap_scan(limit: int, rho: int, universe: str) -> GapReport:
         raise ValueError("limit must be >= 100")
     if rho < 1:
         raise ValueError("rho must be >= 1")
-    seq = _universe_sequence(universe, limit)
+    seq = np.flatnonzero(_members(universe, limit))
     if len(seq) <= rho:
         raise ValueError("sequence too short for this rho")
-    gaps = [seq[i + rho] - seq[i] for i in range(len(seq) - rho)]
-    hist = Counter(gaps)
-    min_gap = min(gaps)
-    i0 = gaps.index(min_gap)
-    witness = tuple(seq[i0:i0 + rho + 1])
+    gaps = seq[rho:] - seq[:-rho]
+    i0 = int(gaps.argmin())
+    values, counts = np.unique(gaps, return_counts=True)
     return GapReport(
         universe=universe,
         limit=limit,
         rho=rho,
-        min_gap=min_gap,
-        argmin=witness,
-        histogram=dict(hist),
+        min_gap=int(gaps[i0]),
+        argmin=tuple(seq[i0:i0 + rho + 1].tolist()),
+        histogram=dict(zip(values.tolist(), counts.tolist())),
         scanned=len(gaps),
     )
 
@@ -448,8 +452,7 @@ def tuple_hit_count(shifts: Sequence[int], limit: int, universe: str, threshold:
     if universe not in ("E2", "P2"):
         raise ValueError("universe must be 'E2' or 'P2' for tuple hits")
     dtype = np.min_scalar_type(len(hs))  # holds every count without a wider temporary
-    members = np.zeros(limit + hs[-1] + 1, dtype=dtype)
-    members[_universe_sequence(universe, limit + hs[-1])] = 1
+    members = _members(universe, limit + hs[-1])
     hits = np.zeros(limit, dtype=dtype)  # hits[i] counts n = i + 1
     for h in hs:
         hits += members[1 + h: limit + 1 + h]
@@ -509,33 +512,25 @@ def bv_table(N: int, eta: Fraction | None, theta: Fraction, universe: str) -> BV
         if eta is None:
             raise ValueError("beta universe needs eta")
         eta = as_rational(eta)
-        values = list(_beta_numbers(N, eta))
+        values = np.array(_beta_numbers(N, eta), dtype=np.int64)
     else:
-        values = primes_in_range(N, 2 * N)
+        values = np.array(primes_in_range(N, 2 * N), dtype=np.int64)
     qmax = floor_rational_power(N, theta)
+    spf = factor_table(qmax + 1)
     rows: dict[int, Fraction] = {}
-    weighted = Fraction(0)
-    total_unrestricted = len(values)
     for q in range(1, qmax + 1):
-        if not is_squarefree(q):
-            continue
-        counts = [0] * q
-        coprime_total = 0
-        for v in values:
-            counts[v % q] += 1
-            if math.gcd(v, q) == 1:
-                coprime_total += 1
-        phi = euler_phi(q)
-        if universe == "beta":
-            reference = Fraction(coprime_total, phi)
-        else:
-            reference = Fraction(total_unrestricted, phi)
-        worst = Fraction(0)
-        for a in range(q):
-            if math.gcd(a, q) == 1:
-                disc = abs(Fraction(counts[a]) - reference)
-                if disc > worst:
-                    worst = disc
-        rows[q] = worst
-        weighted += worst  # mu^2(q) = 1 on the squarefree q we kept
-    return BVTable(N=N, theta=theta, eta=eta, universe=universe, rows=rows, weighted_sum=weighted)
+        primes = _prime_factors(spf, q)
+        if len(set(primes)) < len(primes):
+            continue  # mu^2(q) = 0
+        coprime = np.ones(q, dtype=bool)
+        for p in primes:
+            coprime[::p] = False
+        counts = np.bincount(values % q, minlength=q)[coprime]
+        phi = math.prod(p - 1 for p in primes)
+        total = int(counts.sum()) if universe == "beta" else len(values)
+        # |c - total/phi| is largest at the least or the greatest count c
+        worst = max(abs(int(counts.min()) * phi - total), abs(int(counts.max()) * phi - total))
+        rows[q] = Fraction(worst, phi)
+    # the weighted sum of mu^2(q) * rows[q]; mu^2(q) = 1 on every q kept
+    return BVTable(N=N, theta=theta, eta=eta, universe=universe, rows=rows,
+                   weighted_sum=sum(rows.values(), Fraction(0)))

@@ -40,19 +40,16 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import TestFunction, as_rational
-from .numth import beta_mask, factor_table, floor_rational_power, is_squarefree, primes_up_to
+from .numth import (
+    _prime_factors,
+    beta_mask,
+    factor_table,
+    floor_rational_power,
+    is_squarefree,
+    primes_up_to,
+)
 
 _TUPLE_BUDGET = 2_000_000
-
-
-def _prime_factors(spf: np.ndarray, v: int) -> list[int]:
-    """Prime factors of v (with multiplicity, ascending) by table lookup."""
-    out = []
-    while v > 1:
-        p = int(spf[v])
-        out.append(p)
-        v //= p
-    return out
 
 
 def _divisors_below(primes: Sequence[int], bound: int) -> list[int]:

@@ -112,33 +112,6 @@ def J_k_m(F: TestFunction, m: int) -> Fraction:
     return _integrate_poly_simplex_excluding(squared, var)
 
 
-@dataclass(frozen=True)
-class SimplexIntegralResult:
-    """An exact simplex-functional value with its provenance attached."""
-
-    value: Fraction
-    k: int
-    kind: str          # "I" or "J"
-    m: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("I", "J"):
-            raise ValueError("kind must be 'I' or 'J'")
-        if (self.kind == "J") != (self.m is not None):
-            raise ValueError("m must be given exactly for kind 'J'")
-
-
-def simplex_integral(F: TestFunction, kind: str, m: int | None = None) -> SimplexIntegralResult:
-    """Convenience wrapper returning a tagged result record."""
-    if kind == "I":
-        return SimplexIntegralResult(value=I_k(F), k=F.k, kind="I")
-    if kind == "J":
-        if m is None:
-            raise ValueError("kind 'J' needs m")
-        return SimplexIntegralResult(value=J_k_m(F, m), k=F.k, kind="J", m=m)
-    raise ValueError("kind must be 'I' or 'J'")
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo cross-check
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command line interface: exit codes, formats, config merging, determinism."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -136,6 +137,23 @@ def test_scan_bv(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["rows"]["1"] == "0"
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--mode", "gaps", "--limit", "4000000"],                       # 4,000,001 entries
+    ["scan", "--mode", "hits", "--limit", "3999988", "--universe", "P2",   # 3,999,988 + 12 + 1
+     "--H", "0,2,6,12"],
+])
+def test_scan_over_the_table_budget_exits_2_before_allocating(capsys, argv):
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "budget" in capsys.readouterr().err
+    assert peak < 2 ** 20, peak
 
 
 def test_scan_needs_limit(capsys):

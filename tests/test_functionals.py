@@ -20,7 +20,6 @@ from e2sieve.functionals import (
     outer_L,
     outer_M,
     quad_outer,
-    substitute_m_delta,
     theorem11_plan,
 )
 from e2sieve.simplex import J_k_m
@@ -58,14 +57,6 @@ def test_sieve_params_r_exponent():
 # ---------------------------------------------------------------------------
 # the inner substitution and its one-variable reductions
 # ---------------------------------------------------------------------------
-
-
-def test_substitute_m_delta_evaluates_consistently():
-    F = TestFunction(k=2, poly=parse_poly("u1 + u2**2", 2))
-    sub = substitute_m_delta(F, 1)
-    assert sub.nvars == 3  # u1, u2, and the shift variable
-    t, u2, a = Fraction(1, 3), Fraction(1, 5), Fraction(1, 7)
-    assert sub.eval([t, u2, a]) == F.poly.eval([a + (1 - a) * t, u2])
 
 
 def test_inner_G_k1():

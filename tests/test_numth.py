@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from e2sieve.numth import (
     _FACTOR_TABLE_BUDGET,
+    UNIVERSES,
     AdmissibleSet,
     beta,
     beta_mask,
@@ -148,16 +150,15 @@ def test_e2_sequence_prefix():
     assert 49 not in e2_sequence(100)     # 7^2 is excluded
 
 
-def test_e2_sequence_matches_prime_pair_oracle():
-    limit = 20_000
+def _prime_pairs(limit):
+    """Products p * q <= limit of two distinct primes, by a double loop."""
     primes = primes_up_to(limit // 2)
-    oracle = sorted(
-        p * q
-        for i, p in enumerate(primes)
-        for q in primes[i + 1:]
-        if p * q <= limit
-    )
-    assert e2_sequence(limit) == oracle
+    return sorted(p * q for i, p in enumerate(primes) for q in primes[i + 1:] if p * q <= limit)
+
+
+def test_e2_sequence_matches_prime_pair_oracle():
+    for limit in [*range(61), 20_000]:   # every small limit covers the v = 0, 1 edges
+        assert e2_sequence(limit) == _prime_pairs(limit), limit
 
 
 def test_p2_sequence_is_the_union():
@@ -165,6 +166,8 @@ def test_p2_sequence_is_the_union():
     expected = sorted(set(primes_up_to(limit)) | set(e2_sequence(limit)))
     assert p2_sequence(limit) == expected
     assert p2_sequence(40)[:10] == [2, 3, 5, 6, 7, 10, 11, 13, 14, 15]
+    for limit in range(61):
+        assert p2_sequence(limit) == sorted(primes_up_to(limit) + _prime_pairs(limit)), limit
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +223,23 @@ def test_gap_scan_witnesses():
     assert sum(r1.histogram.values()) == r1.scanned  # one histogram entry per index
     with pytest.raises(ValueError):
         gap_scan(1000, 1, "martians")
+
+
+@pytest.mark.parametrize("rho", [1, 2, 3])
+@pytest.mark.parametrize("universe", UNIVERSES)
+def test_gap_scan_matches_a_plain_loop(universe, rho):
+    limit = 5000
+    primes = primes_up_to(limit)
+    seq = {"E2": _prime_pairs(limit), "P2": sorted(primes + _prime_pairs(limit)),
+           "primes": primes}[universe]
+    gaps = [seq[i + rho] - seq[i] for i in range(len(seq) - rho)]
+    histogram: dict[int, int] = {}
+    for g in gaps:
+        histogram[g] = histogram.get(g, 0) + 1
+    i0 = gaps.index(min(gaps))
+    rep = gap_scan(limit, rho, universe)
+    assert (rep.min_gap, rep.argmin, rep.scanned) == (gaps[i0], tuple(seq[i0:i0 + rho + 1]), len(gaps))
+    assert rep.histogram == histogram
 
 
 def test_tuple_hit_count():
@@ -297,3 +317,54 @@ def test_bv_table_beta():
     table = bv_table(500, Fraction(1, 10), Fraction(1, 4), "beta")
     assert 1 in table.rows and table.rows[1] == 0
     assert all(v >= 0 for v in table.rows.values())
+
+
+def _assert_raises_before_allocating(call, *args):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="budget"):
+            call(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+
+
+def test_scans_over_the_table_budget_raise_before_allocating():
+    N = _FACTOR_TABLE_BUDGET // 2 + 1   # a table over [0, 2N)
+    _assert_raises_before_allocating(pi_flat, N)
+    _assert_raises_before_allocating(bv_table, N, None, Fraction(1, 2), "primes")
+    _assert_raises_before_allocating(e2_sequence, _FACTOR_TABLE_BUDGET)   # limit + 1 entries
+
+
+def _bv_rows_by_brute_count(N, eta, theta, universe):
+    if universe == "beta":
+        values = [n for n in range(N + 1, 2 * N + 1) if beta(n, N, eta)]
+    else:
+        values = [p for p in primes_up_to(2 * N - 1) if p >= N]
+    rows = {}
+    for q in range(1, floor_rational_power(N, theta) + 1):
+        if not is_squarefree(q):
+            continue
+        counts = [0] * q
+        for v in values:
+            counts[v % q] += 1
+        coprime = [counts[a] for a in range(q) if math.gcd(a, q) == 1]
+        reference = Fraction(sum(coprime) if universe == "beta" else len(values), euler_phi(q))
+        rows[q] = max(abs(c - reference) for c in coprime)
+    return rows
+
+
+@pytest.mark.parametrize("N, theta, universe, eta", [
+    (1000, Fraction(1, 2), "primes", None),
+    (3000, Fraction(1, 3), "primes", None),
+    (2000, Fraction(2, 3), "primes", None),
+    (1000, Fraction(1, 2), "beta", Fraction(1, 10)),
+    (2500, Fraction(1, 3), "beta", Fraction(1, 20)),
+    (1500, Fraction(3, 5), "beta", Fraction(1, 10)),
+])
+def test_bv_table_matches_a_brute_count(N, theta, universe, eta):
+    rows = _bv_rows_by_brute_count(N, eta, theta, universe)
+    table = bv_table(N, eta, theta, universe)
+    assert table.rows == rows
+    assert table.weighted_sum == sum(rows.values(), Fraction(0))

@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 
 from conftest import iterated_simplex_integral
 from e2sieve import TARGETS
-from e2sieve.algebra import SymPoly, TestFunction, power_sum_build
+from e2sieve.algebra import SymPoly, TestFunction, parse_poly
 from e2sieve.simplex import (
     I_k,
     J_k_m,
     integrate_poly_simplex,
     mc_simplex_integral,
     monomial_simplex_integral,
-    simplex_integral,
 )
 
 
@@ -76,7 +75,7 @@ def test_quadratic_scaling(c):
 
 def test_J_is_m_independent_for_symmetric_functions():
     for expr in ("1", "1 - P1", "1 - 2*P1 + P2 + P1**3"):
-        F = TestFunction(k=4, poly=power_sum_build(4, expr))
+        F = TestFunction(k=4, poly=parse_poly(expr, 4))
         values = {J_k_m(F, m) for m in range(1, 5)}
         assert len(values) == 1
 
@@ -95,18 +94,6 @@ def test_I_positive_unless_zero(poly_terms):
     else:
         # the square of a nonzero polynomial has positive integral
         assert I_k(F) > 0
-
-
-def test_simplex_integral_wrapper():
-    F = TestFunction(k=2, poly=SymPoly.constant(2, 1))
-    r = simplex_integral(F, "I")
-    assert (r.value, r.k, r.kind, r.m) == (Fraction(1, 2), 2, "I", None)
-    rj = simplex_integral(F, "J", m=1)
-    assert rj.value == Fraction(1, 3) and rj.m == 1
-    with pytest.raises(ValueError):
-        simplex_integral(F, "K")
-    with pytest.raises(ValueError):
-        simplex_integral(F, "J")  # J needs m
 
 
 # ---------------------------------------------------------------------------
