@@ -37,7 +37,6 @@ from .numth import (
     TupleHitReport,
     beta,
     bv_table,
-    delta_beta,
     e2_sequence,
     gap_scan,
     gen_admissible,
@@ -61,7 +60,6 @@ from .simplex import (
     I_k,
     J_k_m,
     MCEstimate,
-    integrate_poly_simplex,
     mc_simplex_integral,
     monomial_simplex_integral,
 )
@@ -90,14 +88,12 @@ __all__ = [
     "VerificationTarget",
     "beta",
     "bv_table",
-    "delta_beta",
     "e2_sequence",
     "gap_scan",
     "gen_admissible",
     "get_target",
     "inner_L",
     "inner_M",
-    "integrate_poly_simplex",
     "is_admissible",
     "lambda_weight",
     "leading_coefficient",

@@ -24,11 +24,15 @@ import ast
 import decimal
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
 RationalLike = Fraction | int
+
+
+class BudgetExceeded(RuntimeError):
+    """Raised when a routine would exceed its work or evaluation budget."""
 
 
 def as_rational(x) -> Fraction:
@@ -367,6 +371,42 @@ def definite_integral_one_var(
 
 _MAX_POWER_SUM_INDEX = 50
 _MAX_PARSE_EXPONENT = 64
+# Budget of one parsed product or power: the terms it may create, and the
+# term pairs one product may multiply.
+_MAX_PARSE_TERMS = 20_000
+_MAX_PARSE_PAIRS = 2_000_000
+
+
+def _monomials(k: int, lo: int, hi: int) -> int:
+    """Number of monomials in k variables with total degree in [lo, hi]."""
+    return comb(k + hi, k) - (comb(k + lo - 1, k) if lo else 0)
+
+
+def _degrees(p: SymPoly, n: int = 1) -> tuple[int, int]:
+    """The least and the greatest total degree of p ** n."""
+    return n * min(map(sum, p.terms), default=0), n * max(map(sum, p.terms), default=0)
+
+
+def _check_budget(terms: int, pairs: int) -> None:
+    if terms > _MAX_PARSE_TERMS or pairs > _MAX_PARSE_PAIRS:
+        raise BudgetExceeded(f"expression would expand to up to {terms} terms from {pairs} term "
+                             f"pairs (budget {_MAX_PARSE_TERMS} terms, {_MAX_PARSE_PAIRS} pairs)")
+
+
+def _checked_product(p: SymPoly, q: SymPoly) -> SymPoly:
+    pairs = len(p.terms) * len(q.terms)
+    if pairs > _MAX_PARSE_TERMS:   # fewer pairs fit both budgets
+        _check_budget(min(pairs, _monomials(p.nvars, *map(add, _degrees(p), _degrees(q)))), pairs)
+    return p * q
+
+
+def _checked_power(base: SymPoly, n: int) -> SymPoly:
+    """base ** n, after pre-counting the terms of the result and the pairs of its last squaring."""
+    def terms(j: int) -> int:
+        return min(len(base.terms) ** j, _monomials(base.nvars, *_degrees(base, j)))
+
+    _check_budget(terms(n), terms(n // 2) ** 2)
+    return base ** n
 
 
 def _power_sum(k: int, j: int) -> SymPoly:
@@ -384,7 +424,9 @@ def parse_poly(expression: str, k: int) -> SymPoly:
     Names u1..uk denote the variables; names P1, P2, ... denote the power
     sums u1^j + ... + uk^j.  Integer literals, + - * / ** and parentheses are
     supported; division requires a nonzero constant divisor (this is how
-    rational coefficients like 917/500 are written).
+    rational coefficients like 917/500 are written).  A product or power
+    that could create more than _MAX_PARSE_TERMS terms, or multiply more
+    than _MAX_PARSE_PAIRS term pairs, raises BudgetExceeded before expanding.
     """
     try:
         tree = ast.parse(expression, mode="eval")
@@ -426,7 +468,7 @@ def parse_poly(expression: str, k: int) -> SymPoly:
                 exp = node.right.value
                 if not 0 <= exp <= _MAX_PARSE_EXPONENT:
                     raise ValueError(f"exponent {exp} out of range")
-                return base ** exp
+                return _checked_power(base, exp)
             left = build(node.left)
             right = build(node.right)
             if isinstance(node.op, ast.Add):
@@ -434,7 +476,7 @@ def parse_poly(expression: str, k: int) -> SymPoly:
             if isinstance(node.op, ast.Sub):
                 return left - right
             if isinstance(node.op, ast.Mult):
-                return left * right
+                return _checked_product(left, right)
             if isinstance(node.op, ast.Div):
                 if not right.is_constant():
                     raise ValueError("division only by nonzero constants")

@@ -12,8 +12,15 @@ inner quantities at a fixed xi are
 
 where G_L(a) (resp. G_M(a)) is the integral over {u_i >= 0 (i != m),
 sum u_i <= 1 - a} of [int_a^{1-s} F dt][int_0^{1-s} F dt] (resp. of
-[int_a^{1-s} F dt]^2), an exact univariate polynomial obtained by the
-rescaling u_i = (1 - a) v_i and the Dirichlet monomial formula.
+[int_a^{1-s} F dt]^2).  `simplex.inner_G` gives both as exact univariate
+polynomials from sums over pairs of F's terms: with u' = (1 - a) v and the
+slack tau = 1 - sum v as an extra Dirichlet coordinate, a pair with u_m
+exponents e, f and gamma = alpha' + beta' contributes
+
+    c_alpha c_beta / ((e+1)(f+1)) sum_n kappa_n gamma! n! / (k-1+|gamma|+n)!
+                                        (1-a)^(k-1+|gamma|+n) a^(e+f+2-n),
+    kappa^L_n = C(e+f+2, n) - C(f+1, n),
+    kappa^M_n = C(e+f+2, n) - C(e+1, n) - C(f+1, n) + [n = 0].
 
 The outer integrals carry the weights (c - xi)/(1 - xi) / xi for L and
 (c - xi)^2/(1 - xi) / xi for M on eta <= xi <= c.  Because
@@ -37,23 +44,14 @@ quadrature without the partial fractions.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
 
-from .algebra import (
-    LogLinear,
-    SymPoly,
-    TestFunction,
-    as_rational,
-)
-from .simplex import I_k, integrate_out, monomial_simplex_integral
-
-
-class BudgetExceeded(RuntimeError):
-    """Raised when a numeric routine exhausts its evaluation budget."""
-
+from .algebra import BudgetExceeded, LogLinear, SymPoly, TestFunction, as_rational
+from .simplex import I_k, _swap_representatives, inner_G
 
 # ---------------------------------------------------------------------------
 # Parameters
@@ -114,8 +112,7 @@ class InnerFunctional:
 
     kind "L": semantic value at a is G(a) / (1 - a)   (one substituted factor),
     kind "M": semantic value at a is G(a) / (1 - a)^2 (substituted factor squared).
-    G is divisible by the corresponding power of (1 - a); `quotient_poly`
-    performs the division exactly and raises if a remainder survives.
+    G is divisible by the corresponding power of (1 - a).
     """
 
     m: int
@@ -132,20 +129,6 @@ class InnerFunctional:
     def power(self) -> int:
         """The power of (1 - a) dividing G: 1 for L, 2 for M."""
         return 1 if self.kind == "L" else 2
-
-    def quotient_poly(self) -> SymPoly:
-        """G(a) / (1-a)^power as an exact polynomial."""
-        coeffs = self.G.univariate_coeffs()
-        for _ in range(self.power):
-            coeffs = _divide_by_one_minus_x(coeffs)
-        return SymPoly(1, {(i,): c for i, c in enumerate(coeffs)})
-
-    def value_at(self, a: Fraction) -> Fraction:
-        """Exact semantic value G(a)/(1-a)^power for a rational a < 1."""
-        a = as_rational(a)
-        if a >= 1:
-            raise ValueError("semantic value requires a < 1")
-        return self.quotient_poly().eval((a,))
 
 
 def _divide_by_one_minus_x(coeffs: list[Fraction]) -> list[Fraction]:
@@ -183,64 +166,19 @@ def _check_box_bound(F: TestFunction, a_min: Fraction | None) -> bool:
     )
 
 
-def _inner_G(F: TestFunction, m: int, kinds: str) -> tuple[SymPoly, ...]:
-    """The univariate G(a) of each inner kind in `kinds` ("L", "M" or "LM").
-
-    All kinds share one h1 = int_a^{1-s} F dt_m; the L kind multiplies it by
-    h2 = int_0^{1-s} F dt_m, which is h1 at a = 0.
-    """
-    k = F.k
-    if not 1 <= m <= k:
-        raise ValueError(f"m must be in 1..{k}")
-    var = m - 1
-    ring = k + 1  # u1..uk plus the substitution offset a
-    lifted = SymPoly(ring, {exps + (0,): c for exps, c in F.poly.terms.items()})
-    h1 = integrate_out(lifted, var, k, lower=SymPoly.variable(ring, k))
-    h2 = h1.substitute(k, 0)
-    return tuple(_rescaled_simplex_integral(h1 * (h1 if kind == "M" else h2), var, k)
-                 for kind in kinds)
-
-
-def _rescaled_simplex_integral(q: SymPoly, var: int, k: int) -> SymPoly:
-    """int of q(u, a) over {u_i >= 0 (i != var), sum u_i <= 1 - a}, as a polynomial in a."""
-    # Rescale u_i = (1 - a) v_i for i != m (Jacobian (1-a)^(k-1)): a monomial
-    # with u-degree t just picks up a factor (1-a)^t, and the v-integral over
-    # the unit simplex is the Dirichlet value.  Group by t to keep the
-    # univariate assembly cheap.
-    by_degree: dict[int, dict[int, Fraction]] = {}
-    for exps, c in q.terms.items():
-        assert exps[var] == 0
-        u_part = exps[:var] + exps[var + 1:k]
-        t = sum(u_part)
-        val = c * monomial_simplex_integral(u_part)
-        slot = by_degree.setdefault(t, {})
-        slot[exps[k]] = slot.get(exps[k], Fraction(0)) + val
-
-    one_minus_a = 1 - SymPoly.variable(1, 0)
-    power = SymPoly.constant(1, 1)
-    powers: list[SymPoly] = []
-    for _ in range(max(by_degree, default=0) + 1):
-        powers.append(power)
-        power = power * one_minus_a
-    total = SymPoly.zero(1)
-    for t, amap in sorted(by_degree.items()):
-        p_t = SymPoly(1, {(e,): cc for e, cc in amap.items()})
-        total = total + p_t * powers[t]
-    return total * one_minus_a ** (k - 1)
+def _inner(F: TestFunction, m: int, a_min: Fraction | None, kind: str) -> InnerFunctional:
+    G = SymPoly.zero(1) if _check_box_bound(F, a_min) else inner_G(F, m, kind)[0]
+    return InnerFunctional(m=m, kind=kind, G=G)
 
 
 def inner_L(F: TestFunction, m: int, a_min: Fraction | None = None) -> InnerFunctional:
     """Inner L functional: G_L(a) with semantic value G_L(a)/(1-a)."""
-    if _check_box_bound(F, a_min):
-        return InnerFunctional(m=m, kind="L", G=SymPoly.zero(1))
-    return InnerFunctional(m=m, kind="L", G=_inner_G(F, m, "L")[0])
+    return _inner(F, m, a_min, "L")
 
 
 def inner_M(F: TestFunction, m: int, a_min: Fraction | None = None) -> InnerFunctional:
     """Inner M functional: G_M(a) with semantic value G_M(a)/(1-a)^2."""
-    if _check_box_bound(F, a_min):
-        return InnerFunctional(m=m, kind="M", G=SymPoly.zero(1))
-    return InnerFunctional(m=m, kind="M", G=_inner_G(F, m, "M")[0])
+    return _inner(F, m, a_min, "M")
 
 
 # ---------------------------------------------------------------------------
@@ -394,28 +332,6 @@ class LeadingCoefficient:
 VARIANTS = ("S", "Sprime")
 
 
-def _swap_representatives(poly: SymPoly) -> list[int]:
-    """For each coordinate m (1-based), the first r <= m whose swap with m fixes poly.
-
-    Invariance under the swap of u_r and u_m is an equivalence relation, so m
-    only needs testing against the representatives found so far.
-    """
-    k = poly.nvars
-    reps: list[int] = []
-    out: list[int] = []
-    for m in range(k):
-        for r in reps:
-            perm = list(range(k))
-            perm[r], perm[m] = m, r
-            if poly.permuted(perm) == poly:
-                out.append(r + 1)
-                break
-        else:
-            reps.append(m)
-            out.append(m + 1)
-    return out
-
-
 def _coordinate_values(F: TestFunction, m: int,
                        params: SieveParams) -> tuple[Fraction, LogLinear, LogLinear]:
     """(J^(m), L^(m), M^(m)) from one inner pass.
@@ -424,7 +340,7 @@ def _coordinate_values(F: TestFunction, m: int,
     it is read off the untruncated G_L even when a box bound zeroes L and M.
     """
     boxed_out = _check_box_bound(F, params.eta / params.r_exponent)
-    G_L, G_M = _inner_G(F, m, "LM")
+    G_L, G_M = inner_G(F, m, "LM")
     J = G_L.eval((0,))
     if boxed_out:
         return J, LogLinear.zero(), LogLinear.zero()
@@ -445,18 +361,15 @@ def leading_coefficient(F: TestFunction, params: SieveParams, variant: str = "Sp
     c = params.r_exponent
     eta = params.eta
 
-    I_val = I_k(F)
-    # coordinates whose swap leaves F unchanged share their J, L and M
+    # coordinates whose swap leaves F unchanged share their J, L and M; their
+    # pair sums have at least as many orbits as I's, so they meet the budget first
     reps = _swap_representatives(F.poly)
     values = {r: _coordinate_values(F, r, params) for r in set(reps)}
     J_vals, L_vals, M_vals = zip(*(values[r] for r in reps))
+    I_val = I_k(F)
 
-    sum_L = LogLinear.zero()
-    for v in L_vals:
-        sum_L = sum_L + v
-    sum_M = LogLinear.zero()
-    for v in M_vals:
-        sum_M = sum_M + v
+    sum_L = sum(L_vals, LogLinear.zero())
+    sum_M = sum(M_vals, LogLinear.zero())
     sum_J = sum(J_vals, Fraction(0))
 
     log_eta_term = LogLinear.log((1 - eta) / eta)
@@ -503,9 +416,9 @@ def lemma41_constant(eta: Fraction) -> LogLinear:
 class Theorem11Plan:
     """Derived quantities for the large-k existence argument.
 
-    k may be None when it would need more than ~1e5 decimal digits; log2_k
-    is always populated.  eta_ratio = theta/k is the exact rational ratio
-    eta / T (eta itself is transcendental: eta = theta T / k), so the
+    k is None when it has more digits than str() prints (_MAX_K_DIGITS);
+    log2_k is always populated.  eta_ratio = theta/k is the exact rational
+    ratio eta / T (eta itself is transcendental: eta = theta T / k), so the
     identity 2 k eta / theta = 2 T can be checked exactly via eta_ratio.
     vanishing_ok records that the substitution offset a_min = 2T/k clears
     the box bound T/k, which kills every inner L and M term.
@@ -525,7 +438,9 @@ class Theorem11Plan:
     rhs83_exceeds_rho: bool
 
 
-_MAX_K_DIGITS = 100_000
+# k stays an int only while str() can print it: Python caps int-to-str
+# conversion at sys.get_int_max_str_digits() digits, 4,300 by default.
+_MAX_K_DIGITS = 4_000
 
 
 def theorem11_plan(rho: int, theta: Fraction, epsilon: Fraction) -> Theorem11Plan:
@@ -541,33 +456,25 @@ def theorem11_plan(rho: int, theta: Fraction, epsilon: Fraction) -> Theorem11Pla
     if not 0 < epsilon <= 1:
         raise ValueError("epsilon must satisfy 0 < epsilon <= 1")
 
+    def ln_k_before_rounding():
+        return (mpmath.mpf((2 + epsilon).numerator) / mpmath.mpf((2 + epsilon).denominator)
+                * rho / (3 * mpmath.mpf(theta.numerator) / mpmath.mpf(theta.denominator)
+                         * mpmath.log(rho)))
+
     with mpmath.workdps(30):
-        exponent = (mpmath.mpf((2 + epsilon).numerator) / mpmath.mpf((2 + epsilon).denominator)
-                    * rho / (3 * mpmath.mpf(theta.numerator) / mpmath.mpf(theta.denominator)
-                             * mpmath.log(rho)))
+        exponent = ln_k_before_rounding()
         log2_k = float(exponent / mpmath.log(2))
         digits_needed = int(exponent / mpmath.log(10)) + 10
-
-    k: int | None
-    if digits_needed > _MAX_K_DIGITS:
-        k = None
-        with mpmath.workdps(30):
-            ln_k = exponent  # ln(exp(x) + 1) = x to this accuracy at huge x
-    else:
+    k: int | None = None
+    if digits_needed <= min(_MAX_K_DIGITS, sys.get_int_max_str_digits() or _MAX_K_DIGITS):
         with mpmath.workdps(digits_needed + 25):
-            exponent_hp = (mpmath.mpf((2 + epsilon).numerator) / mpmath.mpf((2 + epsilon).denominator)
-                           * rho / (3 * mpmath.mpf(theta.numerator) / mpmath.mpf(theta.denominator)
-                                    * mpmath.log(rho)))
-            k = int(mpmath.floor(mpmath.exp(exponent_hp) + 1))
-        ln_k = None
+            k = int(mpmath.floor(mpmath.exp(ln_k_before_rounding()) + 1))
 
     with mpmath.workdps(30):
-        if k is not None:
-            if k < 3:
-                raise ValueError("derived k is too small (< 3); enlarge rho")
-            lnk = mpmath.log(k)
-        else:
-            lnk = ln_k
+        if k is not None and k < 3:
+            raise ValueError("derived k is too small (< 3); enlarge rho")
+        # without k, ln k = ln(exp(x) + 1) = x to this accuracy at huge x
+        lnk = exponent if k is None else mpmath.log(k)
         lnlnk = mpmath.log(lnk)
         A = lnk - 2 * lnlnk
         if A <= 0:

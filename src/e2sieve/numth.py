@@ -181,13 +181,6 @@ def pi_flat(N: int) -> int:
     return len(primes_in_range(N, 2 * N))
 
 
-def pi_flat_qa(N: int, q: int, a: int) -> int:
-    """Number of primes p in [N, 2N) with p = a (mod q)."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    return sum(1 for p in primes_in_range(N, 2 * N) if p % q == a % q)
-
-
 def _smallest_prime_factor(n: int, base: Sequence[int]) -> int | None:
     for p in base:
         if p * p > n:
@@ -231,33 +224,6 @@ def _beta_numbers(N: int, eta: Fraction) -> tuple[int, ...]:
 def pi_beta(N: int, eta: Fraction) -> int:
     """sum of beta(n) over N < n <= 2N."""
     return len(_beta_numbers(N, as_rational(eta)))
-
-
-def pi_beta_q(N: int, eta: Fraction, q: int) -> int:
-    """Same sum restricted to n coprime to q."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    return sum(1 for n in _beta_numbers(N, as_rational(eta)) if math.gcd(n, q) == 1)
-
-
-def pi_beta_qa(N: int, eta: Fraction, q: int, a: int) -> int:
-    """Same sum restricted to n = a (mod q)."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    return sum(1 for n in _beta_numbers(N, as_rational(eta)) if n % q == a % q)
-
-
-def delta_beta(N: int, eta: Fraction, q: int, a: int) -> Fraction:
-    """Discrepancy pi_beta(N;q,a) - pi_beta_q(N)/phi(q), exact.
-
-    Requires gcd(a, q) = 1; summed over the coprime residues a the
-    discrepancies cancel exactly.
-    """
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if math.gcd(a, q) != 1:
-        raise ValueError("a must be coprime to q")
-    return Fraction(pi_beta_qa(N, eta, q, a)) - Fraction(pi_beta_q(N, eta, q), euler_phi(q))
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +445,7 @@ class BVTable:
     """Exact discrepancy table over squarefree moduli q <= floor(N^theta).
 
     For the prime universe the reference count is pi_flat(N)/phi(q); for the
-    beta universe it is the coprime-restricted pi_beta_q(N)/phi(q).  The
+    beta universe it is the count of beta numbers coprime to q over phi(q).  The
     weighted sum aggregates mu^2(q) * max_(a,q)=1 |discrepancy|.
     """
 

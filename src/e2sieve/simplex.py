@@ -1,30 +1,44 @@
 """Integration over the solid simplex R_k = {u_i >= 0, u_1 + ... + u_k <= 1}.
 
-Monomial integrals have the classical Dirichlet closed form
+Monomials have the Dirichlet closed form  int_{R_k} u^alpha du = alpha! / (k + |alpha|)!,
+so the quadratic functionals of F = sum_alpha c_alpha u^alpha are sums over
+pairs of its terms, with nothing expanded:
 
-    int_{R_k} u1^a1 * ... * uk^ak du  =  (prod_i a_i!) / (k + sum_i a_i)!
+    I_k(F)     = int_{R_k} F^2 = sum c_alpha c_beta (alpha+beta)! / (k+|alpha|+|beta|)!,
+    J_k^(m)(F) = int_{R_{k-1}} (int_0^{1-s} F du_m)^2 = G_L(0),   s = sum_{i != m} u_i.
 
-which turns every polynomial integral into a finite exact sum over terms.
-The two quadratic functionals the sieve analysis needs are
+For the inner functionals G_L, G_M of `functionals`, write a term as
+c_alpha u'^alpha' u_m^e, rescale the other coordinates u' = (1 - a) v and keep
+the slack tau = 1 - sum v as a Dirichlet coordinate, int v^gamma tau^n =
+gamma! n! / (k-1+|gamma|+n)!.  As 1 - s = a + (1 - a) tau, a binomial expansion gives
 
-    I_k(F)     = int_{R_k} F(u)^2 du
-    J_k^(m)(F) = int_{R_{k-1}} ( int_0^{1-s} F dt_m )^2 du_others,
-                 s = sum_{i != m} u_i,
+    G_X(a) = sum_{alpha,beta} c_alpha c_beta / ((e+1)(f+1))
+             sum_n kappa^X_n gamma! n! / (k-1+|gamma|+n)! (1-a)^(k-1+|gamma|+n) a^(e+f+2-n),
+    kappa^L_n = C(e+f+2, n) - C(f+1, n),
+    kappa^M_n = C(e+f+2, n) - C(e+1, n) - C(f+1, n) + [n = 0],
 
-both computed exactly here for polynomial F.  A spacings-based Monte Carlo
-estimator provides an independent numerical cross-check of the same
-quantities.
+with gamma = alpha' + beta' and f the exponent of u_m in beta.  A pair enters
+only through gamma!, |gamma|, e and f, so the sums are kept as ints per key
+(e, f, |gamma|) over one denominator.  F and each pair's contribution are
+invariant under permutations within F's swap classes, so one side of the sum
+runs over orbit representatives weighted by orbit size (for an F fixed by no
+swap, the plain pair sum).  A spacings-based Monte Carlo estimator
+cross-checks I and J numerically.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, lcm, prod
+from operator import add
 from typing import Sequence
 
 import numpy as np
 
-from .algebra import RationalLike, SymPoly, TestFunction, definite_integral_one_var
+from .algebra import (BudgetExceeded, SymPoly, TestFunction, _int_numerators,
+                      definite_integral_one_var)
 
 # ---------------------------------------------------------------------------
 # Exact integrals
@@ -51,65 +65,143 @@ def monomial_simplex_integral(exponents: Sequence[int]) -> Fraction:
     return Fraction(num, _factorial(k + sum(exponents)))
 
 
-def integrate_poly_simplex(p: SymPoly) -> Fraction:
-    """Exact integral of a polynomial over the solid simplex in all its variables."""
-    total = Fraction(0)
-    for exps, c in p.terms.items():
-        total += c * monomial_simplex_integral(exps)
-    return total
-
-
-def _integrate_poly_simplex_excluding(p: SymPoly, skip: int) -> Fraction:
-    """Integrate p over the solid simplex of all variables except `skip`.
-
-    p must not involve variable `skip` (exponent 0 everywhere).
-    """
-    total = Fraction(0)
-    for exps, c in p.terms.items():
-        if exps[skip] != 0:
-            raise ValueError("polynomial still involves the skipped variable")
-        reduced = exps[:skip] + exps[skip + 1:]
-        total += c * monomial_simplex_integral(reduced)
-    return total
-
-
-def integrate_out(p: SymPoly, var: int, k: int, lower: SymPoly | RationalLike = 0) -> SymPoly:
-    """int_lower^{1-s} p du_var with s = sum_{i < k, i != var} u_i, exactly.
-
-    The first k variables are the simplex coordinates; any further variable
-    (such as a substitution offset) is a parameter and may appear in `lower`.
-    The result no longer involves u_var.
-    """
+def integrate_out(p: SymPoly, var: int) -> SymPoly:
+    """int_0^{1-s} p du_var with s the sum of the other coordinates, exactly."""
     upper = SymPoly.constant(p.nvars, 1)
-    for i in range(k):
+    for i in range(p.nvars):
         if i != var:
             upper = upper - SymPoly.variable(p.nvars, i)
-    return definite_integral_one_var(p, var, lower, upper)
+    return definite_integral_one_var(p, var, 0, upper)
+
+
+def _swap_representatives(poly: SymPoly) -> list[int]:
+    """For each coordinate m (1-based), the first r <= m whose swap with m fixes poly.
+
+    Invariance under the swap of u_r and u_m is an equivalence relation, so m
+    only needs testing against the representatives found so far.
+    """
+    reps: list[int] = []
+    out: list[int] = []
+    for m in range(poly.nvars):
+        for r in reps:
+            perm = list(range(poly.nvars))
+            perm[r], perm[m] = m, r
+            if all(poly.terms.get(tuple(map(exps.__getitem__, perm))) == c
+                   for exps, c in poly.terms.items()):
+                out.append(r + 1)
+                break
+        else:
+            reps.append(m)
+            out.append(m + 1)
+    return out
+
+
+# Most pairs (orbit representatives x terms) one kernel call may sum, about
+# a second of work: (1 - P1)^7 at k = 6 needs 199,056 per coordinate.
+_MAX_PAIRS = 1_000_000
+
+
+def _orbit_representatives(poly: SymPoly, m: int | None) -> list[tuple[tuple[int, ...], int]]:
+    """(exponents, orbit size) of each term of poly sorted within every swap class.
+
+    The 0-based coordinate m, if given, is taken out of its class first.
+    """
+    classes: dict[int, list[int]] = {}
+    for i, r in enumerate(_swap_representatives(poly)):
+        if i != m:
+            classes.setdefault(r, []).append(i)
+    classes = {r: idx for r, idx in classes.items() if len(idx) > 1}   # singletons fix every term
+    out = []
+    for exps in poly.terms:
+        size = 1
+        for idx in classes.values():
+            run = [exps[i] for i in idx]
+            if any(x < y for x, y in zip(run, run[1:])):
+                break
+            size *= _factorial(len(run)) // prod(map(_factorial, Counter(run).values()))
+        else:
+            out.append((exps, size))
+    return out
+
+
+def _pair_sums(poly: SymPoly, m: int | None) -> tuple[dict[tuple[int, int, int], int], int]:
+    """The pair sums S[(e, f, |gamma|)] as ints, and their common denominator.
+
+    A term splits into its exponent e of the 0-based coordinate m and the
+    rest (e = 0 and rest = all exponents when m is None).  S sums
+    |orbit| n_alpha n_beta gamma! over representatives alpha and all terms
+    beta, gamma = rest_alpha + rest_beta, n the coefficients' int numerators.
+    Raises BudgetExceeded before the pair loop above _MAX_PAIRS pairs.
+    """
+    reps = _orbit_representatives(poly, m)
+    if len(reps) * len(poly.terms) > _MAX_PAIRS:
+        raise BudgetExceeded(f"{len(reps)} orbit representatives x {len(poly.terms)} terms "
+                             f"exceeds the {_MAX_PAIRS} pairs of the simplex kernel")
+    items, den = _int_numerators(poly.terms)
+
+    def split(exps):
+        return (0, exps) if m is None else (exps[m], exps[:m] + exps[m + 1:])
+
+    groups: dict[tuple[int, int], list] = {}
+    for exps, n in items:
+        f, rest = split(exps)
+        groups.setdefault((f, sum(rest)), []).append((rest, n))
+    fact = [_factorial(i) for i in range(2 * poly.total_degree() + 1)].__getitem__
+    numerators = dict(items)
+    sums: dict[tuple[int, int, int], int] = {}
+    for exps, size in reps:
+        e, rest = split(exps)
+        weight, g = size * numerators[exps], sum(rest)
+        for (f, g2), group in groups.items():
+            s = sum(n * prod(map(fact, map(add, rest, other))) for other, n in group)
+            key = (e, f, g + g2)
+            sums[key] = sums.get(key, 0) + weight * s
+    return sums, den * den
 
 
 def I_k(F: TestFunction) -> Fraction:
-    """I_k(F) = int_{R_k} F^2, exactly."""
-    return integrate_poly_simplex(F.poly * F.poly)
+    """I_k(F) = int_{R_k} F^2, exactly, from the pair sums."""
+    sums, den = _pair_sums(F.poly, None)
+    return sum((Fraction(s, _factorial(F.k + g)) for (_, _, g), s in sums.items()),
+               Fraction(0)) / den
 
 
-def J_k_m(F: TestFunction, m: int) -> Fraction:
-    """J_k^(m)(F): square of the m-th one-variable average, integrated exactly.
+def inner_G(F: TestFunction, m: int, kinds: str) -> tuple[SymPoly, ...]:
+    """The univariate G(a) of each inner kind in `kinds` ("L", "M" or "LM"), m 1-based.
 
-    m is 1-based.  The inner integral int_0^{1-s} F dt_m (s = sum of the
-    other coordinates) is computed symbolically, squared, and integrated
-    over the remaining (k-1)-simplex via the Dirichlet formula.  For k = 1
-    the outer simplex is a point and the result is just the square of
-    int_0^1 F.
+    Both kinds share one pass of pair sums.
     """
     k = F.k
     if not 1 <= m <= k:
         raise ValueError(f"m must be in 1..{k}")
-    var = m - 1
-    inner = integrate_out(F.poly, var, k)
-    squared = inner * inner
-    if k == 1:
-        return squared.constant_value()
-    return _integrate_poly_simplex_excluding(squared, var)
+    sums, den = _pair_sums(F.poly, m - 1)
+    top = max((k + 1 + sum(key) for key in sums), default=0)   # the degree of G
+    # every (e+1)(f+1) (k-1+|gamma|+n)! divides the common denominator
+    common = lcm(*range(1, max((max(key[:2]) for key in sums), default=0) + 2)) ** 2
+    common *= _factorial(top)
+    scale = [common // _factorial(P) for P in range(top + 1)]
+    out = []
+    for kind in kinds:
+        rows: dict[int, list[int]] = {}   # P -> numerators of (1-a)^P a^Q by Q
+        for (e, f, g), s in sums.items():
+            for n in range(e + f + 3):
+                # kappa^L_n, less C(e+1, n) - [n = 0] for kappa^M_n
+                c = (comb(e + f + 2, n) - comb(f + 1, n)
+                     - (kind == "M") * (comb(e + 1, n) - (n == 0)))
+                if c:
+                    P = k - 1 + g + n
+                    row = rows.setdefault(P, [0] * (top + 1))
+                    row[e + f + 2 - n] += s * c * _factorial(n) * (scale[P] // ((e + 1) * (f + 1)))
+        coeffs = zero = [0] * (top + 1)
+        for P in range(top, -1, -1):   # Horner in (1 - a): coeffs (1 - a) + rows[P]
+            coeffs = [x - y + z for x, y, z in zip(coeffs, [0] + coeffs, rows.get(P, zero))]
+        out.append(SymPoly(1, {(i,): Fraction(c, common * den) for i, c in enumerate(coeffs) if c}))
+    return tuple(out)
+
+
+def J_k_m(F: TestFunction, m: int) -> Fraction:
+    """J_k^(m)(F) = G_L(0) exactly, m 1-based; for k = 1 it is (int_0^1 F)^2."""
+    return inner_G(F, m, "L")[0].terms.get((0,), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -130,39 +222,41 @@ class MCEstimate:
 # Samples are drawn and evaluated this many rows at a time, so the memory of a
 # call stays bounded whatever the sample count.  The generator yields the same
 # rows in chunks as in one draw, so the estimate does not depend on the size.
-_MC_CHUNK = 1 << 16
+_MC_CHUNK = 1 << 14
 
 
 def _compile_poly(p: SymPoly) -> tuple[np.ndarray, np.ndarray]:
     """(exponent matrix, float coefficient vector) for vectorized evaluation."""
-    if p.is_zero():
-        return np.zeros((0, p.nvars), dtype=np.int64), np.zeros(0)
-    exps = np.array(sorted(p.terms), dtype=np.int64)
-    coeffs = np.array([float(p.terms[tuple(e)]) for e in exps])
-    return exps, coeffs
+    keys = sorted(p.terms)
+    return (np.array(keys, dtype=np.int64).reshape(-1, p.nvars),
+            np.array([float(p.terms[e]) for e in keys]))
 
 
 def _eval_poly_array(exps: np.ndarray, coeffs: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Evaluate a compiled polynomial at the rows of X (n x nvars) using power tables."""
+    """Evaluate a compiled polynomial at the rows of X (n x nvars) using power tables.
+
+    Each term is formed in one preallocated row, coefficient first and then
+    its factors in coordinate order, and added to the result in term order.
+    """
     n, nv = X.shape
-    if len(coeffs) == 0:
-        return np.zeros(n)
-    max_deg = exps.max(axis=0)
+    out = np.zeros(n)
+    Xt = np.ascontiguousarray(X.T)
+    max_deg = exps.max(axis=0, initial=0)
     powers = []
     for j in range(nv):
         tab = np.empty((max_deg[j] + 1, n))
         tab[0] = 1.0
         for e in range(1, max_deg[j] + 1):
-            tab[e] = tab[e - 1] * X[:, j]
+            np.multiply(tab[e - 1], Xt[j], out=tab[e])
         powers.append(tab)
-    out = np.zeros(n)
+    buf = np.empty(n)
     for t in range(len(coeffs)):
-        term = np.full(n, coeffs[t])
+        buf.fill(coeffs[t])
         for j in range(nv):
             e = exps[t, j]
             if e:
-                term = term * powers[j][e]
-        out += term
+                np.multiply(buf, powers[j][e], out=buf)
+        out += buf
     return out
 
 
@@ -193,26 +287,18 @@ def mc_simplex_integral(
         raise ValueError("kind must be 'I' or 'J'")
     rng = np.random.default_rng(seed)
     k = F.k
-
-    if kind == "I":
-        dim = k
-        base = F.poly
-    else:
+    base = F.poly
+    if kind == "J":
         if m is None or not 1 <= m <= k:
             raise ValueError(f"kind 'J' needs m in 1..{k}")
-        var = m - 1
-        inner = integrate_out(F.poly, var, k)
-        # drop the integrated-out variable, keeping the others in order
-        reduced_terms = {
-            exps[:var] + exps[var + 1:]: c for exps, c in inner.terms.items()
-        }
-        base = SymPoly(k - 1, reduced_terms)
-        dim = k - 1
-        if dim == 0:
+        base = integrate_out(F.poly, m - 1)
+        if k == 1:
             v = float(base.constant_value()) ** 2
             return MCEstimate(value=v, stderr=0.0, samples=samples, seed=seed, kind="J", m=m)
-
     exps, coeffs = _compile_poly(base)
+    if kind == "J":  # drop the integrated-out coordinate, which no term involves
+        exps = np.delete(exps, m - 1, axis=1)
+    dim = exps.shape[1]
     sq = np.empty(samples)
     for start in range(0, samples, _MC_CHUNK):
         rows = min(_MC_CHUNK, samples - start)

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from e2sieve import TARGETS, leading_coefficient
-from e2sieve.algebra import SymPoly, definite_integral_one_var
+from e2sieve.algebra import SymPoly, TestFunction, definite_integral_one_var
+from e2sieve.simplex import integrate_out, monomial_simplex_integral
 
 
 def iterated_simplex_integral(exponents) -> Fraction:
@@ -22,6 +23,50 @@ def iterated_simplex_integral(exponents) -> Fraction:
             upper = upper - SymPoly.variable(k, j)
         poly = definite_integral_one_var(poly, var, Fraction(0), upper)
     return poly.constant_value()
+
+
+# ---------------------------------------------------------------------------
+# The expanding oracle: square or multiply out, then integrate term by term
+# ---------------------------------------------------------------------------
+
+
+def integrate_poly_simplex(p: SymPoly) -> Fraction:
+    """Exact integral of a polynomial over the solid simplex in all its variables."""
+    return sum((c * monomial_simplex_integral(exps) for exps, c in p.terms.items()), Fraction(0))
+
+
+def expanding_I(F: TestFunction) -> Fraction:
+    return integrate_poly_simplex(F.poly * F.poly)
+
+
+def expanding_J(F: TestFunction, m: int) -> Fraction:
+    """Integrate out u_m, square, and integrate over the other coordinates."""
+    var = m - 1
+    inner = integrate_out(F.poly, var)
+    squared = inner * inner
+    return integrate_poly_simplex(SymPoly(F.k - 1, {
+        exps[:var] + exps[var + 1:]: c for exps, c in squared.terms.items()}))
+
+
+def expanding_G(F: TestFunction, m: int, kind: str) -> SymPoly:
+    """G_L or G_M: expand h1 h2 or h1^2 in (u, a), rescale u' = (1 - a) v, integrate.
+
+    h1 = int_a^{1-s} F du_m and h2 = h1 at a = 0.  A monomial with u-degree t
+    picks up (1 - a)^t from the rescaling, and (1 - a)^(k-1) is the Jacobian.
+    """
+    k, var = F.k, m - 1
+    ring = k + 1  # u1..uk plus the substitution offset a
+    lifted = SymPoly(ring, {exps + (0,): c for exps, c in F.poly.terms.items()})
+    upper = 1 - sum((SymPoly.variable(ring, i) for i in range(k) if i != var), SymPoly.zero(ring))
+    h1 = definite_integral_one_var(lifted, var, SymPoly.variable(ring, k), upper)
+    q = h1 * (h1 if kind == "M" else h1.substitute(k, 0))
+    one_minus_a = 1 - SymPoly.variable(1, 0)
+    total = SymPoly.zero(1)
+    for exps, c in q.terms.items():
+        u_part = exps[:var] + exps[var + 1:k]
+        total = total + (c * monomial_simplex_integral(u_part) * SymPoly.variable(1, 0) ** exps[k]
+                         * one_minus_a ** sum(u_part))
+    return total * one_minus_a ** (k - 1)
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """Exact polynomial and log-linear arithmetic."""
 
 import decimal
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from e2sieve.algebra import (
+    BudgetExceeded,
     LogLinear,
     SymPoly,
     TestFunction,
@@ -202,6 +204,27 @@ def test_parse_poly_basics():
 def test_parse_poly_rejects(bad):
     with pytest.raises(ValueError):
         parse_poly(bad, 4)
+
+
+@pytest.mark.parametrize("expression, k", [
+    ("P1**30", 6),                    # up to 324,632 terms
+    ("(1+u1+u2+u3)**47", 3),          # 19,600 terms, but 2600^2 pairs in its last squaring
+    ("(1+P1)**4 * (1+P3)**4", 6),     # 210 x 210 pairs, of degree up to 16
+], ids=["power-terms", "power-pairs", "product-terms"])
+def test_parse_poly_over_the_budget_raises_before_expanding(expression, k):
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="budget"):
+            parse_poly(expression, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+
+
+def test_parse_poly_within_the_budget_matches_plain_powers():
+    assert parse_poly("(1-P1)**7", 6) == (1 - parse_poly("P1", 6)) ** 7
+    assert parse_poly("(u1-u1)**3 + P2**0", 2) == SymPoly.constant(2, 1)
 
 
 def test_power_sum_expressions_are_symmetric():

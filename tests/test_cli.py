@@ -97,6 +97,15 @@ def test_functional_validates_before_computing(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("expression, budget", [
+    ("P1**30", "terms"),     # up to 324,632 terms: refused by the parser
+    ("P1**12", "pairs"),     # 6188 terms, but 197 x 6188 pairs per coordinate
+])
+def test_functional_over_the_work_budget_exits_2(capsys, expression, budget):
+    code, _, err = run_cli(capsys, ["functional", "--F", expression, "--k", "6"])
+    assert code == 2 and budget in err
+
+
 def test_functional_text_and_csv(capsys):
     base = ["functional", "--F", "(1-u1)*(1-u2)", "--k", "2", "--theta", "1/2", "--eta", "1/100"]
     code, out, _ = run_cli(capsys, base + ["--format", "text"])
@@ -178,6 +187,15 @@ def test_theorem11(capsys):
     payload = json.loads(out)
     assert payload["k"] == 78 and payload["eta_ratio"] == "1/156"
     assert payload["rhs83_exceeds_rho"] is False
+
+
+def test_theorem11_reports_log2_k_when_k_is_too_long_to_print(capsys):
+    # k would have about 5,281 digits, beyond what str() prints by default
+    code, out, _ = run_cli(capsys, ["theorem11", "--rho", "100000", "--theta", "1/2"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["k"] is None and payload["eta_ratio"] is None
+    assert payload["log2_k"] == pytest.approx(17543.5, rel=1e-5)
 
 
 def test_theorem11_rejects_small_rho(capsys):

@@ -1,6 +1,7 @@
 """Outer weighted functionals, leading coefficients, and the large-k plan."""
 
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -12,7 +13,9 @@ from e2sieve import TARGETS
 from e2sieve.algebra import LogLinear, SymPoly, TestFunction, loglinear_eval, parse_poly
 from e2sieve.functionals import (
     BudgetExceeded,
+    _MAX_K_DIGITS,
     SieveParams,
+    _divide_by_one_minus_x,
     inner_L,
     inner_M,
     leading_coefficient,
@@ -92,17 +95,17 @@ def test_inner_G_at_zero_recovers_J():
             assert inner_M(F, m).G.eval([Fraction(0)]) == J
 
 
-def test_quotient_poly_divides_exactly():
-    F = TestFunction(k=2, poly=parse_poly("(1-u1)*(1-u2)", 2))
-    for inner in (inner_L(F, 1), inner_M(F, 1)):
-        q = inner.quotient_poly()
-        power = 1 if inner.kind == "L" else 2
-        one_minus_a = SymPoly.constant(1, 1) - SymPoly.variable(1, 0)
-        assert q * one_minus_a ** power == inner.G
-    a = Fraction(1, 3)
-    # value_at is the semantic value G(a)/(1-a)^power
-    assert inner_L(F, 1).value_at(a) == inner_L(F, 1).G.eval([a]) / (1 - a)
-    assert inner_M(F, 1).value_at(a) == inner_M(F, 1).G.eval([a]) / (1 - a) ** 2
+def test_G_divides_exactly_by_its_power_of_one_minus_a():
+    # the closed form relies on G_L / (1-a) and G_M / (1-a)^2 being polynomials
+    one_minus_a = SymPoly.constant(1, 1) - SymPoly.variable(1, 0)
+    for expr, k in [("(1-u1)*(1-u2)", 2), (SYM12, 4), (ASYMMETRIC, 4)]:
+        F = TestFunction(k=k, poly=parse_poly(expr, k))
+        for inner in (inner_L(F, 1), inner_M(F, 1)):
+            coeffs = inner.G.univariate_coeffs()
+            for _ in range(inner.power):
+                coeffs = _divide_by_one_minus_x(coeffs)
+            q = SymPoly(1, {(i,): c for i, c in enumerate(coeffs)})
+            assert q * one_minus_a ** inner.power == inner.G
 
 
 def test_box_bound_forces_vanishing():
@@ -310,6 +313,17 @@ def test_theorem11_plan_huge_rho_skips_materializing_k():
     assert plan.log2_k > 9e7
     assert plan.vanishing_ok
     assert plan.rhs83 > 0
+
+
+def test_theorem11_plan_keeps_k_only_while_str_can_print_it():
+    # rho = 10^5 at theta = 1/2 needs a k of about 5,281 digits
+    plan = theorem11_plan(10 ** 5, HALF, Fraction(1, 10))
+    assert plan.k is None and plan.eta_ratio is None
+    assert plan.log2_k == pytest.approx(17543.5, rel=1e-5)
+    assert _MAX_K_DIGITS < sys.get_int_max_str_digits()
+    # rho = 7 * 10^4 still gets its k, of 3,815 digits
+    plan = theorem11_plan(7 * 10 ** 4, HALF, Fraction(1, 10))
+    assert len(str(plan.k)) == 3815 and plan.eta_ratio == HALF / plan.k
 
 
 @pytest.mark.parametrize("bad", [

@@ -17,7 +17,6 @@ from e2sieve.numth import (
     beta,
     beta_mask,
     bv_table,
-    delta_beta,
     e2_sequence,
     euler_phi,
     factor_table,
@@ -28,10 +27,7 @@ from e2sieve.numth import (
     is_squarefree,
     p2_sequence,
     pi_beta,
-    pi_beta_q,
-    pi_beta_qa,
     pi_flat,
-    pi_flat_qa,
     primes_in_range,
     primes_up_to,
     tuple_hit_count,
@@ -83,8 +79,9 @@ def test_floor_rational_power_is_the_true_floor(N, num, den):
 
 def test_pi_flat_counts_the_dyadic_window():
     assert pi_flat(10) == 4                 # 11, 13, 17, 19
-    assert pi_flat_qa(10, 3, 1) == 2        # 13, 19
-    assert pi_flat_qa(10, 3, 2) == 2        # 11, 17
+    rows = bv_table(10, None, Fraction(1), "primes").rows
+    assert rows[3] == 0                     # 13, 19 = 1 and 11, 17 = 2 (mod 3)
+    assert rows[7] == Fraction(2, 3)        # one prime in each of 3, 4, 5, 6 (mod 7)
 
 
 # ---------------------------------------------------------------------------
@@ -119,23 +116,6 @@ def test_beta_matches_trial_division_oracle():
         assert beta(n, N, eta) == hits, n
         flagged += hits
     assert flagged == pi_beta(N, eta)
-
-
-def test_beta_counts_split_by_residue():
-    N, eta, q = 500, Fraction(1, 10), 6
-    total_coprime = sum(pi_beta_qa(N, eta, q, a) for a in range(q) if math.gcd(a, q) == 1)
-    assert total_coprime == pi_beta_q(N, eta, q)
-    assert pi_beta_q(N, eta, 1) == pi_beta(N, eta)
-
-
-def test_delta_beta_sums_to_zero_over_coprime_classes():
-    eta = Fraction(1, 10)
-    for N, q in [(200, 3), (200, 4), (500, 5), (1000, 6)]:
-        total = sum(delta_beta(N, eta, q, a) for a in range(1, q + 1) if math.gcd(a, q) == 1)
-        assert total == 0
-    assert delta_beta(300, eta, 1, 1) == 0
-    with pytest.raises(ValueError):
-        delta_beta(200, eta, 6, 3)  # gcd(3, 6) != 1
 
 
 # ---------------------------------------------------------------------------

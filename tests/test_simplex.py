@@ -8,13 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import iterated_simplex_integral
+from conftest import (
+    expanding_G,
+    expanding_I,
+    expanding_J,
+    integrate_poly_simplex,
+    iterated_simplex_integral,
+)
 from e2sieve import TARGETS
-from e2sieve.algebra import SymPoly, TestFunction, parse_poly
+from e2sieve.algebra import BudgetExceeded, SymPoly, TestFunction, parse_poly
 from e2sieve.simplex import (
+    _MAX_PAIRS,
     I_k,
     J_k_m,
-    integrate_poly_simplex,
+    _orbit_representatives,
+    inner_G,
     mc_simplex_integral,
     monomial_simplex_integral,
 )
@@ -44,6 +52,60 @@ def test_integrate_poly_simplex_is_linear():
     p = SymPoly(2, {(1, 0): Fraction(2), (0, 2): Fraction(-3)})
     expected = 2 * monomial_simplex_integral((1, 0)) - 3 * monomial_simplex_integral((0, 2))
     assert integrate_poly_simplex(p) == expected
+
+
+def _partially_symmetric(k, classes, monomials):
+    """The sum of c * (orbit of alpha) over the group permuting coordinates with equal labels."""
+    terms = {}
+    for alpha, c in monomials.items():
+        for perm in itertools.permutations(range(k)):
+            if all(classes[i] == classes[perm[i]] for i in range(k)):
+                terms[tuple(alpha[perm[i]] for i in range(k))] = c
+    return SymPoly(k, terms)
+
+
+@st.composite
+def partially_symmetric_functions(draw):
+    k = draw(st.integers(2, 4))
+    classes = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
+    exponents = st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(lambda e: sum(e) <= 3)
+    monomials = draw(st.dictionaries(exponents.map(tuple), st.builds(
+        Fraction, st.integers(-9, 9), st.integers(1, 9)), max_size=6))
+    return TestFunction(k=k, poly=_partially_symmetric(k, classes, monomials))
+
+
+@given(F=partially_symmetric_functions())
+@settings(max_examples=40, deadline=None)
+def test_pair_kernel_equals_the_expanding_oracle(F):
+    assert I_k(F) == expanding_I(F)
+    for m in range(1, F.k + 1):
+        G_L, G_M = inner_G(F, m, "LM")
+        assert G_L == expanding_G(F, m, "L")
+        assert G_M == expanding_G(F, m, "M")
+        assert J_k_m(F, m) == expanding_J(F, m)
+
+
+def test_orbit_pairs_of_a_symmetric_degree_7_function():
+    # (1 - P1)^7 at k = 6 has 1716 terms; I sums over 44 orbit representatives
+    # of the full symmetric group, G at one coordinate over 116 of S_5
+    F = TestFunction.from_expression(6, "(1-P1)**7")
+    assert len(F.poly.terms) == 1716
+    assert len(_orbit_representatives(F.poly, None)) * 1716 == 75_504
+    assert len(_orbit_representatives(F.poly, 0)) * 1716 == 199_056
+    assert all(len(_orbit_representatives(F.poly, m)) == 116 for m in range(6))
+
+
+def test_kernel_over_the_pair_budget_raises_before_its_pair_loop():
+    F = TestFunction.from_expression(6, "P1**12")   # 6188 terms
+    assert len(_orbit_representatives(F.poly, 0)) * len(F.poly.terms) > _MAX_PAIRS
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="pairs"):
+            inner_G(F, 1, "LM")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
 
 
 def test_I_and_J_on_the_constant_function():
@@ -111,7 +173,7 @@ def test_mc_is_deterministic_per_seed():
 
 
 def test_mc_chunked_draws_match_the_single_draw_figures():
-    # 200,000 samples span four chunks of 2**16 rows, the last one partial;
+    # 200,000 samples span 13 chunks of 2**14 rows, the last one partial;
     # the figures were recorded when the estimator drew all rows at once
     F = TestFunction.from_expression(3, "1 - P1 + 2*P2")
     est_i = mc_simplex_integral(F, "I", 200_000, 20261018)
