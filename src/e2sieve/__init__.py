@@ -17,7 +17,6 @@ from .algebra import (
 from .catalog import TARGETS, VerificationTarget, get_target
 from .functionals import (
     BudgetExceeded,
-    InnerFunctional,
     LeadingCoefficient,
     SieveParams,
     Theorem11Plan,
@@ -72,7 +71,6 @@ __all__ = [
     "BudgetExceeded",
     "GapReport",
     "I_k",
-    "InnerFunctional",
     "J_k_m",
     "LeadingCoefficient",
     "LogLinear",

@@ -135,11 +135,6 @@ class SymPoly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def degree_in(self, var: int) -> int:
-        if not self.terms:
-            return -1
-        return max(e[var] for e in self.terms)
-
     def uses_var(self, var: int) -> bool:
         return any(e[var] > 0 for e in self.terms)
 
@@ -227,16 +222,6 @@ class SymPoly:
 
     # -- calculus ------------------------------------------------------------
 
-    def derivative(self, var: int) -> "SymPoly":
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in self.terms.items():
-            e = exps[var]
-            if e == 0:
-                continue
-            ne = exps[:var] + (e - 1,) + exps[var + 1:]
-            out[ne] = out.get(ne, Fraction(0)) + c * e
-        return SymPoly(self.nvars, out)
-
     def antiderivative(self, var: int) -> "SymPoly":
         out: dict[tuple[int, ...], Fraction] = {}
         for exps, c in self.terms.items():
@@ -285,18 +270,6 @@ class SymPoly:
                     term *= x ** e
             total += term
         return total
-
-    def permuted(self, perm: Sequence[int]) -> "SymPoly":
-        """Relabel variables: new variable perm[i] receives old variable i."""
-        if sorted(perm) != list(range(self.nvars)):
-            raise ValueError("perm must be a permutation of range(nvars)")
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in self.terms.items():
-            ne = [0] * self.nvars
-            for i, e in enumerate(exps):
-                ne[perm[i]] = e
-            out[tuple(ne)] = c
-        return SymPoly(self.nvars, out)
 
     # -- canonical text form ---------------------------------------------------
 
@@ -427,11 +400,9 @@ def parse_poly(expression: str, k: int) -> SymPoly:
     rational coefficients like 917/500 are written).  A product or power
     that could create more than _MAX_PARSE_TERMS terms, or multiply more
     than _MAX_PARSE_PAIRS term pairs, raises BudgetExceeded before expanding.
+    An expression nested beyond the interpreter's recursion limit raises
+    ValueError.
     """
-    try:
-        tree = ast.parse(expression, mode="eval")
-    except SyntaxError as exc:
-        raise ValueError(f"cannot parse expression: {exc}") from None
 
     def build(node) -> SymPoly:
         if isinstance(node, ast.Expression):
@@ -487,7 +458,12 @@ def parse_poly(expression: str, k: int) -> SymPoly:
             raise ValueError(f"unsupported operator {type(node.op).__name__}")
         raise ValueError(f"unsupported syntax element {type(node).__name__}")
 
-    return build(tree)
+    try:
+        return build(ast.parse(expression, mode="eval"))
+    except SyntaxError as exc:
+        raise ValueError(f"cannot parse expression: {exc}") from None
+    except RecursionError:
+        raise ValueError("expression is nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------

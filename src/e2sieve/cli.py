@@ -189,7 +189,7 @@ def _emit(text: str) -> None:
 
 
 def _emit_json(obj) -> None:
-    _emit(json.dumps(obj, sort_keys=True, indent=2))
+    _emit(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False))
 
 
 def _emit_csv(rows: list[tuple]) -> None:
@@ -411,7 +411,7 @@ def cmd_scan(cfg: RunConfig) -> int:
 
 
 def cmd_theorem11(cfg: RunConfig) -> int:
-    if cfg.rho is None:
+    if "rho" not in cfg.explicit:
         raise ValueError("theorem11 needs --rho")
     plan = theorem11_plan(cfg.rho, cfg.theta, cfg.epsilon)
     payload = {

@@ -30,20 +30,22 @@ c - xi = c (1 - a), the weights absorb the inner denominators exactly:
     M-outer = int_eta^c  P_M(xi) / (xi (1 - xi)) dxi,   P_M(xi) = c^2 G_M(xi/c),
 
 so the integrand is a polynomial divided by xi (1 - xi), with no singularity
-inside [eta, c].  Partial fractions then give the exact closed form
+inside [eta, c].  With 1/(xi (1 - xi)) = 1/xi + 1/(1 - xi) and
+P(1) - P(xi) = (1 - xi) R(xi), where R has the suffix sums
+r_i = p_{i+1} + p_{i+2} + ... of P's coefficients as its own, the exact
+closed form is the LogLinear value
 
-    P(0) (ln c - ln eta) + P(1) (ln(1-eta) - ln(1-c)) + Qhat(c) - Qhat(eta)
+    P(0) ln(c/eta) + P(1) ln((1-eta)/(1-c)) - sum_{i>=1} r_i (c^i - eta^i) / i.
 
-with Q = (P - P(0)(1-xi) - P(1) xi) / (xi (1-xi)) an exact polynomial
-quotient and Qhat its antiderivative: a LogLinear value.  An independent
-check integrates the same polynomial numerically after the substitution
-xi = e^t, which turns the integrand into the smooth, bounded
+An independent check integrates the same polynomial numerically after the
+substitution xi = e^t, which turns the integrand into the smooth, bounded
 P(e^t) / (1 - e^t) on [ln eta, ln c], and evaluates it by tanh-sinh
 quadrature without the partial fractions.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -106,50 +108,7 @@ class SieveParams:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InnerFunctional:
-    """A univariate polynomial G(a) encoding one inner functional.
-
-    kind "L": semantic value at a is G(a) / (1 - a)   (one substituted factor),
-    kind "M": semantic value at a is G(a) / (1 - a)^2 (substituted factor squared).
-    G is divisible by the corresponding power of (1 - a).
-    """
-
-    m: int
-    kind: str  # "L" or "M"
-    G: SymPoly
-
-    def __post_init__(self):
-        if self.kind not in ("L", "M"):
-            raise ValueError("kind must be 'L' or 'M'")
-        if self.G.nvars != 1:
-            raise ValueError("G must be univariate")
-
-    @property
-    def power(self) -> int:
-        """The power of (1 - a) dividing G: 1 for L, 2 for M."""
-        return 1 if self.kind == "L" else 2
-
-
-def _divide_by_one_minus_x(coeffs: list[Fraction]) -> list[Fraction]:
-    """Exact division of a coefficient list by (1 - x); remainder must vanish."""
-    # synthetic division by (x - 1) then negate: p = (x-1) q + r  =>  p = (1-x)(-q) + r
-    if not coeffs:
-        return []
-    q = [Fraction(0)] * (len(coeffs) - 1)
-    acc = Fraction(0)
-    for i in range(len(coeffs) - 1, 0, -1):
-        acc = coeffs[i] + acc
-        q[i - 1] = -acc
-    remainder = coeffs[0] + acc
-    if remainder != 0:
-        raise ValueError("polynomial is not divisible by (1 - x)")
-    while q and q[-1] == 0:
-        q.pop()
-    return q
-
-
-def _check_box_bound(F: TestFunction, a_min: Fraction | None) -> bool:
+def _box_vanishes(F: TestFunction, a_min: Fraction | None) -> bool:
     """True if a box-truncated F makes the inner functionals vanish identically.
 
     Returns False when the truncation is absent or vacuous (bound >= 1).
@@ -166,19 +125,14 @@ def _check_box_bound(F: TestFunction, a_min: Fraction | None) -> bool:
     )
 
 
-def _inner(F: TestFunction, m: int, a_min: Fraction | None, kind: str) -> InnerFunctional:
-    G = SymPoly.zero(1) if _check_box_bound(F, a_min) else inner_G(F, m, kind)[0]
-    return InnerFunctional(m=m, kind=kind, G=G)
+def inner_L(F: TestFunction, m: int, a_min: Fraction | None = None) -> SymPoly:
+    """Inner L functional: the univariate G_L(a), whose value at a is G_L(a)/(1-a)."""
+    return SymPoly.zero(1) if _box_vanishes(F, a_min) else inner_G(F, m, "L")[0]
 
 
-def inner_L(F: TestFunction, m: int, a_min: Fraction | None = None) -> InnerFunctional:
-    """Inner L functional: G_L(a) with semantic value G_L(a)/(1-a)."""
-    return _inner(F, m, a_min, "L")
-
-
-def inner_M(F: TestFunction, m: int, a_min: Fraction | None = None) -> InnerFunctional:
-    """Inner M functional: G_M(a) with semantic value G_M(a)/(1-a)^2."""
-    return _inner(F, m, a_min, "M")
+def inner_M(F: TestFunction, m: int, a_min: Fraction | None = None) -> SymPoly:
+    """Inner M functional: the univariate G_M(a), whose value at a is G_M(a)/(1-a)^2."""
+    return SymPoly.zero(1) if _box_vanishes(F, a_min) else inner_G(F, m, "M")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -186,68 +140,35 @@ def inner_M(F: TestFunction, m: int, a_min: Fraction | None = None) -> InnerFunc
 # ---------------------------------------------------------------------------
 
 
-def _outer_weight_poly(inner: InnerFunctional, c: Fraction) -> list[Fraction]:
+def _weight_coeffs(G: SymPoly, power: int, c: Fraction) -> list[Fraction]:
     """Coefficients of P(xi) = c^power * G(xi/c), power = 1 (L) or 2 (M)."""
-    g = inner.G.univariate_coeffs()
-    return [gi * c ** (inner.power - i) for i, gi in enumerate(g)]
+    return [g * c ** (power - i) for i, g in enumerate(G.univariate_coeffs())]
 
 
-def _closed_form_outer(pcoeffs: list[Fraction], eta: Fraction, c: Fraction) -> LogLinear:
-    """Exact value of int_eta^c P(xi) / (xi (1 - xi)) dxi as a LogLinear.
+def _outer(G: SymPoly, power: int, params: SieveParams) -> LogLinear:
+    """Exact int_eta^c P(xi) / (xi (1 - xi)) dxi as a LogLinear, P from _weight_coeffs.
 
-    Uses P(xi) = P(0)(1-xi) + P(1) xi + xi (1-xi) Q(xi) with Q an exact
-    polynomial quotient, then integrates the three pieces.
+    P(0) ln(c/eta) + P(1) ln((1-eta)/(1-c)) - sum_{i>=1} r_i (c^i - eta^i)/i,
+    with the suffix sums r_i = p_{i+1} + p_{i+2} + ... (see the module docstring).
     """
-    if not pcoeffs:
-        return LogLinear.zero()
-    p0 = pcoeffs[0]
-    p1 = sum(pcoeffs)
-    # numerator N(xi) = P - P(0)(1-xi) - P(1) xi vanishes at 0 and 1
-    ncoeffs = list(pcoeffs)
-    ncoeffs[0] -= p0
-    if len(ncoeffs) == 1:
-        ncoeffs.append(Fraction(0))
-    ncoeffs[1] += p0 - p1
-    assert ncoeffs[0] == 0
-    q = _divide_by_one_minus_x(ncoeffs[1:])  # N / xi, then / (1 - xi)
-    # antiderivative of Q evaluated at the endpoints
-    const = Fraction(0)
-    for i, qi in enumerate(q):
-        const += qi * (c ** (i + 1) - eta ** (i + 1)) / (i + 1)
-    return LogLinear(const, [
-        (c, p0),
-        (eta, -p0),
-        (1 - eta, p1),
-        (1 - c, -p1),
-    ])
-
-
-def _outer_value(inner: InnerFunctional, params: SieveParams) -> LogLinear:
-    """The closed-form outer integral of one inner functional."""
-    if inner.G.is_zero():
-        return LogLinear.zero()
-    c = params.r_exponent
-    return _closed_form_outer(_outer_weight_poly(inner, c), params.eta, c)
+    c, eta = params.r_exponent, params.eta
+    p = _weight_coeffs(G, power, c)
+    const = r = Fraction(0)
+    for i in range(len(p) - 1, 0, -1):
+        const -= r * (c ** i - eta ** i) / i
+        r += p[i]
+    p0, p1 = p[0], p[0] + r
+    return LogLinear(const, [(c, p0), (eta, -p0), (1 - eta, p1), (1 - c, -p1)])
 
 
 def outer_L(F: TestFunction, m: int, params: SieveParams) -> LogLinear:
-    """L^(m): the weighted outer integral of the inner L functional, exact.
-
-    Degenerate range (eta >= theta/2 - delta) returns zero by convention;
-    SieveParams itself never produces that combination.
-    """
-    c = params.r_exponent
-    if params.eta >= c:
-        return LogLinear.zero()
-    return _outer_value(inner_L(F, m, a_min=params.eta / c), params)
+    """L^(m): the weighted outer integral of the inner L functional, exact."""
+    return _outer(inner_L(F, m, a_min=params.eta / params.r_exponent), 1, params)
 
 
 def outer_M(F: TestFunction, m: int, params: SieveParams) -> LogLinear:
     """M^(m): the weighted outer integral of the inner M functional, exact."""
-    c = params.r_exponent
-    if params.eta >= c:
-        return LogLinear.zero()
-    return _outer_value(inner_M(F, m, a_min=params.eta / c), params)
+    return _outer(inner_M(F, m, a_min=params.eta / params.r_exponent), 2, params)
 
 
 def quad_outer(
@@ -264,7 +185,7 @@ def quad_outer(
     int_{ln eta}^{ln c} P(e^t) / (1 - e^t) dt with a smooth, bounded
     integrand (c <= 1/2), and integrates it by tanh-sinh quadrature at 40
     working digits, which makes the absolute tolerance (>= 1e-13)
-    meaningful.  Nothing of the closed form's partial fractions is used.
+    meaningful.  Nothing of the closed form is used.
     Deterministic; raises BudgetExceeded if the integrand needs more than
     max_evals evaluations or the error estimate exceeds tol.
     """
@@ -274,12 +195,8 @@ def quad_outer(
         raise ValueError("tol must be >= 1e-13")
     c = params.r_exponent
     eta = params.eta
-    if eta >= c:
-        return 0.0
-    inner = inner_L(F, m, a_min=eta / c) if kind == "L" else inner_M(F, m, a_min=eta / c)
-    if inner.G.is_zero():
-        return 0.0
-    pcoeffs = _outer_weight_poly(inner, c)
+    inner, power = (inner_L, 1) if kind == "L" else (inner_M, 2)
+    pcoeffs = _weight_coeffs(inner(F, m, a_min=eta / c), power, c)
     evals = 0
 
     with mpmath.workdps(40):
@@ -339,13 +256,12 @@ def _coordinate_values(F: TestFunction, m: int,
     At a = 0 the two bracketed integrals coincide, so G_L(0) = J^(m) exactly;
     it is read off the untruncated G_L even when a box bound zeroes L and M.
     """
-    boxed_out = _check_box_bound(F, params.eta / params.r_exponent)
+    boxed_out = _box_vanishes(F, params.eta / params.r_exponent)
     G_L, G_M = inner_G(F, m, "LM")
     J = G_L.eval((0,))
     if boxed_out:
         return J, LogLinear.zero(), LogLinear.zero()
-    return (J, _outer_value(InnerFunctional(m=m, kind="L", G=G_L), params),
-            _outer_value(InnerFunctional(m=m, kind="M", G=G_M), params))
+    return J, _outer(G_L, 1, params), _outer(G_M, 2, params)
 
 
 def leading_coefficient(F: TestFunction, params: SieveParams, variant: str = "Sprime") -> LeadingCoefficient:
@@ -359,7 +275,6 @@ def leading_coefficient(F: TestFunction, params: SieveParams, variant: str = "Sp
     if F.k != params.k:
         raise ValueError("test function and parameters disagree on k")
     c = params.r_exponent
-    eta = params.eta
 
     # coordinates whose swap leaves F unchanged share their J, L and M; their
     # pair sums have at least as many orbits as I's, so they meet the budget first
@@ -372,8 +287,9 @@ def leading_coefficient(F: TestFunction, params: SieveParams, variant: str = "Sp
     sum_M = sum(M_vals, LogLinear.zero())
     sum_J = sum(J_vals, Fraction(0))
 
-    log_eta_term = LogLinear.log((1 - eta) / eta)
-    c_eta = log_eta_term if variant == "S" else log_eta_term + 1
+    c_eta = lemma41_constant(params.eta)
+    if variant == "Sprime":
+        c_eta = c_eta + 1
 
     L_addend = (-2 * c) * sum_L
     J_addend = (c * c * sum_J) * c_eta
@@ -416,10 +332,11 @@ def lemma41_constant(eta: Fraction) -> LogLinear:
 class Theorem11Plan:
     """Derived quantities for the large-k existence argument.
 
-    k is None when it has more digits than str() prints (_MAX_K_DIGITS);
-    log2_k is always populated.  eta_ratio = theta/k is the exact rational
-    ratio eta / T (eta itself is transcendental: eta = theta T / k), so the
-    identity 2 k eta / theta = 2 T can be checked exactly via eta_ratio.
+    k is None when it has more digits than str() prints (_MAX_K_DIGITS), and
+    T is None when it overflows a float; log2_k is always populated.
+    eta_ratio = theta/k is the exact rational ratio eta / T (eta itself is
+    transcendental: eta = theta T / k), so the identity 2 k eta / theta = 2 T
+    can be checked exactly via eta_ratio.
     vanishing_ok records that the substitution offset a_min = 2T/k clears
     the box bound T/k, which kills every inner L and M term.
     """
@@ -430,7 +347,7 @@ class Theorem11Plan:
     k: int | None
     log2_k: float
     A: float
-    T: float
+    T: float | None
     eta: float
     eta_ratio: Fraction | None
     rhs83: float
@@ -493,7 +410,7 @@ def theorem11_plan(rho: int, theta: Fraction, epsilon: Fraction) -> Theorem11Pla
             k=k,
             log2_k=log2_k,
             A=float(A),
-            T=float(T),
+            T=None if math.isinf(float(T)) else float(T),
             eta=float(eta),
             eta_ratio=(theta / k if k is not None else None),
             rhs83=float(rhs83),

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from e2sieve import TARGETS, leading_coefficient
-from e2sieve.algebra import SymPoly, TestFunction, definite_integral_one_var
+from e2sieve.algebra import LogLinear, SymPoly, TestFunction, definite_integral_one_var
 from e2sieve.simplex import integrate_out, monomial_simplex_integral
 
 
@@ -67,6 +67,77 @@ def expanding_G(F: TestFunction, m: int, kind: str) -> SymPoly:
         total = total + (c * monomial_simplex_integral(u_part) * SymPoly.variable(1, 0) ** exps[k]
                          * one_minus_a ** sum(u_part))
     return total * one_minus_a ** (k - 1)
+
+
+# ---------------------------------------------------------------------------
+# Calculus on SymPoly that only the tests need
+# ---------------------------------------------------------------------------
+
+
+def derivative(p: SymPoly, var: int) -> SymPoly:
+    """d/du_var of p, term by term."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for exps, c in p.terms.items():
+        e = exps[var]
+        if e:
+            ne = exps[:var] + (e - 1,) + exps[var + 1:]
+            out[ne] = out.get(ne, Fraction(0)) + c * e
+    return SymPoly(p.nvars, out)
+
+
+def permuted(p: SymPoly, perm) -> SymPoly:
+    """Relabel variables: new variable perm[i] receives old variable i."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for exps, c in p.terms.items():
+        ne = [0] * p.nvars
+        for i, e in enumerate(exps):
+            ne[perm[i]] = e
+        out[tuple(ne)] = c
+    return SymPoly(p.nvars, out)
+
+
+# ---------------------------------------------------------------------------
+# The division-based closed form of the outer integrals
+# ---------------------------------------------------------------------------
+
+
+def divide_by_one_minus_x(coeffs: list[Fraction]) -> list[Fraction]:
+    """Exact division of a coefficient list by (1 - x); the remainder must vanish."""
+    # synthetic division by (x - 1), then negate: p = (x-1) q + r  =>  p = (1-x)(-q) + r
+    if not coeffs:
+        return []
+    q = [Fraction(0)] * (len(coeffs) - 1)
+    acc = Fraction(0)
+    for i in range(len(coeffs) - 1, 0, -1):
+        acc = coeffs[i] + acc
+        q[i - 1] = -acc
+    if coeffs[0] + acc != 0:
+        raise ValueError("polynomial is not divisible by (1 - x)")
+    while q and q[-1] == 0:
+        q.pop()
+    return q
+
+
+def division_closed_form(pcoeffs: list[Fraction], eta: Fraction, c: Fraction) -> LogLinear:
+    """int_eta^c P(xi) / (xi (1 - xi)) dxi from P = P(0)(1-xi) + P(1) xi + xi (1-xi) Q.
+
+    Q is the exact polynomial quotient of N = P - P(0)(1-xi) - P(1) xi by
+    xi (1 - xi); the three pieces integrate to two log pairs and Qhat(c) - Qhat(eta).
+    """
+    if not pcoeffs:
+        return LogLinear.zero()
+    p0 = pcoeffs[0]
+    p1 = sum(pcoeffs)
+    ncoeffs = list(pcoeffs)
+    ncoeffs[0] -= p0
+    if len(ncoeffs) == 1:
+        ncoeffs.append(Fraction(0))
+    ncoeffs[1] += p0 - p1
+    assert ncoeffs[0] == 0
+    q = divide_by_one_minus_x(ncoeffs[1:])  # N / xi, then / (1 - xi)
+    const = sum((qi * (c ** (i + 1) - eta ** (i + 1)) / (i + 1) for i, qi in enumerate(q)),
+                Fraction(0))
+    return LogLinear(const, [(c, p0), (eta, -p0), (1 - eta, p1), (1 - c, -p1)])
 
 
 @pytest.fixture(scope="session")

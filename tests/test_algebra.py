@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import derivative, permuted
 from e2sieve.algebra import (
     BudgetExceeded,
     LogLinear,
@@ -57,7 +58,6 @@ def test_constant_variable_basics():
     assert not u1.is_constant()
     assert (u1 + u2 - u1 - u2).is_zero()
     assert (u1 * u2).total_degree() == 2
-    assert (u1 * u2).degree_in(0) == 1
     assert u1.uses_var(0) and not u1.uses_var(1)
 
 
@@ -130,9 +130,9 @@ def test_fundamental_theorem(triple, var_seed):
     var = var_seed % f.nvars
     # d/du of the antiderivative gives back f; the definite integral of the
     # derivative telescopes to the endpoint difference.
-    assert f.antiderivative(var).derivative(var) == f
+    assert derivative(f.antiderivative(var), var) == f
     lo, hi = Fraction(1, 3), Fraction(5, 2)
-    value = definite_integral_one_var(f.derivative(var), var, lo, hi)
+    value = definite_integral_one_var(derivative(f, var), var, lo, hi)
     assert value == f.substitute(var, hi) - f.substitute(var, lo)
 
 
@@ -163,13 +163,6 @@ def test_definite_integral_rejects_limit_using_the_variable():
     u1 = SymPoly.variable(2, 0)
     with pytest.raises(ValueError):
         definite_integral_one_var(u1, 0, Fraction(0), u1)
-
-
-def test_permuted_swaps_variables():
-    u1 = SymPoly.variable(2, 0)
-    u2 = SymPoly.variable(2, 1)
-    p = u1 + 2 * u2
-    assert p.permuted([1, 0]) == u2 + 2 * u1
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +223,7 @@ def test_parse_poly_within_the_budget_matches_plain_powers():
 def test_power_sum_expressions_are_symmetric():
     p = parse_poly("1 - 2*P1 + P2 + P1*P3", 4)
     for perm in ([1, 0, 2, 3], [3, 2, 1, 0], [1, 2, 3, 0]):
-        assert p.permuted(perm) == p
+        assert permuted(p, perm) == p
 
 
 def test_bundled_k6_expression_parses():

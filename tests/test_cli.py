@@ -91,6 +91,15 @@ def test_functional_parse_error_exits_2(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("flag", [
+    "--F=" + "+".join(["u1"] * 990),     # too deep for the tree walk
+    "--F=" + "-" * 3000 + "u1",           # too deep for ast.parse itself
+], ids=["summands", "unary-signs"])
+def test_functional_nested_too_deeply_exits_2(capsys, flag):
+    code, _, err = run_cli(capsys, ["functional", "--k", "2", flag])
+    assert code == 2 and "nested too deeply" in err
+
+
 def test_functional_validates_before_computing(capsys):
     # k = 1 violates the parameter contract -> usage error, not a crash
     code, _, err = run_cli(capsys, ["functional", "--F", "1 - u1", "--k", "1"])
@@ -196,6 +205,25 @@ def test_theorem11_reports_log2_k_when_k_is_too_long_to_print(capsys):
     payload = json.loads(out)
     assert payload["k"] is None and payload["eta_ratio"] is None
     assert payload["log2_k"] == pytest.approx(17543.5, rel=1e-5)
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_theorem11_reports_null_T_when_it_overflows_a_float(capsys):
+    code, out, _ = run_cli(capsys, ["theorem11", "--rho", "5000"])
+    assert code == 0
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert payload["T"] is None and payload["k"] is not None
+    for fmt, line in (("text", "T = None"), ("csv", "T,None")):
+        code, out, _ = run_cli(capsys, ["theorem11", "--rho", "5000", "--format", fmt])
+        assert code == 0 and line in out.splitlines()
+
+
+def test_theorem11_needs_rho(capsys):
+    code, _, err = run_cli(capsys, ["theorem11"])
+    assert code == 2 and "needs --rho" in err
 
 
 def test_theorem11_rejects_small_rho(capsys):

@@ -6,16 +6,18 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import divide_by_one_minus_x, division_closed_form
 from e2sieve import TARGETS
 from e2sieve.algebra import LogLinear, SymPoly, TestFunction, loglinear_eval, parse_poly
 from e2sieve.functionals import (
     BudgetExceeded,
     _MAX_K_DIGITS,
     SieveParams,
-    _divide_by_one_minus_x,
+    _outer,
+    _weight_coeffs,
     inner_L,
     inner_M,
     leading_coefficient,
@@ -66,8 +68,8 @@ def test_inner_G_k1():
     # k=1, F=1: the shifted segment [a,1] has length (1-a); squaring for M
     F = TestFunction(k=1, poly=SymPoly.constant(1, 1))
     a = SymPoly.variable(1, 0)
-    assert inner_L(F, 1).G == 1 - a
-    assert inner_M(F, 1).G == (1 - a) ** 2
+    assert inner_L(F, 1) == 1 - a
+    assert inner_M(F, 1) == (1 - a) ** 2
 
 
 def test_inner_G_k2_constant():
@@ -75,8 +77,8 @@ def test_inner_G_k2_constant():
     a = SymPoly.variable(1, 0)
     one = SymPoly.constant(1, 1)
     # worked by hand: G_L = 1/3 - a/2 + a^3/6,  G_M = 1/3 - a + a^2 - a^3/3
-    assert inner_L(F, 1).G == Fraction(1, 3) * one - HALF * a + Fraction(1, 6) * a ** 3
-    assert inner_M(F, 1).G == Fraction(1, 3) * one - a + a ** 2 - Fraction(1, 3) * a ** 3
+    assert inner_L(F, 1) == Fraction(1, 3) * one - HALF * a + Fraction(1, 6) * a ** 3
+    assert inner_M(F, 1) == Fraction(1, 3) * one - a + a ** 2 - Fraction(1, 3) * a ** 3
 
 
 # F symmetric in u1 and u2 only, and F fixed by no swap of coordinates
@@ -91,8 +93,8 @@ def test_inner_G_at_zero_recovers_J():
         F = TestFunction(k=k, poly=parse_poly(expr, k))
         for m in range(1, k + 1):
             J = J_k_m(F, m)
-            assert inner_L(F, m).G.eval([Fraction(0)]) == J
-            assert inner_M(F, m).G.eval([Fraction(0)]) == J
+            assert inner_L(F, m).eval([Fraction(0)]) == J
+            assert inner_M(F, m).eval([Fraction(0)]) == J
 
 
 def test_G_divides_exactly_by_its_power_of_one_minus_a():
@@ -100,20 +102,20 @@ def test_G_divides_exactly_by_its_power_of_one_minus_a():
     one_minus_a = SymPoly.constant(1, 1) - SymPoly.variable(1, 0)
     for expr, k in [("(1-u1)*(1-u2)", 2), (SYM12, 4), (ASYMMETRIC, 4)]:
         F = TestFunction(k=k, poly=parse_poly(expr, k))
-        for inner in (inner_L(F, 1), inner_M(F, 1)):
-            coeffs = inner.G.univariate_coeffs()
-            for _ in range(inner.power):
-                coeffs = _divide_by_one_minus_x(coeffs)
+        for G, power in ((inner_L(F, 1), 1), (inner_M(F, 1), 2)):
+            coeffs = G.univariate_coeffs()
+            for _ in range(power):
+                coeffs = divide_by_one_minus_x(coeffs)
             q = SymPoly(1, {(i,): c for i, c in enumerate(coeffs)})
-            assert q * one_minus_a ** inner.power == inner.G
+            assert q * one_minus_a ** power == G
 
 
 def test_box_bound_forces_vanishing():
     # conceptual support in [0, 1/50]^k: once the substitution offset reaches
     # the box edge the inner integrals are identically zero
     F = TestFunction(k=2, poly=SymPoly.constant(2, 1), box_bound=Fraction(1, 50))
-    assert inner_L(F, 1, a_min=Fraction(1, 50)).G.is_zero()
-    assert inner_M(F, 1, a_min=Fraction(1, 10)).G.is_zero()
+    assert inner_L(F, 1, a_min=Fraction(1, 50)).is_zero()
+    assert inner_M(F, 1, a_min=Fraction(1, 10)).is_zero()
     # below the edge there is no vanishing claim -> error rather than a wrong value
     with pytest.raises(ValueError):
         inner_L(F, 1, a_min=Fraction(1, 100))
@@ -130,6 +132,32 @@ def test_box_bound_forces_vanishing():
 # ---------------------------------------------------------------------------
 # closed form vs quadrature, symmetry, exact identities
 # ---------------------------------------------------------------------------
+
+
+@st.composite
+def sieve_params(draw):
+    """Any SieveParams: theta in (0, 1], delta in [0, theta/2), eta in (0, min(c, 1/4))."""
+    theta = Fraction(draw(st.integers(1, 1000)), 1000)
+    delta = theta / 2 * Fraction(draw(st.integers(0, 99)), 100)
+    top = min(theta / 2 - delta, Fraction(1, 4))
+    eta = top * Fraction(draw(st.integers(1, 10 ** 6 - 1)), 10 ** 6) / 10 ** draw(st.integers(0, 40))
+    return SieveParams(k=2, rho=1, theta=theta, delta=delta, eta=eta)
+
+
+@given(coeffs=st.lists(st.fractions(min_value=-10, max_value=10, max_denominator=1000), max_size=12),
+       power=st.sampled_from([1, 2]), params=sieve_params())
+@example(coeffs=[], power=1, params=PARAMS_K2)
+@example(coeffs=[Fraction(0)] * 3, power=2, params=PARAMS_K2)
+@example(coeffs=[Fraction(2, 3)], power=1, params=PARAMS_K2)
+@example(coeffs=[Fraction(1), Fraction(-1)], power=2, params=PARAMS_K2)
+@settings(max_examples=200, deadline=None)
+def test_outer_matches_the_division_closed_form(coeffs, power, params):
+    # the suffix-sum closed form against partial fractions by exact division
+    G = SymPoly(1, {(i,): c for i, c in enumerate(coeffs)})
+    c = params.r_exponent
+    expected = division_closed_form(_weight_coeffs(G, power, c), params.eta, c)
+    got = _outer(G, power, params)
+    assert (got.const, got.terms) == (expected.const, expected.terms)
 
 
 def _assert_quadrature_matches_closed_form(F, m, params):
