@@ -53,7 +53,7 @@ from fractions import Fraction
 import mpmath
 
 from .algebra import BudgetExceeded, LogLinear, SymPoly, TestFunction, as_rational
-from .simplex import I_k, _swap_representatives, inner_G
+from .simplex import _I_k, _inner_G, _swap_representatives, inner_G
 
 # ---------------------------------------------------------------------------
 # Parameters
@@ -249,15 +249,15 @@ class LeadingCoefficient:
 VARIANTS = ("S", "Sprime")
 
 
-def _coordinate_values(F: TestFunction, m: int,
-                       params: SieveParams) -> tuple[Fraction, LogLinear, LogLinear]:
+def _coordinate_values(F: TestFunction, m: int, params: SieveParams,
+                       swaps: list[int]) -> tuple[Fraction, LogLinear, LogLinear]:
     """(J^(m), L^(m), M^(m)) from one inner pass.
 
     At a = 0 the two bracketed integrals coincide, so G_L(0) = J^(m) exactly;
     it is read off the untruncated G_L even when a box bound zeroes L and M.
     """
     boxed_out = _box_vanishes(F, params.eta / params.r_exponent)
-    G_L, G_M = inner_G(F, m, "LM")
+    G_L, G_M = _inner_G(F, m, "LM", swaps)
     J = G_L.eval((0,))
     if boxed_out:
         return J, LogLinear.zero(), LogLinear.zero()
@@ -279,9 +279,9 @@ def leading_coefficient(F: TestFunction, params: SieveParams, variant: str = "Sp
     # coordinates whose swap leaves F unchanged share their J, L and M; their
     # pair sums have at least as many orbits as I's, so they meet the budget first
     reps = _swap_representatives(F.poly)
-    values = {r: _coordinate_values(F, r, params) for r in set(reps)}
+    values = {r: _coordinate_values(F, r, params, reps) for r in set(reps)}
     J_vals, L_vals, M_vals = zip(*(values[r] for r in reps))
-    I_val = I_k(F)
+    I_val = _I_k(F, reps)
 
     sum_L = sum(L_vals, LogLinear.zero())
     sum_M = sum(M_vals, LogLinear.zero())

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm, prod
 from operator import add
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -101,13 +101,17 @@ def _swap_representatives(poly: SymPoly) -> list[int]:
 _MAX_PAIRS = 1_000_000
 
 
-def _orbit_representatives(poly: SymPoly, m: int | None) -> list[tuple[tuple[int, ...], int]]:
+def _orbit_representatives(poly: SymPoly, m: int | None,
+                           swaps: list[int] | None = None) -> list[tuple[tuple[int, ...], int]]:
     """(exponents, orbit size) of each term of poly sorted within every swap class.
 
     The 0-based coordinate m, if given, is taken out of its class first.
+    `swaps` is poly's `_swap_representatives`, found here when not given.
     """
+    if swaps is None:
+        swaps = _swap_representatives(poly)
     classes: dict[int, list[int]] = {}
-    for i, r in enumerate(_swap_representatives(poly)):
+    for i, r in enumerate(swaps):
         if i != m:
             classes.setdefault(r, []).append(i)
     classes = {r: idx for r, idx in classes.items() if len(idx) > 1}   # singletons fix every term
@@ -124,16 +128,18 @@ def _orbit_representatives(poly: SymPoly, m: int | None) -> list[tuple[tuple[int
     return out
 
 
-def _pair_sums(poly: SymPoly, m: int | None) -> tuple[dict[tuple[int, int, int], int], int]:
+def _pair_sums(poly: SymPoly, m: int | None,
+               swaps: list[int]) -> tuple[dict[tuple[int, int, int], int], int]:
     """The pair sums S[(e, f, |gamma|)] as ints, and their common denominator.
 
     A term splits into its exponent e of the 0-based coordinate m and the
     rest (e = 0 and rest = all exponents when m is None).  S sums
     |orbit| n_alpha n_beta gamma! over representatives alpha and all terms
     beta, gamma = rest_alpha + rest_beta, n the coefficients' int numerators.
-    Raises BudgetExceeded before the pair loop above _MAX_PAIRS pairs.
+    `swaps` is poly's `_swap_representatives`.  Raises BudgetExceeded
+    before the pair loop above _MAX_PAIRS pairs.
     """
-    reps = _orbit_representatives(poly, m)
+    reps = _orbit_representatives(poly, m, swaps)
     if len(reps) * len(poly.terms) > _MAX_PAIRS:
         raise BudgetExceeded(f"{len(reps)} orbit representatives x {len(poly.terms)} terms "
                              f"exceeds the {_MAX_PAIRS} pairs of the simplex kernel")
@@ -161,7 +167,12 @@ def _pair_sums(poly: SymPoly, m: int | None) -> tuple[dict[tuple[int, int, int],
 
 def I_k(F: TestFunction) -> Fraction:
     """I_k(F) = int_{R_k} F^2, exactly, from the pair sums."""
-    sums, den = _pair_sums(F.poly, None)
+    return _I_k(F, _swap_representatives(F.poly))
+
+
+def _I_k(F: TestFunction, swaps: list[int]) -> Fraction:
+    """I_k(F), given `swaps` = `_swap_representatives(F.poly)`."""
+    sums, den = _pair_sums(F.poly, None, swaps)
     return sum((Fraction(s, _factorial(F.k + g)) for (_, _, g), s in sums.items()),
                Fraction(0)) / den
 
@@ -171,10 +182,15 @@ def inner_G(F: TestFunction, m: int, kinds: str) -> tuple[SymPoly, ...]:
 
     Both kinds share one pass of pair sums.
     """
+    return _inner_G(F, m, kinds, _swap_representatives(F.poly))
+
+
+def _inner_G(F: TestFunction, m: int, kinds: str, swaps: list[int]) -> tuple[SymPoly, ...]:
+    """`inner_G`, given `swaps` = `_swap_representatives(F.poly)`."""
     k = F.k
     if not 1 <= m <= k:
         raise ValueError(f"m must be in 1..{k}")
-    sums, den = _pair_sums(F.poly, m - 1)
+    sums, den = _pair_sums(F.poly, m - 1, swaps)
     top = max((k + 1 + sum(key) for key in sums), default=0)   # the degree of G
     # every (e+1)(f+1) (k-1+|gamma|+n)! divides the common denominator
     common = lcm(*range(1, max((max(key[:2]) for key in sums), default=0) + 2)) ** 2
@@ -222,48 +238,110 @@ class MCEstimate:
 # Samples are drawn and evaluated this many rows at a time, so the memory of a
 # call stays bounded whatever the sample count.  The generator yields the same
 # rows in chunks as in one draw, so the estimate does not depend on the size.
+# 2^14 is the measured optimum (thm1.2, I and J at 10^6 samples): 2^12 pays
+# 20 % more in per-call overhead, 2^13 and 2^15 are level, and 2^16 is 15 %
+# slower while its buffers outgrow the statistics' temporary (+6 MiB traced).
 _MC_CHUNK = 1 << 14
 
-
-def _compile_poly(p: SymPoly) -> tuple[np.ndarray, np.ndarray]:
-    """(exponent matrix, float coefficient vector) for vectorized evaluation."""
-    keys = sorted(p.terms)
-    return (np.array(keys, dtype=np.int64).reshape(-1, p.nvars),
-            np.array([float(p.terms[e]) for e in keys]))
+Columns = list[np.ndarray]
 
 
-def _eval_poly_array(exps: np.ndarray, coeffs: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Evaluate a compiled polynomial at the rows of X (n x nvars) using power tables.
+def _column_sampler(dim: int, size: int) -> Callable[[np.random.Generator, int], Columns]:
+    """sample(rng, rows) -> the dim coordinates of rows uniform points of R_dim.
 
-    Each term is formed in one preallocated row, coefficient first and then
-    its factors in coordinate order, and added to the result in term order.
+    A point is the spacings of dim sorted uniforms.  The uniforms are drawn
+    row-major, as one (rows, dim) draw would give them, and moved to columns
+    once.  Min and max are exact, so the odd-even transposition network sorts
+    to the same values as np.sort; the spacings are taken in place from right
+    to left.  The columns live in the sampler's buffers (rows <= size) and
+    are overwritten by its next call.
     """
-    n, nv = X.shape
-    out = np.zeros(n)
-    Xt = np.ascontiguousarray(X.T)
-    max_deg = exps.max(axis=0, initial=0)
-    powers = []
-    for j in range(nv):
-        tab = np.empty((max_deg[j] + 1, n))
-        tab[0] = 1.0
-        for e in range(1, max_deg[j] + 1):
-            np.multiply(tab[e - 1], Xt[j], out=tab[e])
-        powers.append(tab)
-    buf = np.empty(n)
-    for t in range(len(coeffs)):
-        buf.fill(coeffs[t])
-        for j in range(nv):
-            e = exps[t, j]
-            if e:
-                np.multiply(buf, powers[j][e], out=buf)
-        out += buf
-    return out
+    u = np.empty((size, dim))
+    block = np.empty((dim + 1, size))
+
+    def sample(rng: np.random.Generator, rows: int) -> Columns:
+        draw = u[:rows]
+        rng.random((rows, dim), out=draw)
+        np.copyto(block[:dim, :rows], draw.T)
+        cols = [block[i, :rows] for i in range(dim)]
+        spare = block[dim, :rows]
+        for p in range(dim):
+            for i in range(p % 2, dim - 1, 2):
+                a, b = cols[i], cols[i + 1]
+                np.minimum(a, b, out=spare)
+                np.maximum(a, b, out=b)
+                cols[i], spare = spare, a
+        for i in range(dim - 1, 0, -1):
+            np.subtract(cols[i], cols[i - 1], out=cols[i])
+        return cols
+
+    return sample
 
 
-def _sample_solid_simplex(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
-    """n uniform points in {x_i >= 0, sum x_i <= 1} via sorted-uniform spacings."""
-    u = np.sort(rng.random((n, dim)), axis=1)
-    return np.diff(u, axis=1, prepend=0.0)
+def _term_evaluator(p: SymPoly, drop: int | None, size: int) -> Callable[[Columns], np.ndarray]:
+    """evaluate(cols) -> p at the points whose coordinates are cols (rows <= size).
+
+    The 0-based coordinate `drop`, if given, is one that no term involves and
+    that cols leave out; at least one coordinate remains.  Terms are planned
+    once: the float coefficient and the table rows of the nonzero powers.
+    x^e is x^(e-1) x, and x^1 is the column itself.  Each term is formed as
+    coefficient times its powers in coordinate order, and the terms are
+    added in sorted-key order.  The result lives in the evaluator's buffer
+    and is overwritten by its next call.
+    """
+    keep = [j for j in range(p.nvars) if j != drop]
+    dim = len(keep)
+    keys = sorted(p.terms)
+    degree = [max((e[j] for e in keys), default=0) for j in keep]
+    # table rows: the dim columns, then x_j^e for e = 2 .. degree[j], j ascending
+    index: dict[tuple[int, int], int] = {(j, 1): j for j in range(dim)}
+    chains = []   # (source row, column) per power row, in table order
+    for j in range(dim):
+        for e in range(2, degree[j] + 1):
+            index[(j, e)] = dim + len(chains)
+            chains.append((index[(j, e - 1)], j))
+    plan = [(float(p.terms[key]), [index[(j, key[c])] for j, c in enumerate(keep) if key[c]])
+            for key in keys]
+    powers = np.empty((len(chains), size))
+    buf, out = np.empty(size), np.empty(size)
+
+    def evaluate(cols: Columns) -> np.ndarray:
+        rows = len(cols[0])
+        table = list(cols) + [powers[t, :rows] for t in range(len(chains))]
+        for t, (src, j) in enumerate(chains):
+            np.multiply(table[src], table[j], out=table[dim + t])
+        acc, term = out[:rows], buf[:rows]
+        acc.fill(0.0)
+        for c, factors in plan:
+            if not factors:
+                acc += c
+                continue
+            np.multiply(table[factors[0]], c, out=term)
+            for f in factors[1:]:
+                np.multiply(term, table[f], out=term)
+            acc += term
+        return acc
+
+    return evaluate
+
+
+def _squares(p: SymPoly, drop: int | None, dim: int, samples: int,
+             rng: np.random.Generator) -> np.ndarray:
+    """p^2 at `samples` uniform points of R_dim, drawn and evaluated in chunks.
+
+    The result is allocated before the chunk buffers and those are freed on
+    return, so the temporary of the caller's statistics can reuse their
+    memory and the peak stays at two arrays of the full sample count.
+    """
+    sq = np.empty(samples)
+    size = min(_MC_CHUNK, samples)
+    sample = _column_sampler(dim, size)
+    evaluate = _term_evaluator(p, drop, size)
+    for start in range(0, samples, _MC_CHUNK):
+        rows = min(_MC_CHUNK, samples - start)
+        vals = evaluate(sample(rng, rows))
+        np.multiply(vals, vals, out=sq[start:start + rows])
+    return sq
 
 
 def mc_simplex_integral(
@@ -279,7 +357,11 @@ def mc_simplex_integral(
     kind "J": the inner integral is done exactly (it is a polynomial), and
     the square is averaged over the (k-1)-simplex.  The estimator is
     unbiased; stderr is the sample standard error (ddof=1) scaled by the
-    simplex volume.
+    simplex volume.  The estimate depends only on (F, kind, samples, seed,
+    m), bit for bit: it is the same for every chunk size, and the column-
+    major sampler and the planned evaluator do the same float operations in
+    the same order as one (samples, dim) draw through np.sort, np.diff and
+    per-term products, the path that the pinned figures were recorded with.
     """
     if samples < 10_000:
         raise ValueError("samples must be >= 10000")
@@ -287,23 +369,16 @@ def mc_simplex_integral(
         raise ValueError("kind must be 'I' or 'J'")
     rng = np.random.default_rng(seed)
     k = F.k
-    base = F.poly
+    base, drop = F.poly, None
     if kind == "J":
         if m is None or not 1 <= m <= k:
             raise ValueError(f"kind 'J' needs m in 1..{k}")
-        base = integrate_out(F.poly, m - 1)
+        base, drop = integrate_out(F.poly, m - 1), m - 1
         if k == 1:
             v = float(base.constant_value()) ** 2
             return MCEstimate(value=v, stderr=0.0, samples=samples, seed=seed, kind="J", m=m)
-    exps, coeffs = _compile_poly(base)
-    if kind == "J":  # drop the integrated-out coordinate, which no term involves
-        exps = np.delete(exps, m - 1, axis=1)
-    dim = exps.shape[1]
-    sq = np.empty(samples)
-    for start in range(0, samples, _MC_CHUNK):
-        rows = min(_MC_CHUNK, samples - start)
-        vals = _eval_poly_array(exps, coeffs, _sample_solid_simplex(rng, rows, dim))
-        np.multiply(vals, vals, out=sq[start:start + rows])
+    dim = k if drop is None else k - 1
+    sq = _squares(base, drop, dim, samples, rng)
     vol = 1.0 / float(_factorial(dim))
     value = vol * float(sq.mean())
     stderr = vol * float(sq.std(ddof=1)) / float(np.sqrt(samples))

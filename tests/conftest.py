@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from e2sieve import TARGETS, leading_coefficient
@@ -67,6 +68,52 @@ def expanding_G(F: TestFunction, m: int, kind: str) -> SymPoly:
         total = total + (c * monomial_simplex_integral(u_part) * SymPoly.variable(1, 0) ** exps[k]
                          * one_minus_a ** sum(u_part))
     return total * one_minus_a ** (k - 1)
+
+
+# ---------------------------------------------------------------------------
+# The row-major Monte Carlo path: np.sort spacings and per-term products
+# ---------------------------------------------------------------------------
+
+
+def compile_poly(p: SymPoly) -> tuple[np.ndarray, np.ndarray]:
+    """(exponent matrix, float coefficient vector) in sorted-key order."""
+    keys = sorted(p.terms)
+    return (np.array(keys, dtype=np.int64).reshape(-1, p.nvars),
+            np.array([float(p.terms[e]) for e in keys]))
+
+
+def eval_poly_array(exps: np.ndarray, coeffs: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Evaluate a compiled polynomial at the rows of X (n x nvars) using power tables.
+
+    Each term is formed in one row, coefficient first and then its factors
+    in coordinate order, and added to the result in term order.
+    """
+    n, nv = X.shape
+    out = np.zeros(n)
+    Xt = np.ascontiguousarray(X.T)
+    max_deg = exps.max(axis=0, initial=0)
+    powers = []
+    for j in range(nv):
+        tab = np.empty((max_deg[j] + 1, n))
+        tab[0] = 1.0
+        for e in range(1, max_deg[j] + 1):
+            np.multiply(tab[e - 1], Xt[j], out=tab[e])
+        powers.append(tab)
+    buf = np.empty(n)
+    for t in range(len(coeffs)):
+        buf.fill(coeffs[t])
+        for j in range(nv):
+            e = exps[t, j]
+            if e:
+                np.multiply(buf, powers[j][e], out=buf)
+        out += buf
+    return out
+
+
+def sample_solid_simplex(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
+    """n uniform points in {x_i >= 0, sum x_i <= 1} (rows) via sorted-uniform spacings."""
+    u = np.sort(rng.random((n, dim)), axis=1)
+    return np.diff(u, axis=1, prepend=0.0)
 
 
 # ---------------------------------------------------------------------------

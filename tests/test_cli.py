@@ -100,6 +100,16 @@ def test_functional_nested_too_deeply_exits_2(capsys, flag):
     assert code == 2 and "nested too deeply" in err
 
 
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+def test_functional_value_beyond_float_range_exits_2(capsys, fmt):
+    # I = 10^384 / 2 is exact, but no float holds it
+    code, out, err = run_cli(capsys, ["functional", "--F", "(10**64)**3", "--k", "2",
+                                      "--format", fmt])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "too large for a float" in err
+
+
 def test_functional_validates_before_computing(capsys):
     # k = 1 violates the parameter contract -> usage error, not a crash
     code, _, err = run_cli(capsys, ["functional", "--F", "1 - u1", "--k", "1"])

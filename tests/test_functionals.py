@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import divide_by_one_minus_x, division_closed_form
-from e2sieve import TARGETS
+from e2sieve import TARGETS, functionals, simplex
 from e2sieve.algebra import LogLinear, SymPoly, TestFunction, loglinear_eval, parse_poly
 from e2sieve.functionals import (
     BudgetExceeded,
@@ -27,7 +27,7 @@ from e2sieve.functionals import (
     quad_outer,
     theorem11_plan,
 )
-from e2sieve.simplex import J_k_m
+from e2sieve.simplex import J_k_m, _swap_representatives
 
 
 HALF = Fraction(1, 2)
@@ -235,6 +235,22 @@ def test_leading_coefficient_values_match_direct_calls_per_coordinate(expr):
         assert lc.M_values[m - 1] == outer_M(F, m, params)
     distinct_J = len(set(lc.J_values))
     assert distinct_J == (3 if expr == SYM12 else 4)
+
+
+@pytest.mark.parametrize("expr", [SYM12, ASYMMETRIC, "1 - P1 + P2"])
+def test_leading_coefficient_finds_the_swap_classes_once(monkeypatch, expr):
+    # I and every coordinate class reuse the classes the coefficient found
+    calls = []
+
+    def spy(poly):
+        calls.append(poly)
+        return _swap_representatives(poly)
+
+    monkeypatch.setattr(functionals, "_swap_representatives", spy)
+    monkeypatch.setattr(simplex, "_swap_representatives", spy)
+    F = TestFunction(k=4, poly=parse_poly(expr, 4))
+    leading_coefficient(F, SieveParams(k=4, rho=2, theta=Fraction(1), eta=Fraction(1, 100)))
+    assert len(calls) == 1
 
 
 def test_rho_monotonicity_is_exactly_minus_cI(target_coefficients):

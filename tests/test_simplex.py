@@ -4,16 +4,20 @@ import itertools
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    compile_poly,
+    eval_poly_array,
     expanding_G,
     expanding_I,
     expanding_J,
     integrate_poly_simplex,
     iterated_simplex_integral,
+    sample_solid_simplex,
 )
 from e2sieve import TARGETS
 from e2sieve.algebra import BudgetExceeded, SymPoly, TestFunction, parse_poly
@@ -21,7 +25,9 @@ from e2sieve.simplex import (
     _MAX_PAIRS,
     I_k,
     J_k_m,
+    _column_sampler,
     _orbit_representatives,
+    _term_evaluator,
     inner_G,
     mc_simplex_integral,
     monomial_simplex_integral,
@@ -182,6 +188,72 @@ def test_mc_chunked_draws_match_the_single_draw_figures():
     est_j = mc_simplex_integral(F, "J", 200_000, 20261018, m=2)
     assert (repr(est_j.value), repr(est_j.stderr)) == (
         "0.059183497305287984", "0.00017988240162779623")
+
+
+def test_mc_pins_the_benchmark_size_figures():
+    # thm1.2 (k = 6) at 10**6 samples: I over R_6 and J over R_5 with the
+    # 126-term integrated inner polynomial, as the row-major path computed them
+    F = TARGETS["thm1.2"].test_function()
+    est_i = mc_simplex_integral(F, "I", 10 ** 6, 20261018)
+    assert (repr(est_i.value), repr(est_i.stderr)) == (
+        "5.301792024168767e-06", "1.3860495749138523e-08")
+    est_j = mc_simplex_integral(F, "J", 10 ** 6, 20261018, m=1)
+    assert (repr(est_j.value), repr(est_j.stderr)) == (
+        "1.8754598523963603e-06", "1.0546518470399202e-08")
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@given(dim=st.integers(1, 12), size=st.integers(1, 600), partial=st.integers(1, 600),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=120, deadline=None)
+def test_column_sampler_equals_the_row_major_oracle_bit_for_bit(dim, size, partial, seed):
+    # a full chunk and then a partial one from the same stream
+    rows = [size, min(partial, size)]
+    sample = _column_sampler(dim, size)
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for n in rows:
+        cols = sample(rng, n)
+        assert _same_bits(np.stack(cols), sample_solid_simplex(oracle_rng, n, dim).T)
+
+
+@st.composite
+def sparse_polynomials(draw):
+    """(p, drop): a sparse p and None or a coordinate that p does not involve."""
+    nvars = draw(st.integers(1, 6))
+    drop = draw(st.none() | st.integers(0, nvars - 1)) if nvars > 1 else None
+    exps = st.lists(st.integers(0, 4), min_size=nvars, max_size=nvars).map(
+        lambda e: tuple(0 if j == drop else x for j, x in enumerate(e)))
+    terms = draw(st.dictionaries(exps, st.fractions(min_value=-50, max_value=50,
+                                                    max_denominator=97), max_size=10))
+    return SymPoly(nvars, terms), drop
+
+
+@given(case=sparse_polynomials(), rows=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1))
+@example(case=(SymPoly.zero(3), None), rows=5, seed=1)
+@example(case=(SymPoly.constant(2, Fraction(-7, 3)), None), rows=5, seed=2)
+@example(case=(SymPoly(3, {(1, 0, 0): Fraction(2), (0, 0, 1): Fraction(1, 3)}), None),
+         rows=5, seed=3)
+@example(case=(SymPoly(3, {(2, 0, 1): Fraction(5), (0, 0, 3): Fraction(-1)}), None),
+         rows=7, seed=4)   # u2 unused, still a column
+@example(case=(SymPoly(4, {(1, 2, 0, 1): Fraction(3), (0, 1, 0, 0): Fraction(1)}), 2),
+         rows=9, seed=5)   # u3 dropped, as J drops the integrated coordinate
+@settings(max_examples=150, deadline=None)
+def test_term_evaluator_equals_the_per_term_oracle_bit_for_bit(case, rows, seed):
+    p, drop = case
+    dim = p.nvars - (drop is not None)
+    X = sample_solid_simplex(np.random.default_rng(seed), rows, dim)
+    exps, coeffs = compile_poly(p)
+    if drop is not None:
+        exps = np.delete(exps, drop, axis=1)
+    expected = eval_poly_array(exps, coeffs, X)
+    evaluate = _term_evaluator(p, drop, rows + 3)
+    cols = list(np.ascontiguousarray(X.T))
+    assert _same_bits(evaluate(cols), expected)
+    assert _same_bits(evaluate(cols), expected)   # its buffers are reused cleanly
 
 
 def test_mc_memory_stays_bounded():
