@@ -40,17 +40,21 @@ closed form is the LogLinear value
 An independent check integrates the same polynomial numerically after the
 substitution xi = e^t, which turns the integrand into the smooth, bounded
 P(e^t) / (1 - e^t) on [ln eta, ln c], and evaluates it by tanh-sinh
-quadrature without the partial fractions.
+quadrature without the partial fractions: stdlib `decimal` at 50 digits, the
+step halving until two successive levels agree, over a per-level node table
+that is built once per process.  `theorem11_plan` is the only user of mpmath
+(exp and log at thousands of digits), and it imports it itself, so importing
+the package does not load mpmath.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 import sys
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
-
-import mpmath
 
 from .algebra import BudgetExceeded, LogLinear, SymPoly, TestFunction, as_rational
 from .simplex import _I_k, _inner_G, _swap_representatives, inner_G
@@ -171,6 +175,88 @@ def outer_M(F: TestFunction, m: int, params: SieveParams) -> LogLinear:
     return _outer(inner_M(F, m, a_min=params.eta / params.r_exponent), 2, params)
 
 
+# tanh-sinh in t = ln xi, in decimal at _QUAD_DIGITS working digits.  Level j
+# has the step h = 2^-j; its new nodes are the odd multiples of h (every
+# multiple at level 0).  A node s > 0 stands for the pair x = +-tanh(pi/2 sinh s)
+# and is stored as (delta, w): delta = 1 - |x| = 2/(e^(pi sinh s) + 1), which
+# keeps its digits near the ends, and w = (pi/2) cosh s / cosh^2(pi/2 sinh s).
+# The node s = 0 is stored as the pair (1, pi/4), which sums to its weight pi/2
+# at x = 0.  Nodes stop where w < 10^-(_QUAD_DIGITS + 5).  The table depends
+# only on the level and the precision, never on an input.
+_QUAD_DIGITS = 50
+_QUAD_CONTEXT = decimal.Context(prec=_QUAD_DIGITS)
+_HALF_PI = Decimal("1.57079632679489661923132169163975144209858469968755291048747")
+_QUAD_MAX_LEVEL = 10
+# two successive levels must agree to tol * _LEVEL_AGREEMENT; the later sum's
+# error is then about the square of that difference, far below tol
+_LEVEL_AGREEMENT = 1e-7
+_TS_NODES: list[list[tuple[Decimal, Decimal]]] = []
+
+
+def _ts_nodes(level: int) -> list[tuple[Decimal, Decimal]]:
+    """The (delta, w) nodes that tanh-sinh level `level` adds to the earlier levels."""
+    with decimal.localcontext(_QUAD_CONTEXT):
+        while len(_TS_NODES) <= level:
+            j = len(_TS_NODES)
+            h, step = Decimal(2) ** -j, 1 if j == 0 else 2
+            nodes = [(Decimal(1), _HALF_PI / 2)] if j == 0 else []
+            cutoff = Decimal(10) ** -(_QUAD_DIGITS + 5)
+            i = 1
+            while True:
+                es = (i * h).exp()
+                eu = (_HALF_PI * (es - 1 / es) / 2).exp()
+                cosh_u = (eu + 1 / eu) / 2
+                w = _HALF_PI * (es + 1 / es) / 2 / (cosh_u * cosh_u)
+                if w < cutoff:
+                    break
+                nodes.append((2 / (eu * eu + 1), w))
+                i += step
+            _TS_NODES.append(nodes)
+    return _TS_NODES[level]
+
+
+def _tanh_sinh(pcoeffs: list[Fraction], eta: Fraction, c: Fraction,
+               tol: float, max_evals: int) -> Decimal:
+    """int_{ln eta}^{ln c} P(e^t) / (1 - e^t) dt by tanh-sinh, P from its coefficients.
+
+    A node pair at t = ln c - z and t = ln eta + z, z = delta ln(c/eta)/2,
+    needs the one exponential ez = e^z: xi = c/ez and xi = eta ez.  Levels are
+    added until two successive sums agree to tol * _LEVEL_AGREEMENT.
+    Raises BudgetExceeded before a level that would take the evaluation count
+    past max_evals, and when the last difference at _QUAD_MAX_LEVEL exceeds tol.
+    """
+    with decimal.localcontext(_QUAD_CONTEXT):
+        coeffs = [Decimal(p.numerator) / p.denominator for p in reversed(pcoeffs)]
+        eta_d = Decimal(eta.numerator) / eta.denominator
+        c_d = Decimal(c.numerator) / c.denominator
+        half = (c_d / eta_d).ln() / 2   # half the length of [ln eta, ln c]
+
+        def integrand(xi: Decimal) -> Decimal:
+            acc = Decimal(0)
+            for coeff in coeffs:
+                acc = acc * xi + coeff
+            return acc / (1 - xi)
+
+        total = previous = Decimal(0)
+        evals = 0
+        for level in range(_QUAD_MAX_LEVEL + 1):
+            nodes = _ts_nodes(level)
+            evals += 2 * len(nodes)
+            if evals > max_evals:
+                raise BudgetExceeded(f"quadrature exceeded {max_evals} evaluations")
+            for delta, w in nodes:
+                ez = (half * delta).exp()
+                total += w * (integrand(c_d / ez) + integrand(eta_d * ez))
+            value = total * half / 2 ** level
+            err = abs(value - previous)
+            if level and err <= tol * _LEVEL_AGREEMENT:
+                return value
+            previous = value
+        if err > tol:
+            raise BudgetExceeded(f"quadrature error estimate {err:.3g} exceeds {tol}")
+        return value
+
+
 def quad_outer(
     F: TestFunction,
     m: int,
@@ -183,9 +269,10 @@ def quad_outer(
 
     Substitutes xi = e^t, so the outer integral becomes
     int_{ln eta}^{ln c} P(e^t) / (1 - e^t) dt with a smooth, bounded
-    integrand (c <= 1/2), and integrates it by tanh-sinh quadrature at 40
-    working digits, which makes the absolute tolerance (>= 1e-13)
-    meaningful.  Nothing of the closed form is used.
+    integrand (c <= 1/2), and integrates it by tanh-sinh quadrature in
+    `decimal` at 50 working digits, which makes the absolute tolerance
+    (>= 1e-13) meaningful.  The step halves until two successive levels
+    agree far inside tol.  Nothing of the closed form is used.
     Deterministic; raises BudgetExceeded if the integrand needs more than
     max_evals evaluations or the error estimate exceeds tol.
     """
@@ -197,28 +284,7 @@ def quad_outer(
     eta = params.eta
     inner, power = (inner_L, 1) if kind == "L" else (inner_M, 2)
     pcoeffs = _weight_coeffs(inner(F, m, a_min=eta / c), power, c)
-    evals = 0
-
-    with mpmath.workdps(40):
-        pm = [mpmath.mpf(p.numerator) / p.denominator for p in pcoeffs]
-
-        def integrand(t):
-            nonlocal evals
-            evals += 1
-            if evals > max_evals:
-                raise BudgetExceeded(f"quadrature exceeded {max_evals} evaluations")
-            x = mpmath.exp(t)
-            acc = mpmath.mpf(0)
-            for coeff in reversed(pm):
-                acc = acc * x + coeff
-            return acc / (1 - x)
-
-        lo = mpmath.log(mpmath.mpf(eta.numerator) / eta.denominator)
-        hi = mpmath.log(mpmath.mpf(c.numerator) / c.denominator)
-        value, err = mpmath.quad(integrand, [lo, hi], error=True)
-        if err > tol:
-            raise BudgetExceeded(f"quadrature error estimate {mpmath.nstr(err, 3)} exceeds {tol}")
-        return float(value)
+    return float(_tanh_sinh(pcoeffs, eta, c, tol, max_evals))
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +438,7 @@ def theorem11_plan(rho: int, theta: Fraction, epsilon: Fraction) -> Theorem11Pla
         raise ValueError("theta must satisfy 0 < theta <= 1")
     if not 0 < epsilon <= 1:
         raise ValueError("epsilon must satisfy 0 < epsilon <= 1")
+    import mpmath   # exp and log at up to _MAX_K_DIGITS digits; nothing else needs it
 
     def ln_k_before_rounding():
         return (mpmath.mpf((2 + epsilon).numerator) / mpmath.mpf((2 + epsilon).denominator)

@@ -242,6 +242,9 @@ class MCEstimate:
 # 20 % more in per-call overhead, 2^13 and 2^15 are level, and 2^16 is 15 %
 # slower while its buffers outgrow the statistics' temporary (+6 MiB traced).
 _MC_CHUNK = 1 << 14
+# The array of squares and the temporary of its standard deviation hold 16
+# bytes per sample at the peak, so 10^7 samples take about 160 MiB.
+_MAX_MC_SAMPLES = 10 ** 7
 
 Columns = list[np.ndarray]
 
@@ -362,9 +365,13 @@ def mc_simplex_integral(
     major sampler and the planned evaluator do the same float operations in
     the same order as one (samples, dim) draw through np.sort, np.diff and
     per-term products, the path that the pinned figures were recorded with.
+    Raises BudgetExceeded above _MAX_MC_SAMPLES samples, before allocating.
     """
     if samples < 10_000:
         raise ValueError("samples must be >= 10000")
+    if samples > _MAX_MC_SAMPLES:
+        raise BudgetExceeded(f"{samples} Monte Carlo samples exceed the budget of "
+                             f"{_MAX_MC_SAMPLES} (16 bytes each)")
     if kind not in ("I", "J"):
         raise ValueError("kind must be 'I' or 'J'")
     rng = np.random.default_rng(seed)

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -185,6 +186,32 @@ def division_closed_form(pcoeffs: list[Fraction], eta: Fraction, c: Fraction) ->
     const = sum((qi * (c ** (i + 1) - eta ** (i + 1)) / (i + 1) for i, qi in enumerate(q)),
                 Fraction(0))
     return LogLinear(const, [(c, p0), (eta, -p0), (1 - eta, p1), (1 - c, -p1)])
+
+
+# ---------------------------------------------------------------------------
+# The mpmath quadrature of the outer integrals
+# ---------------------------------------------------------------------------
+
+
+def mpmath_quad_outer(pcoeffs: list[Fraction], eta: Fraction, c: Fraction):
+    """(value, error estimate) of int_{ln eta}^{ln c} P(e^t) / (1 - e^t) dt as mpf.
+
+    One tanh-sinh mpmath.quad at 40 digits with Horner on mpf coefficients:
+    the quadrature that `functionals._tanh_sinh` replaced.
+    """
+    with mpmath.workdps(40):
+        pm = [mpmath.mpf(p.numerator) / p.denominator for p in pcoeffs]
+
+        def integrand(t):
+            x = mpmath.exp(t)
+            acc = mpmath.mpf(0)
+            for coeff in reversed(pm):
+                acc = acc * x + coeff
+            return acc / (1 - x)
+
+        lo = mpmath.log(mpmath.mpf(eta.numerator) / eta.denominator)
+        hi = mpmath.log(mpmath.mpf(c.numerator) / c.denominator)
+        return mpmath.quad(integrand, [lo, hi], error=True)
 
 
 @pytest.fixture(scope="session")

@@ -60,6 +60,16 @@ def test_verify_mc_rows(capsys):
     assert "mc_I" in out and "mc_J" in out
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_verify_mc_samples_over_the_budget_exit_2(capsys, fmt):
+    # one sample past 10^7 (160 MiB of squares) is refused before any is drawn
+    code, out, err = run_cli(capsys, ["verify", "--theorem", "thm1.3", "--format", fmt,
+                                      "--mc-samples", str(10 ** 7 + 1)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Monte Carlo samples" in err
+
+
 # ---------------------------------------------------------------------------
 # functional
 # ---------------------------------------------------------------------------

@@ -1,15 +1,19 @@
 """Outer weighted functionals, leading coefficients, and the large-k plan."""
 
+import os
 import random
+import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import divide_by_one_minus_x, division_closed_form
+from conftest import divide_by_one_minus_x, division_closed_form, mpmath_quad_outer
 from e2sieve import TARGETS, functionals, simplex
 from e2sieve.algebra import LogLinear, SymPoly, TestFunction, loglinear_eval, parse_poly
 from e2sieve.functionals import (
@@ -17,6 +21,8 @@ from e2sieve.functionals import (
     _MAX_K_DIGITS,
     SieveParams,
     _outer,
+    _tanh_sinh,
+    _ts_nodes,
     _weight_coeffs,
     inner_L,
     inner_M,
@@ -321,6 +327,56 @@ def test_quad_budget_is_enforced():
         quad_outer(F, 1, PARAMS_K2, "L", max_evals=20)
 
 
+def test_quad_error_estimate_above_tol_raises(monkeypatch):
+    # levels 0 and 1 (h = 1, 1/2) differ by far more than 1e-13 here
+    F = TestFunction(k=2, poly=parse_poly("(1-u1)*(1-u2)", 2))
+    monkeypatch.setattr(functionals, "_QUAD_MAX_LEVEL", 1)
+    with pytest.raises(BudgetExceeded, match="error estimate"):
+        quad_outer(F, 1, PARAMS_K2, "L")
+    # a difference within tol is returned as it is
+    closed = float(outer_L(F, 1, PARAMS_K2).evaluate_decimal(25))
+    assert abs(quad_outer(F, 1, PARAMS_K2, "L", tol=0.5) - closed) <= 0.5
+
+
+def test_tanh_sinh_weights_integrate_one():
+    # h * sum of w over the nodes up to a level, each pair counted twice, is
+    # the rule's value for int_{-1}^{1} dx = 2
+    total = mpmath.mpf(0)
+    with mpmath.workdps(60):
+        for level in range(7):
+            total += sum(2 * mpmath.mpf(str(w)) for _, w in _ts_nodes(level))
+            if level >= 4:
+                assert abs(total / 2 ** level - 2) < mpmath.mpf("1e-45"), level
+
+
+@st.composite
+def outer_integrands(draw):
+    """Weight coefficients, c in (0, 1/2] and eta in (0, c), often eta = 10^-j (j <= 60)."""
+    coeffs = draw(st.lists(st.fractions(min_value=-10, max_value=10, max_denominator=1000),
+                           max_size=13))
+    c = Fraction(draw(st.integers(1, 500)), 1000)
+    if draw(st.booleans()):
+        eta = Fraction(1, 10 ** draw(st.integers(1, 60)))
+        assume(eta < c)
+    else:
+        eta = c * Fraction(draw(st.integers(1, 10 ** 6 - 1)), 10 ** 6)
+    return coeffs, eta, c
+
+
+@given(case=outer_integrands())
+@example(case=([], Fraction(1, 100), Fraction(1, 4)))
+@example(case=([Fraction(1)] * 13, Fraction(1, 10 ** 60), Fraction(1, 2)))
+@example(case=([Fraction(-10)] * 13, Fraction(499999, 10 ** 6), Fraction(1, 2)))
+@settings(max_examples=50, deadline=None)
+def test_tanh_sinh_matches_the_mpmath_quadrature(case):
+    coeffs, eta, c = case
+    got = _tanh_sinh(coeffs, eta, c, 1e-13, 500_000)
+    want, err = mpmath_quad_outer(coeffs, eta, c)
+    with mpmath.workdps(40):
+        assert err <= mpmath.mpf("1e-30")
+        assert abs(mpmath.mpf(str(got)) - want) <= mpmath.mpf("1e-25")
+
+
 # ---------------------------------------------------------------------------
 # the large-k plan
 # ---------------------------------------------------------------------------
@@ -368,6 +424,50 @@ def test_theorem11_plan_keeps_k_only_while_str_can_print_it():
     # rho = 7 * 10^4 still gets its k, of 3,815 digits
     plan = theorem11_plan(7 * 10 ** 4, HALF, Fraction(1, 10))
     assert len(str(plan.k)) == 3815 and plan.eta_ratio == HALF / plan.k
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run_python(code: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    run = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+def test_importing_the_package_and_cli_loads_neither_mpmath_nor_sympy():
+    out = _run_python("import sys, e2sieve, e2sieve.cli; "
+                      "print(sorted(m for m in ('mpmath', 'sympy') if m in sys.modules))")
+    assert out == "[]\n"
+
+
+# SHA-256 over the repr of every plan (or its ValueError) of the sweep below,
+# as printed while functionals imported mpmath at module level
+THEOREM11_SWEEP_DIGEST = "58d29f8881a5f67ec881e16758437873c7668fc8d9e4683f7b3020b00b14d407"
+THEOREM11_SWEEP = """
+import hashlib, sys
+from fractions import Fraction
+from e2sieve.functionals import theorem11_plan
+assert "mpmath" not in sys.modules
+digest = hashlib.sha256()
+for rho in list(range(3, 41)) + [50, 100, 500, 1000, 5000, 10 ** 5]:
+    for theta in ("1/10", "1/4", "1/3", "1/2", "3/4", "1"):
+        for eps in ("1/100", "1/10", "1/2", "1"):
+            try:
+                out = repr(theorem11_plan(rho, Fraction(theta), Fraction(eps)))
+            except ValueError as exc:
+                out = f"ValueError: {exc}"
+            digest.update(out.encode() + b"\\n")
+print("mpmath" in sys.modules, digest.hexdigest())
+"""
+
+
+def test_theorem11_plan_loads_mpmath_itself_and_keeps_its_records():
+    # 1,056 (rho, theta, epsilon) cases, ValueErrors included
+    assert _run_python(THEOREM11_SWEEP) == f"True {THEOREM11_SWEEP_DIGEST}\n"
 
 
 @pytest.mark.parametrize("bad", [

@@ -19,7 +19,7 @@ from conftest import (
     iterated_simplex_integral,
     sample_solid_simplex,
 )
-from e2sieve import TARGETS
+from e2sieve import TARGETS, simplex
 from e2sieve.algebra import BudgetExceeded, SymPoly, TestFunction, parse_poly
 from e2sieve.simplex import (
     _MAX_PAIRS,
@@ -287,3 +287,20 @@ def test_mc_rejects_tiny_sample_counts():
     F = TestFunction(k=2, poly=SymPoly.constant(2, 1))
     with pytest.raises(ValueError):
         mc_simplex_integral(F, "I", 100, 0)
+
+
+def test_mc_sample_budget_raises_before_allocating(monkeypatch):
+    F = TestFunction.from_expression(3, "(1-u1)*(1-u2)*(1-u3)")
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="Monte Carlo samples"):
+            mc_simplex_integral(F, "I", 10 ** 7 + 1, 0)    # 16 bytes a sample: 160 MiB
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+    # the budget is inclusive, for I and J alike
+    monkeypatch.setattr(simplex, "_MAX_MC_SAMPLES", 20_000)
+    assert mc_simplex_integral(F, "J", 20_000, 0, m=1).samples == 20_000
+    with pytest.raises(BudgetExceeded):
+        mc_simplex_integral(F, "J", 20_001, 0, m=1)
