@@ -1,6 +1,10 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -9,6 +13,16 @@ import pytest
 from e2sieve import TARGETS, leading_coefficient
 from e2sieve.algebra import LogLinear, SymPoly, TestFunction, definite_integral_one_var
 from e2sieve.simplex import integrate_out, monomial_simplex_integral
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_with_src(argv) -> subprocess.CompletedProcess:
+    """Run the interpreter on argv from the repository root, with src on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, capture_output=True,
+                          text=True, timeout=120)
 
 
 def iterated_simplex_integral(exponents) -> Fraction:

@@ -1,19 +1,17 @@
 """Outer weighted functionals, leading coefficients, and the large-k plan."""
 
-import os
 import random
-import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import divide_by_one_minus_x, division_closed_form, mpmath_quad_outer
+from conftest import (divide_by_one_minus_x, division_closed_form, mpmath_quad_outer,
+                      run_with_src)
 from e2sieve import TARGETS, functionals, simplex
 from e2sieve.algebra import LogLinear, SymPoly, TestFunction, loglinear_eval, parse_poly
 from e2sieve.functionals import (
@@ -426,14 +424,8 @@ def test_theorem11_plan_keeps_k_only_while_str_can_print_it():
     assert len(str(plan.k)) == 3815 and plan.eta_ratio == HALF / plan.k
 
 
-ROOT = Path(__file__).resolve().parents[1]
-
-
 def _run_python(code: str) -> str:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    run = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True,
-                         text=True, timeout=120)
+    run = run_with_src(["-c", code])
     assert run.returncode == 0, run.stderr
     return run.stdout
 

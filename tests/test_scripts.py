@@ -1,20 +1,8 @@
 """The scripts run at a small size and print the same bytes on every run."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-
-
-def _run_script(argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    return subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, capture_output=True,
-                          text=True, timeout=120)
+from conftest import run_with_src
 
 
 @pytest.mark.parametrize("argv", [
@@ -22,7 +10,7 @@ def _run_script(argv):
     ["scripts/weight_demo.py", "--N", "2000"],
 ])
 def test_script_output_is_deterministic(argv):
-    runs = [_run_script(argv) for _ in range(2)]
+    runs = [run_with_src(argv) for _ in range(2)]
     for run in runs:
         assert run.returncode == 0, run.stderr
     assert runs[0].stdout and runs[0].stdout == runs[1].stdout
@@ -46,6 +34,6 @@ EXACT_DIGESTS = (
 
 
 def test_exact_digests_match_the_expanding_implementation():
-    run = _run_script(["scripts/exact_digest.py"])
+    run = run_with_src(["scripts/exact_digest.py"])
     assert run.returncode == 0, run.stderr
     assert run.stdout == EXACT_DIGESTS
