@@ -1,12 +1,11 @@
 """Benchmark a change against its parent commit in alternating pairs; write a BENCH file.
 
-    python3 scripts/bench_pairs.py --parent REV --out BENCH_prN.json [--pairs 10] \
-        [--workloads crosscheck exact desk] [--claim "crosscheck op_geomean_s"] \
-        [--what TEXT]
+    python3 scripts/bench_pairs.py --parent REV --out BENCH_prN.json \
+        [--claim "crosscheck op_geomean_s"] [--what TEXT]
 
 Run from a git checkout.  The parent is exported with `git archive` into a
-temporary directory; the change is the working tree.  For every workload and
-pair i, both sides run
+temporary directory; the change is the working tree.  For every workload of
+BENCHMARK.json and each of the 10 pairs i = 0..9, both sides run
 `perfbench/run.py --workload W --seed (101 + i) --seconds S --trace 0`
 in their own tree with PYTHONDONTWRITEBYTECODE=1, and the side that runs
 first alternates from pair to pair.  The run length S, the workloads, the
@@ -37,6 +36,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 FIRST_SEED = 101
+PAIRS = 10
 
 
 def export(rev: str, dest: Path) -> None:
@@ -129,18 +129,14 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--parent", required=True, help="the commit to compare against")
     ap.add_argument("--out", required=True, type=Path, help="the BENCH file to write")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--workloads", nargs="+", help="a subset of BENCHMARK.json's, in run order")
     ap.add_argument("--claim", help='the claimed gain as "WORKLOAD METRIC"')
     ap.add_argument("--what", default="", help="one line on what the change does")
     args = ap.parse_args()
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2, so that each side has quartiles")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
-    seeds = list(range(FIRST_SEED, FIRST_SEED + args.pairs))
+    workloads = [w["name"] for w in bench["workloads"]]
+    seeds = list(range(FIRST_SEED, FIRST_SEED + PAIRS))
     seconds = bench["run_seconds"]
     parent_rev = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=ROOT, check=True,
                                 capture_output=True, text=True).stdout.strip()
@@ -157,7 +153,7 @@ def main() -> int:
                 first_side.append(order[0])
                 for side in order:
                     records[side].append(run_once(trees[side], workload, seed, seconds))
-                print(f"{workload} pair {i + 1}/{args.pairs} done", file=sys.stderr)
+                print(f"{workload} pair {i + 1}/{PAIRS} done", file=sys.stderr)
             summary[workload] = summarize_workload(records, seeds, first_side, metrics)
         if args.claim:
             workload = args.claim.split()[0]
@@ -168,7 +164,7 @@ def main() -> int:
     out = {
         "what": args.what,
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
-        "protocol": (f"{args.pairs} pairs per workload, seeds {seeds[0]}-{seeds[-1]}, the side that "
+        "protocol": (f"{PAIRS} pairs per workload, seeds {seeds[0]}-{seeds[-1]}, the side that "
                      f"runs first alternating from pair to pair (first_side); parent = commit "
                      f"{parent_rev}, change = the working tree; each side in its own tree without "
                      f"bytecode caches (PYTHONDONTWRITEBYTECODE=1). Figures per side: median and "

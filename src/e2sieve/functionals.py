@@ -186,7 +186,6 @@ def outer_M(F: TestFunction, m: int, params: SieveParams) -> LogLinear:
 _QUAD_DIGITS = 50
 _QUAD_CONTEXT = decimal.Context(prec=_QUAD_DIGITS)
 _HALF_PI = Decimal("1.57079632679489661923132169163975144209858469968755291048747")
-_QUAD_MAX_LEVEL = 10
 # two successive levels must agree to tol * _LEVEL_AGREEMENT; the later sum's
 # error is then about the square of that difference, far below tol
 _LEVEL_AGREEMENT = 1e-7
@@ -221,9 +220,10 @@ def _tanh_sinh(pcoeffs: list[Fraction], eta: Fraction, c: Fraction,
 
     A node pair at t = ln c - z and t = ln eta + z, z = delta ln(c/eta)/2,
     needs the one exponential ez = e^z: xi = c/ez and xi = eta ez.  Levels are
-    added until two successive sums agree to tol * _LEVEL_AGREEMENT.
-    Raises BudgetExceeded before a level that would take the evaluation count
-    past max_evals, and when the last difference at _QUAD_MAX_LEVEL exceeds tol.
+    added until two successive sums agree to tol * _LEVEL_AGREEMENT or the
+    next level would take the evaluation count past max_evals.  Raises
+    BudgetExceeded if max_evals does not cover levels 0 and 1, and if the last
+    difference reached exceeds tol.
     """
     with decimal.localcontext(_QUAD_CONTEXT):
         coeffs = [Decimal(p.numerator) / p.denominator for p in reversed(pcoeffs)]
@@ -238,12 +238,12 @@ def _tanh_sinh(pcoeffs: list[Fraction], eta: Fraction, c: Fraction,
             return acc / (1 - xi)
 
         total = previous = Decimal(0)
-        evals = 0
-        for level in range(_QUAD_MAX_LEVEL + 1):
+        evals = level = 0
+        while True:
             nodes = _ts_nodes(level)
             evals += 2 * len(nodes)
             if evals > max_evals:
-                raise BudgetExceeded(f"quadrature exceeded {max_evals} evaluations")
+                break
             for delta, w in nodes:
                 ez = (half * delta).exp()
                 total += w * (integrand(c_d / ez) + integrand(eta_d * ez))
@@ -252,6 +252,9 @@ def _tanh_sinh(pcoeffs: list[Fraction], eta: Fraction, c: Fraction,
             if level and err <= tol * _LEVEL_AGREEMENT:
                 return value
             previous = value
+            level += 1
+        if level < 2:
+            raise BudgetExceeded(f"quadrature exceeded {max_evals} evaluations")
         if err > tol:
             raise BudgetExceeded(f"quadrature error estimate {err:.3g} exceeds {tol}")
         return value
@@ -263,7 +266,7 @@ def quad_outer(
     params: SieveParams,
     kind: str,
     tol: float = 1e-13,
-    max_evals: int = 500_000,
+    max_evals: int = 10_000,
 ) -> float:
     """Quadrature check of outer_L / outer_M (kind 'L' or 'M').
 
@@ -272,9 +275,11 @@ def quad_outer(
     integrand (c <= 1/2), and integrates it by tanh-sinh quadrature in
     `decimal` at 50 working digits, which makes the absolute tolerance
     (>= 1e-13) meaningful.  The step halves until two successive levels
-    agree far inside tol.  Nothing of the closed form is used.
-    Deterministic; raises BudgetExceeded if the integrand needs more than
-    max_evals evaluations or the error estimate exceeds tol.
+    agree far inside tol, or until the next level would need more than
+    max_evals integrand evaluations; the default budget allows levels 0 to 10
+    (9,080 evaluations).  Nothing of the closed form is used.
+    Deterministic; raises BudgetExceeded if max_evals does not cover levels
+    0 and 1, or if the last error estimate exceeds tol.
     """
     if kind not in ("L", "M"):
         raise ValueError("kind must be 'L' or 'M'")
