@@ -38,7 +38,7 @@ from .functionals import (
     theorem11_plan,
 )
 from .numth import bv_table, gap_scan, tuple_hit_count
-from .simplex import mc_simplex_integral
+from .simplex import check_mc_samples, mc_simplex_integral
 
 # ---------------------------------------------------------------------------
 # Configuration
@@ -218,6 +218,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     F = target.test_function()
     params, variant = _target_params(cfg, target)
     overridden = bool({"rho", "theta", "delta", "eta", "variant"} & cfg.explicit)
+    if cfg.mc_samples:
+        check_mc_samples(cfg.mc_samples)   # exit 2 before the exact work, not after it
     lc = leading_coefficient(F, params, variant)
     log_const = lemma41_constant(params.eta)
 

@@ -200,16 +200,16 @@ def _ts_nodes(level: int) -> list[tuple[Decimal, Decimal]]:
             h, step = Decimal(2) ** -j, 1 if j == 0 else 2
             nodes = [(Decimal(1), _HALF_PI / 2)] if j == 0 else []
             cutoff = Decimal(10) ** -(_QUAD_DIGITS + 5)
-            i = 1
+            # s = h, h + step h, ...: e^s is stepped by one product per node
+            es, factor = h.exp(), (step * h).exp()
             while True:
-                es = (i * h).exp()
                 eu = (_HALF_PI * (es - 1 / es) / 2).exp()
                 cosh_u = (eu + 1 / eu) / 2
                 w = _HALF_PI * (es + 1 / es) / 2 / (cosh_u * cosh_u)
                 if w < cutoff:
                     break
                 nodes.append((2 / (eu * eu + 1), w))
-                i += step
+                es *= factor
             _TS_NODES.append(nodes)
     return _TS_NODES[level]
 

@@ -237,20 +237,25 @@ UNIVERSES = ("E2", "P2", "primes")
 def _members(universe: str, limit: int) -> np.ndarray:
     """Bool mask over [0, limit]: which v lie in the universe.
 
-    Read off factor_table(limit + 1): v >= 2 is prime iff spf[v] == v, and v
-    is E2 iff its cofactor m = v // spf[v] is a prime larger than spf[v].
+    The primes are read off factor_table(limit + 1) (v >= 2 is prime iff
+    spf[v] == v), and the table is dropped.  E2 is marked product by
+    product: for each prime p <= sqrt(limit), p * q for every prime q with
+    p < q <= limit // p.
     """
     if universe not in UNIVERSES:
         raise ValueError(f"universe must be one of {UNIVERSES}")
     spf = factor_table(limit + 1)
-    m = np.arange(limit + 1, dtype=np.int32)
-    prime = spf == m
+    prime = spf == np.arange(limit + 1, dtype=np.int32)
+    del spf
     prime[:2] = False
     if universe == "primes":
         return prime
-    m[2:] //= spf[2:]
-    e2 = m > spf
-    e2 &= spf[m] == m
+    ps = np.flatnonzero(prime)
+    e2 = np.zeros(limit + 1, dtype=bool)
+    small = ps[:np.searchsorted(ps, math.isqrt(limit), "right")]
+    ends = np.searchsorted(ps, limit // small, "right")   # q <= limit // p
+    for i, (p, end) in enumerate(zip(small.tolist(), ends.tolist())):
+        e2[p * ps[i + 1:end]] = True
     if universe == "P2":
         e2 |= prime
     return e2

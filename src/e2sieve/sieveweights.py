@@ -130,6 +130,9 @@ class SieveContext:
         self.nu0 = self._find_nu0()
 
         self._log_cache: dict[int, Fraction] = {1: Fraction(0)}
+        # the logs behind the surrogates, at log_digits + 22 working digits
+        self._log_context = decimal.Context(prec=self.log_digits + 22)
+        self._ln_R = decimal.Decimal(self.R).ln(self._log_context)
         # prime factors of every squarefree v < R coprime to W
         spf = factor_table(self.R)
         self._factors: dict[int, list[int]] = {}
@@ -207,9 +210,8 @@ class SieveContext:
         cached = self._log_cache.get(r)
         if cached is not None:
             return cached
-        with decimal.localcontext() as ctx:
-            ctx.prec = self.log_digits + 22
-            ratio = decimal.Decimal(r).ln() / decimal.Decimal(self.R).ln()
+        with decimal.localcontext(self._log_context):
+            ratio = decimal.Decimal(r).ln() / self._ln_R
             scaled = int((ratio * 10 ** self.log_digits)
                          .to_integral_value(rounding=decimal.ROUND_HALF_EVEN))
         val = Fraction(scaled, 10 ** self.log_digits)

@@ -239,11 +239,12 @@ class MCEstimate:
 # call stays bounded whatever the sample count.  The generator yields the same
 # rows in chunks as in one draw, so the estimate does not depend on the size.
 # 2^14 is the measured optimum (thm1.2, I and J at 10^6 samples): 2^12 pays
-# 20 % more in per-call overhead, 2^13 and 2^15 are level, and 2^16 is 15 %
-# slower while its buffers outgrow the statistics' temporary (+6 MiB traced).
+# 20 % more in per-call overhead, 2^15 is level, 2^16 is 15 % slower, and
+# 2^13 made the crosscheck benchmark's passes about 10 % slower.  The chunk
+# buffers add about 4 MiB to the traced peak at 2^14 (thm1.2, kind I).
 _MC_CHUNK = 1 << 14
-# The array of squares and the temporary of its standard deviation hold 16
-# bytes per sample at the peak, so 10^7 samples take about 160 MiB.
+# The statistics are taken on the array of squares in place, so a sample holds
+# 8 bytes at the peak and 10^7 samples take about 80 MiB.
 _MAX_MC_SAMPLES = 10 ** 7
 
 Columns = list[np.ndarray]
@@ -332,9 +333,8 @@ def _squares(p: SymPoly, drop: int | None, dim: int, samples: int,
              rng: np.random.Generator) -> np.ndarray:
     """p^2 at `samples` uniform points of R_dim, drawn and evaluated in chunks.
 
-    The result is allocated before the chunk buffers and those are freed on
-    return, so the temporary of the caller's statistics can reuse their
-    memory and the peak stays at two arrays of the full sample count.
+    The chunk buffers are freed on return, so the peak is this one array of
+    the full sample count plus one chunk's buffers.
     """
     sq = np.empty(samples)
     size = min(_MC_CHUNK, samples)
@@ -345,6 +345,19 @@ def _squares(p: SymPoly, drop: int | None, dim: int, samples: int,
         vals = evaluate(sample(rng, rows))
         np.multiply(vals, vals, out=sq[start:start + rows])
     return sq
+
+
+def check_mc_samples(samples: int) -> None:
+    """Raise unless mc_simplex_integral accepts this many samples.
+
+    ValueError below 10^4; BudgetExceeded above _MAX_MC_SAMPLES (8 bytes a
+    sample at the peak).
+    """
+    if samples < 10_000:
+        raise ValueError("samples must be >= 10000")
+    if samples > _MAX_MC_SAMPLES:
+        raise BudgetExceeded(f"{samples} Monte Carlo samples exceed the budget of "
+                             f"{_MAX_MC_SAMPLES} (8 bytes each)")
 
 
 def mc_simplex_integral(
@@ -365,13 +378,11 @@ def mc_simplex_integral(
     major sampler and the planned evaluator do the same float operations in
     the same order as one (samples, dim) draw through np.sort, np.diff and
     per-term products, the path that the pinned figures were recorded with.
-    Raises BudgetExceeded above _MAX_MC_SAMPLES samples, before allocating.
+    The mean and std(ddof=1) are numpy's, step for step, taken in place on
+    the array of squares.  Raises as check_mc_samples does, before
+    allocating.
     """
-    if samples < 10_000:
-        raise ValueError("samples must be >= 10000")
-    if samples > _MAX_MC_SAMPLES:
-        raise BudgetExceeded(f"{samples} Monte Carlo samples exceed the budget of "
-                             f"{_MAX_MC_SAMPLES} (16 bytes each)")
+    check_mc_samples(samples)
     if kind not in ("I", "J"):
         raise ValueError("kind must be 'I' or 'J'")
     rng = np.random.default_rng(seed)
@@ -387,6 +398,12 @@ def mc_simplex_integral(
     dim = k if drop is None else k - 1
     sq = _squares(base, drop, dim, samples, rng)
     vol = 1.0 / float(_factorial(dim))
-    value = vol * float(sq.mean())
-    stderr = vol * float(sq.std(ddof=1)) / float(np.sqrt(samples))
+    # numpy's _var: the mean as add.reduce / n, the deviations squared in
+    # place, their add.reduce / (n - 1), then sqrt; sq.std would copy sq
+    mean = np.add.reduce(sq) / samples
+    np.subtract(sq, mean, out=sq)
+    np.square(sq, out=sq)
+    std = np.sqrt(np.add.reduce(sq) / (samples - 1))
+    value = vol * float(mean)
+    stderr = vol * float(std) / float(np.sqrt(samples))
     return MCEstimate(value=value, stderr=stderr, samples=samples, seed=seed, kind=kind, m=m)

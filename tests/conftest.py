@@ -12,6 +12,7 @@ import pytest
 
 from e2sieve import TARGETS, leading_coefficient
 from e2sieve.algebra import LogLinear, SymPoly, TestFunction, definite_integral_one_var
+from e2sieve.numth import factor_table
 from e2sieve.simplex import integrate_out, monomial_simplex_integral
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -226,6 +227,32 @@ def mpmath_quad_outer(pcoeffs: list[Fraction], eta: Fraction, c: Fraction):
         lo = mpmath.log(mpmath.mpf(eta.numerator) / eta.denominator)
         hi = mpmath.log(mpmath.mpf(c.numerator) / c.denominator)
         return mpmath.quad(integrand, [lo, hi], error=True)
+
+
+# ---------------------------------------------------------------------------
+# The cofactor membership masks: divide every v by its least prime factor
+# ---------------------------------------------------------------------------
+
+
+def cofactor_members(universe: str, limit: int) -> np.ndarray:
+    """Bool mask over [0, limit] of the primes, E2 or P2 numbers, off factor_table.
+
+    v >= 2 is prime iff spf[v] == v, and v is E2 iff its cofactor
+    m = v // spf[v] is a prime larger than spf[v]: the mask that
+    `numth._members` built before it marked prime products instead.
+    """
+    spf = factor_table(limit + 1)
+    m = np.arange(limit + 1, dtype=np.int32)
+    prime = spf == m
+    prime[:2] = False
+    if universe == "primes":
+        return prime
+    m[2:] //= spf[2:]
+    e2 = m > spf
+    e2 &= spf[m] == m
+    if universe == "P2":
+        e2 |= prime
+    return e2
 
 
 @pytest.fixture(scope="session")

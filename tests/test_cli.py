@@ -5,7 +5,10 @@ import tracemalloc
 
 import pytest
 
+from e2sieve import TARGETS, cli
+from e2sieve.algebra import BudgetExceeded
 from e2sieve.cli import build_parser, main
+from e2sieve.simplex import mc_simplex_integral
 
 
 def run_cli(capsys, argv):
@@ -62,12 +65,24 @@ def test_verify_mc_rows(capsys):
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_verify_mc_samples_over_the_budget_exit_2(capsys, fmt):
-    # one sample past 10^7 (160 MiB of squares) is refused before any is drawn
+    # one sample past 10^7 (80 MiB of squares) is refused before any is drawn
     code, out, err = run_cli(capsys, ["verify", "--theorem", "thm1.3", "--format", fmt,
                                       "--mc-samples", str(10 ** 7 + 1)])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Monte Carlo samples" in err
+
+
+def test_verify_mc_budget_exits_2_before_the_exact_coefficient(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "leading_coefficient", lambda *args: calls.append(args))
+    code, out, err = run_cli(capsys, ["verify", "--theorem", "thm1.2",
+                                      "--mc-samples", "100000001"])
+    assert (code, out, calls) == (2, "", [])
+    # one message, whichever of the two raises it
+    with pytest.raises(BudgetExceeded) as exc:
+        mc_simplex_integral(TARGETS["thm1.2"].test_function(), "I", 100_000_001, 0)
+    assert err == f"error: {exc.value}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import cofactor_members
 from e2sieve.numth import (
     _FACTOR_TABLE_BUDGET,
     UNIVERSES,
+    _members,
     AdmissibleSet,
     beta,
     beta_mask,
@@ -148,6 +150,38 @@ def test_p2_sequence_is_the_union():
     assert p2_sequence(40)[:10] == [2, 3, 5, 6, 7, 10, 11, 13, 14, 15]
     for limit in range(61):
         assert p2_sequence(limit) == sorted(primes_up_to(limit) + _prime_pairs(limit)), limit
+
+
+def _member_limits():
+    """Every limit to 300, random ones to 2*10^5, p^2 and p*q and one below, and +max H."""
+    rng = random.Random(20261018)
+    primes = primes_up_to(320)
+    limits = set(range(301)) | {rng.randrange(2 * 10 ** 5) for _ in range(16)}
+    for p, q in zip(primes, primes[1:]):
+        for v in (p * p, p * q):
+            limits |= {v - 1, v}
+    limits |= {v + 12 for v in list(limits)}   # a hit scan's table reaches limit + max H
+    return sorted(limits)
+
+
+@pytest.mark.parametrize("universe", UNIVERSES)
+def test_members_equal_the_cofactor_oracle(universe):
+    for limit in _member_limits():
+        got, want = _members(universe, limit), cofactor_members(universe, limit)
+        assert got.dtype == want.dtype and got.shape == want.shape, (universe, limit)
+        assert np.array_equal(got, want), (universe, limit)
+
+
+def test_members_peak_memory_at_a_million():
+    # table 4 bytes, index 4 bytes and mask 1 byte a value while the primes
+    # are read off; the cofactor version peaked at 14.3 MiB
+    tracemalloc.start()
+    try:
+        _members("E2", 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20, peak
 
 
 # ---------------------------------------------------------------------------

@@ -37,3 +37,33 @@ def test_exact_digests_match_the_expanding_implementation():
     run = run_with_src(["scripts/exact_digest.py"])
     assert run.returncode == 0, run.stderr
     assert run.stdout == EXACT_DIGESTS
+
+
+# printed by the cofactor membership masks, before they marked prime products
+DESK_DIGESTS = (
+    "gaps 52176a54d26fa0bc8e7ee160fd4275a09d9b3567f72d0ae0019b70be8ee30d51\n"
+    "hits:seed1 ff25b96d9e19bff574a6043a6a366486a97761b3f192d3e825bf139213e7315c\n"
+    "hits:seed2 fd68dd9440e49944e5f9df6405d2d2bc4c3ed465f33572508ec640bb4c494f0e\n"
+    "bv:primes eb63092b2f739c32e36ed8eada3c04f9b11d6734381d3cccedbbb175cb55a7c8\n"
+    "bv:beta 16da16a103fd0e9b4d51e5041235c4f1f20355813a091348a07ba5465df4a996\n"
+    "E2:100 54ad8da953536aebbd01da343ca9e4ed0c3dab29f2862d9dc5180892d336d35e\n"
+    "E2:3000 e788ede180c5cb22c0883406054053c63c7ad8a8dd7ea2495a766957c46e2259\n"
+    "E2:1000000 a36f479c0359c28e73ce4b2a8f88be73ced30f2af107180eb414c02564a19a5e\n"
+    "E2:1000012 8ff94ae55d3b0ebc45ba8401cb55fd777d289bb04ee19f7a0990d7d665267570\n"
+    "P2:100 404da8e545ea777c37eca6c8d72c3e8cad1061ff186498e49edcc0481affc2ee\n"
+    "P2:3000 329ba7a4b2cddf16bba3d83e24047b572a2fd5b2c745f8f3bfd9765200c814c3\n"
+    "P2:1000000 2b2d9c4d86cb604248cfd2993e470a2d9efd3e5f6376a29c67948b3ba125003d\n"
+    "P2:1000012 d5db76a323d084f4bd5390fbb62601ab617a117f91a407ef0d7144b49e7eb821\n"
+    "primes:100 17d3bf5e29341bb9870b9e22271a66f2a496116bb5a785e004b08c5d94b540c1\n"
+    "primes:3000 384dda384dbf4ab31dd988d33d46794654db5aa8795c1ce54a77d2fe507da628\n"
+    "primes:1000000 1d8537de67d9eab4b2208f2efd3a137552d4c37d68c93a867c992df240189180\n"
+    "primes:1000012 c20a39237380a6263de41b3ef1c6bab45d1dc6cc4341c21e94eee7c87c661231\n"
+    "s_sums:k2 cb317609b7466eeed84354fb9dccbe470b327005b6b16c6d8e78fd92ef213d4f\n"
+    "s_sums:k3 0ed49ed825065c487170a9eb60149c23b7650247fd86a3634cea7597aaf5e6e6\n"
+)
+
+
+def test_desk_digests_match_the_cofactor_implementation():
+    run = run_with_src(["scripts/desk_digest.py"])
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == DESK_DIGESTS

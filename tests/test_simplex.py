@@ -267,6 +267,19 @@ def test_mc_memory_stays_bounded():
     assert peak < 64 * 2 ** 20
 
 
+def test_mc_statistics_take_no_second_sample_array():
+    # 8 MB of squares at 10^6 samples plus one chunk's buffers; a copy of
+    # the squares for the standard deviation put the peak at 16.0 MiB
+    F = TARGETS["thm1.2"].test_function()  # k = 6
+    tracemalloc.start()
+    try:
+        mc_simplex_integral(F, "I", 10 ** 6, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 13 * 2 ** 20, peak
+
+
 def test_mc_agrees_with_exact_within_4_sigma():
     F = TestFunction.from_expression(3, "(1-u1)*(1-u2)*(1-u3)")
     est = mc_simplex_integral(F, "I", 100_000, 12)
@@ -294,7 +307,7 @@ def test_mc_sample_budget_raises_before_allocating(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceeded, match="Monte Carlo samples"):
-            mc_simplex_integral(F, "I", 10 ** 7 + 1, 0)    # 16 bytes a sample: 160 MiB
+            mc_simplex_integral(F, "I", 10 ** 7 + 1, 0)    # 8 bytes a sample: 80 MiB
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
