@@ -479,8 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="sequence diagnostics")
     p_scan.add_argument("--mode", choices=["gaps", "hits", "bv"], help="what to scan (default gaps)")
     p_scan.add_argument("--limit", type=int,
-                        help="scan bound (N for --mode bv); its factor table (limit + max H + 1 "
-                             "entries, about 2N for bv) may not exceed 4,000,000 entries")
+                        help="scan bound (N for --mode bv); its prime sieve or factor table (limit "
+                             "+ max H + 1 entries, about 2N for bv) may not exceed 4,000,000 entries")
     p_scan.add_argument("--rho", type=int, help="gap step for --mode gaps")
     p_scan.add_argument("--universe", help="E2, P2 or primes (bv: primes or beta)")
     p_scan.add_argument("--H", type=_parse_shifts, help="comma-separated shifts for --mode hits")

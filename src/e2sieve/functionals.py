@@ -434,6 +434,9 @@ _MAX_K_DIGITS = 4_000
 def theorem11_plan(rho: int, theta: Fraction, epsilon: Fraction) -> Theorem11Plan:
     """Plan record: k, A = ln k - 2 ln ln k, T = (e^A - 1)/A, eta = theta T / k,
     and the growth bound rhs83 = (3 theta/2)(1 - eps/4)(ln k ln ln k - 3 (ln ln k)^2).
+
+    Since e^A = k / (ln k)^2, eta = theta (1/(ln k)^2 - 1/k) / A; without k
+    (over _MAX_K_DIGITS digits) eta is theta / ((ln k)^2 A), 1/k dropped.
     """
     if not isinstance(rho, int) or rho < 3:
         raise ValueError("rho must be an integer >= 3")
@@ -471,7 +474,7 @@ def theorem11_plan(rho: int, theta: Fraction, epsilon: Fraction) -> Theorem11Pla
         T = (mpmath.exp(A) - 1) / A
         theta_mp = mpmath.mpf(theta.numerator) / mpmath.mpf(theta.denominator)
         eps_mp = mpmath.mpf(epsilon.numerator) / mpmath.mpf(epsilon.denominator)
-        eta = theta_mp * T / mpmath.exp(lnk) if k is None else theta_mp * T / k
+        eta = theta_mp / (lnk ** 2 * A) if k is None else theta_mp * T / k
         rhs83 = (3 * theta_mp / 2) * (1 - eps_mp / 4) * (lnk * lnlnk - 3 * lnlnk ** 2)
         # a_min = eta / (theta/2) = 2T/k is exactly twice the box bound T/k
         vanishing_ok = T > 0

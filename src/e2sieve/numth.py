@@ -10,11 +10,11 @@ Conventions (kept exactly as in the analytic setup this package models):
 * E2 numbers are products of two *distinct* primes (4, 9, 25, ... excluded);
   P2 = primes union E2.
 
-Every bulk question -- is v prime, E2 or beta, what are the prime factors of
-q -- is read off one smallest-prime-factor table, `factor_table`, capped at
-4*10^6 entries: the sequences, the gap and tuple scans, the beta numbers and
-the BV table all raise ValueError before allocating past the cap.  The byte
-sieve `primes_up_to` supplies the table's base primes, and together with the
+Bulk questions take primality from one prime sieve, `_prime_mask` (the
+sequences, the gap and tuple scans), and factorisation from one factor
+table, `factor_table` (beta numbers, BV moduli, `sieveweights`), both under
+one 4*10^6-entry budget that raises ValueError before allocating.  The byte
+sieve `primes_up_to` supplies the base primes of both, and together with the
 single-value `beta`, `is_squarefree` and `euler_phi` (trial division) it is
 the independent oracle the tests compare against.
 """
@@ -49,15 +49,29 @@ def primes_up_to(limit: int) -> list[int]:
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
-    """Primes in [lo, hi), read off factor_table(hi)."""
+    """Primes in [lo, hi), read off the prime sieve _prime_mask(hi)."""
     lo = max(lo, 2)
     if hi <= lo:
         return []
-    spf = factor_table(hi)
-    return (np.flatnonzero(spf[lo:] == np.arange(lo, hi, dtype=np.int32)) + lo).tolist()
+    return (np.flatnonzero(_prime_mask(hi)[lo:]) + lo).tolist()
 
 
 _FACTOR_TABLE_BUDGET = 4_000_000
+
+
+def _check_table_budget(limit: int) -> None:
+    if limit > _FACTOR_TABLE_BUDGET:
+        raise ValueError(f"factor table of {limit} entries exceeds the budget of {_FACTOR_TABLE_BUDGET}")
+
+
+def _prime_mask(limit: int) -> np.ndarray:
+    """Bool mask over [0, limit): which v are prime, under factor_table's budget."""
+    _check_table_budget(limit)
+    prime = np.ones(limit, dtype=bool)
+    prime[:2] = False
+    for p in primes_up_to(math.isqrt(max(limit - 1, 0))):
+        prime[p * p:: p] = False
+    return prime
 
 
 def factor_table(limit: int) -> np.ndarray:
@@ -67,9 +81,7 @@ def factor_table(limit: int) -> np.ndarray:
     v < limit factors by repeated lookup, and so does every cofactor v // p.
     Raises ValueError above _FACTOR_TABLE_BUDGET entries, before allocating.
     """
-    if limit > _FACTOR_TABLE_BUDGET:
-        raise ValueError(f"factor table of {limit} entries exceeds the budget "
-                         f"of {_FACTOR_TABLE_BUDGET}")
+    _check_table_budget(limit)
     spf = np.arange(limit, dtype=np.int32)
     # largest prime first, so the smallest prime factor is written last
     for p in reversed(primes_up_to(math.isqrt(max(limit - 1, 0)))):
@@ -237,17 +249,13 @@ UNIVERSES = ("E2", "P2", "primes")
 def _members(universe: str, limit: int) -> np.ndarray:
     """Bool mask over [0, limit]: which v lie in the universe.
 
-    The primes are read off factor_table(limit + 1) (v >= 2 is prime iff
-    spf[v] == v), and the table is dropped.  E2 is marked product by
-    product: for each prime p <= sqrt(limit), p * q for every prime q with
-    p < q <= limit // p.
+    The primes come from the prime sieve _prime_mask(limit + 1).  E2 is
+    marked product by product: for each prime p <= sqrt(limit), p * q for
+    every prime q with p < q <= limit // p.
     """
     if universe not in UNIVERSES:
         raise ValueError(f"universe must be one of {UNIVERSES}")
-    spf = factor_table(limit + 1)
-    prime = spf == np.arange(limit + 1, dtype=np.int32)
-    del spf
-    prime[:2] = False
+    prime = _prime_mask(limit + 1)
     if universe == "primes":
         return prime
     ps = np.flatnonzero(prime)
@@ -381,14 +389,16 @@ def gap_scan(limit: int, rho: int, universe: str) -> GapReport:
         raise ValueError("sequence too short for this rho")
     gaps = seq[rho:] - seq[:-rho]
     i0 = int(gaps.argmin())
-    values, counts = np.unique(gaps, return_counts=True)
+    min_gap = int(gaps[i0])
+    counts = np.bincount(np.subtract(gaps, min_gap, out=gaps))   # spans max - min gap only
+    values = np.flatnonzero(counts)
     return GapReport(
         universe=universe,
         limit=limit,
         rho=rho,
-        min_gap=int(gaps[i0]),
+        min_gap=min_gap,
         argmin=tuple(seq[i0:i0 + rho + 1].tolist()),
-        histogram=dict(zip(values.tolist(), counts.tolist())),
+        histogram=dict(zip((values + min_gap).tolist(), counts[values].tolist())),
         scanned=len(gaps),
     )
 

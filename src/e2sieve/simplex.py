@@ -78,7 +78,8 @@ def _swap_representatives(poly: SymPoly) -> list[int]:
     """For each coordinate m (1-based), the first r <= m whose swap with m fixes poly.
 
     Invariance under the swap of u_r and u_m is an equivalence relation, so m
-    only needs testing against the representatives found so far.
+    only needs testing against the representatives found so far, and only on
+    the terms whose exponents of u_r and u_m differ: the swap fixes the rest.
     """
     reps: list[int] = []
     out: list[int] = []
@@ -87,7 +88,7 @@ def _swap_representatives(poly: SymPoly) -> list[int]:
             perm = list(range(poly.nvars))
             perm[r], perm[m] = m, r
             if all(poly.terms.get(tuple(map(exps.__getitem__, perm))) == c
-                   for exps, c in poly.terms.items()):
+                   for exps, c in poly.terms.items() if exps[r] != exps[m]):
                 out.append(r + 1)
                 break
         else:

@@ -159,6 +159,20 @@ def permuted(p: SymPoly, perm) -> SymPoly:
     return SymPoly(p.nvars, out)
 
 
+def brute_swap_representatives(p: SymPoly) -> list[int]:
+    """For each coordinate m (1-based), the first r <= m such that relabelling
+    p by the swap of u_r and u_m gives p back, comparing whole polynomials."""
+    out = []
+    for m in range(p.nvars):
+        for r in range(m + 1):
+            perm = list(range(p.nvars))
+            perm[r], perm[m] = m, r
+            if permuted(p, perm).terms == p.terms:
+                out.append(r + 1)
+                break
+    return out
+
+
 # ---------------------------------------------------------------------------
 # The division-based closed form of the outer integrals
 # ---------------------------------------------------------------------------
@@ -253,6 +267,27 @@ def cofactor_members(universe: str, limit: int) -> np.ndarray:
     if universe == "P2":
         e2 |= prime
     return e2
+
+
+# ---------------------------------------------------------------------------
+# The theorem-11 eta at 200 digits
+# ---------------------------------------------------------------------------
+
+
+def theorem11_eta_oracle(rho: int, theta: Fraction, epsilon: Fraction, k: int | None):
+    """eta = theta T / k = theta (e^A - 1) / (A k), A = ln k - 2 ln ln k, at 200 digits.
+
+    k is the plan's k, or None when it was too long to keep; then
+    k = floor(e^x + 1) with x = (2 + eps) rho / (3 theta ln rho), so
+    ln k = x + O(e^-x), and e^-x is far below 200 digits.
+    """
+    with mpmath.workdps(200):
+        th = mpmath.mpf(theta.numerator) / theta.denominator
+        x = (mpmath.mpf((2 + epsilon).numerator) / (2 + epsilon).denominator
+             * rho / (3 * th * mpmath.log(rho)))
+        lnk = x if k is None else mpmath.log(k)
+        A = lnk - 2 * mpmath.log(lnk)
+        return th * (mpmath.exp(A) - 1) / (A * mpmath.exp(lnk))
 
 
 @pytest.fixture(scope="session")

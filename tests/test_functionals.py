@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (divide_by_one_minus_x, division_closed_form, mpmath_quad_outer,
-                      run_with_src)
+                      run_with_src, theorem11_eta_oracle)
 from e2sieve import TARGETS, functionals, simplex
 from e2sieve.algebra import LogLinear, SymPoly, TestFunction, loglinear_eval, parse_poly
 from e2sieve.functionals import (
@@ -424,6 +424,19 @@ def test_theorem11_plan_keeps_k_only_while_str_can_print_it():
     # rho = 7 * 10^4 still gets its k, of 3,815 digits
     plan = theorem11_plan(7 * 10 ** 4, HALF, Fraction(1, 10))
     assert len(str(plan.k)) == 3815 and plan.eta_ratio == HALF / plan.k
+
+
+@given(j=st.integers(1, 129), mantissa=st.integers(1, 10), theta=st.sampled_from([HALF, Fraction(1)]),
+       epsilon=st.builds(Fraction, st.integers(1, 10), st.just(10)))
+# at rho = 10^40, theta T / e^(ln k) at 30 digits gave 3.29e-39 for a true 1.42e-115
+@example(j=40, mantissa=1, theta=HALF, epsilon=Fraction(1, 10))
+@settings(max_examples=200, deadline=None)
+def test_theorem11_eta_matches_a_200_digit_oracle(j, mantissa, theta, epsilon):
+    rho = mantissa * 10 ** j   # 10^1 to 10^130
+    plan = theorem11_plan(rho, theta, epsilon)
+    true = theorem11_eta_oracle(rho, theta, epsilon, plan.k)
+    if true >= sys.float_info.min:   # a normal float; eta ~ 1/(ln k)^3 leaves them near rho = 10^104
+        assert abs(plan.eta - true) <= 1e-15 * true, (plan.eta, float(true))
 
 
 def _run_python(code: str) -> str:

@@ -1,5 +1,6 @@
 """Primes, two-prime-factor sequences, admissibility, scans, distribution tables."""
 
+import bisect
 import math
 import random
 import tracemalloc
@@ -15,6 +16,7 @@ from e2sieve.numth import (
     _FACTOR_TABLE_BUDGET,
     UNIVERSES,
     _members,
+    _prime_mask,
     AdmissibleSet,
     beta,
     beta_mask,
@@ -172,16 +174,50 @@ def test_members_equal_the_cofactor_oracle(universe):
         assert np.array_equal(got, want), (universe, limit)
 
 
-def test_members_peak_memory_at_a_million():
-    # table 4 bytes, index 4 bytes and mask 1 byte a value while the primes
-    # are read off; the cofactor version peaked at 14.3 MiB
+def test_prime_mask_equals_the_byte_sieve():
+    primes = primes_up_to(max(_member_limits()))
+    for n in _member_limits():   # every n to 300, so n = 0...3 too
+        mask = _prime_mask(n)
+        assert mask.dtype == bool and mask.shape == (n,), n
+        assert np.flatnonzero(mask).tolist() == primes[:bisect.bisect_left(primes, n)], n
+
+
+def _traced(call, *args):
+    """call(*args) and the peak of the memory tracemalloc saw it allocate."""
     tracemalloc.start()
     try:
-        _members("E2", 10 ** 6)
-        peak = tracemalloc.get_traced_memory()[1]
+        return call(*args), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 * 2 ** 20, peak
+
+
+def test_members_peak_memory_at_a_million():
+    # the prime sieve and the E2 mask take 1 byte a value and the primes 8 an
+    # entry; reading the primes off the int32 factor table and an int32 index
+    # peaked at 8.6 MiB, the cofactor version at 14.3 MiB
+    peak = _traced(_members, "E2", 10 ** 6)[1]
+    assert peak < 4 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("call, args", [
+    (gap_scan, (10 ** 6, 2, "E2")),
+    (tuple_hit_count, ((0, 2, 6), 10 ** 6, "P2", 3)),
+])
+def test_scans_peak_memory_at_a_million(call, args):
+    # the mask as above, then the members and their gaps at 8 bytes an entry
+    # or one byte of hit counts a value (8.6 MiB off the factor table)
+    peak = _traced(call, *args)[1]
+    assert peak < 4 * 2 ** 20, peak
+
+
+def test_gap_scan_near_the_sequence_length_counts_only_the_spread():
+    # two gaps of about 10^6 among the primes: a histogram indexed by gap size
+    # would take 8 bytes per possible gap, as much as the factor table and its
+    # index that the primes were once read off (8 bytes a value)
+    limit = 10 ** 6
+    report, peak = _traced(gap_scan, limit, len(primes_up_to(limit)) - 2, "primes")
+    assert peak < 8 * (limit + 1), peak
+    assert report.histogram == {999977: 1, 999980: 1} and report.min_gap == 999977
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    brute_swap_representatives,
     compile_poly,
     eval_poly_array,
     expanding_G,
@@ -27,6 +28,7 @@ from e2sieve.simplex import (
     J_k_m,
     _column_sampler,
     _orbit_representatives,
+    _swap_representatives,
     _term_evaluator,
     inner_G,
     mc_simplex_integral,
@@ -89,6 +91,26 @@ def test_pair_kernel_equals_the_expanding_oracle(F):
         assert G_L == expanding_G(F, m, "L")
         assert G_M == expanding_G(F, m, "M")
         assert J_k_m(F, m) == expanding_J(F, m)
+
+
+@st.composite
+def labelled_polynomials(draw):
+    """Sums of orbits under the coordinate permutations that keep labels: from
+    every coordinate in one class (symmetric) to every one alone (asymmetric)."""
+    k = draw(st.integers(1, 5))
+    classes = draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k))
+    exponents = st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(lambda e: sum(e) <= 4)
+    monomials = draw(st.dictionaries(exponents.map(tuple), st.builds(
+        Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9)), max_size=6))
+    return _partially_symmetric(k, classes, monomials)
+
+
+@given(poly=labelled_polynomials())
+@example(poly=SymPoly(3, {(1, 1, 0): Fraction(1), (2, 0, 0): Fraction(1)}))   # only u1^2 moves
+@example(poly=parse_poly("(1 - P1)**3 + P2", 4))
+@settings(max_examples=150, deadline=None)
+def test_swap_classes_equal_the_brute_invariance_check(poly):
+    assert _swap_representatives(poly) == brute_swap_representatives(poly)
 
 
 def test_orbit_pairs_of_a_symmetric_degree_7_function():
