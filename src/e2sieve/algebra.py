@@ -1,6 +1,6 @@
 """Exact symbolic building blocks: rationals, sparse polynomials, log-linear values.
 
-Everything downstream (simplex integrals, substituted functionals, sieve
+Everything downstream (simplex integrals, inner and outer functionals, sieve
 weights) is built on three value types that are closed under the operations
 we need:
 
@@ -24,6 +24,7 @@ import ast
 import decimal
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, lcm
 from operator import add
 from typing import Iterable, Mapping, Sequence
@@ -135,9 +136,6 @@ class SymPoly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def uses_var(self, var: int) -> bool:
-        return any(e[var] > 0 for e in self.terms)
-
     # -- ring operations -----------------------------------------------------
 
     def _coerce(self, other) -> "SymPoly | None":
@@ -220,43 +218,7 @@ class SymPoly:
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
 
-    # -- calculus ------------------------------------------------------------
-
-    def antiderivative(self, var: int) -> "SymPoly":
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in self.terms.items():
-            e = exps[var]
-            ne = exps[:var] + (e + 1,) + exps[var + 1:]
-            out[ne] = c / (e + 1)
-        return SymPoly(self.nvars, out)
-
-    def substitute(self, var: int, replacement: "SymPoly | RationalLike") -> "SymPoly":
-        """Replace variable `var` by a polynomial in the same ring."""
-        if isinstance(replacement, (int, Fraction)):
-            replacement = SymPoly.constant(self.nvars, replacement)
-        if replacement.nvars != self.nvars:
-            raise ValueError("replacement lives in a different ring")
-        # memoized powers of the replacement
-        powers: dict[int, SymPoly] = {0: SymPoly.constant(self.nvars, 1), 1: replacement}
-
-        def power(n: int) -> SymPoly:
-            if n not in powers:
-                powers[n] = power(n - 1) * replacement
-            return powers[n]
-
-        # group the terms by their exponent of `var`, then accumulate every
-        # group's product with the matching power into one dict
-        groups: dict[int, dict[tuple[int, ...], Fraction]] = {}
-        for exps, c in self.terms.items():
-            groups.setdefault(exps[var], {})[exps[:var] + (0,) + exps[var + 1:]] = c
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e, base in groups.items():
-            part = SymPoly._wrap(self.nvars, base)
-            if e:
-                part = part * power(e)
-            for exps, c in part.terms.items():
-                out[exps] = out.get(exps, 0) + c
-        return SymPoly._wrap(self.nvars, {e: c for e, c in out.items() if c})
+    # -- evaluation ------------------------------------------------------------
 
     def eval(self, point: Sequence[RationalLike]) -> Fraction:
         if len(point) != self.nvars:
@@ -316,26 +278,6 @@ def _int_numerators(terms: Mapping[tuple[int, ...], Fraction]) -> tuple[list, in
     """(exponents, integer numerator) pairs over the common denominator, and that denominator."""
     den = lcm(*(c.denominator for c in terms.values()))
     return [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()], den
-
-
-def definite_integral_one_var(
-    f: SymPoly,
-    var: int,
-    lower: SymPoly | RationalLike,
-    upper: SymPoly | RationalLike,
-) -> SymPoly:
-    """Integrate f with respect to one variable between polynomial limits.
-
-    The limits may involve the other variables but not `var` itself; the
-    result lives in the same ring, with `var` no longer appearing.
-    """
-    anti = f.antiderivative(var)
-    for bound in (lower, upper):
-        if isinstance(bound, SymPoly) and bound.uses_var(var):
-            raise ValueError("integration limit must not involve the integration variable")
-    result = anti.substitute(var, upper) - anti.substitute(var, lower)
-    assert not result.uses_var(var)
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +419,9 @@ class LogLinear:
     Construction merges duplicate args (exact Fraction equality) and drops
     zero coefficients and ln(1) terms.  Structural equality would miss
     relations like ln(4) = 2 ln(2), so __eq__ canonicalizes each argument
-    into its prime-exponent vector first.
+    into its prime-exponent vector first, but only when the constants agree:
+    two values with different constants differ, since a nonzero rational is
+    no Q-combination of logs of positive rationals (Lindemann-Weierstrass).
     """
 
     __slots__ = ("const", "terms")
@@ -558,12 +502,14 @@ class LogLinear:
             other = LogLinear(other)
         if not isinstance(other, LogLinear):
             return NotImplemented
-        if self.const == other.const and self.terms == other.terms:
+        if self.const != other.const:
+            return False   # see the class docstring
+        if self.terms == other.terms:
             return True  # cheap structural path
         return self.canonical() == other.canonical()
 
     def __hash__(self):
-        return hash(self.canonical())
+        return hash(self.const)   # equal values have equal constants, so nothing is factored
 
     def is_zero(self) -> bool:
         return self == LogLinear.zero()
@@ -620,6 +566,29 @@ def loglinear_eval(value: LogLinear, digits: int) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _swap_representatives(poly: SymPoly) -> list[int]:
+    """For each coordinate m (1-based), the first r <= m whose swap with m fixes poly.
+
+    Invariance under the swap of u_r and u_m is an equivalence relation, so m
+    only needs testing against the representatives found so far, and only on
+    the terms whose exponents of u_r and u_m differ: the swap fixes the rest.
+    """
+    reps: list[int] = []
+    out: list[int] = []
+    for m in range(poly.nvars):
+        for r in reps:
+            perm = list(range(poly.nvars))
+            perm[r], perm[m] = m, r
+            if all(poly.terms.get(tuple(map(exps.__getitem__, perm))) == c
+                   for exps, c in poly.terms.items() if exps[r] != exps[m]):
+                out.append(r + 1)
+                break
+        else:
+            reps.append(m)
+            out.append(m + 1)
+    return out
+
+
 @dataclass(frozen=True)
 class TestFunction:
     """A k-variable polynomial used as the sieve test function.
@@ -645,6 +614,11 @@ class TestFunction:
             raise ValueError("poly must have exactly k variables")
         if self.box_bound is not None and self.box_bound <= 0:
             raise ValueError("box_bound must be positive when given")
+
+    @cached_property
+    def swaps(self) -> list[int]:
+        """`_swap_representatives` of poly, found once: F is frozen and SymPoly immutable."""
+        return _swap_representatives(self.poly)
 
     @classmethod
     def from_expression(cls, k: int, expression: str,

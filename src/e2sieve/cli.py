@@ -137,7 +137,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         file_values = _load_config_file(args.config)
     for key, raw in file_values.items():
-        name = "H" if key == "H" else key.replace("-", "_")
+        name = key.replace("-", "_")
         if name not in _CONVERTERS and name != "epsilon":
             raise ValueError(f"unknown config key {key!r}")
         conv = _CONVERTERS.get(name, _parse_fraction)
@@ -378,7 +378,7 @@ def cmd_scan(cfg: RunConfig) -> int:
     elif cfg.mode == "hits":
         if cfg.H is None:
             raise ValueError("scan --mode hits needs --H")
-        threshold = cfg.threshold if cfg.threshold is not None else len(cfg.H)
+        threshold = cfg.threshold if cfg.threshold is not None else len(set(cfg.H))
         report = tuple_hit_count(cfg.H, cfg.limit, cfg.universe, threshold)
         payload = report.to_dict()
         csv_rows = [("shifts", "universe", "limit", "threshold", "count", "witnesses"),

@@ -57,7 +57,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from .algebra import BudgetExceeded, LogLinear, SymPoly, TestFunction, as_rational
-from .simplex import _I_k, _inner_G, _swap_representatives, inner_G
+from .simplex import I_k, inner_G
 
 # ---------------------------------------------------------------------------
 # Parameters
@@ -320,15 +320,14 @@ class LeadingCoefficient:
 VARIANTS = ("S", "Sprime")
 
 
-def _coordinate_values(F: TestFunction, m: int, params: SieveParams,
-                       swaps: list[int]) -> tuple[Fraction, LogLinear, LogLinear]:
+def _coordinate_values(F: TestFunction, m: int, params: SieveParams) -> tuple[Fraction, LogLinear, LogLinear]:
     """(J^(m), L^(m), M^(m)) from one inner pass.
 
     At a = 0 the two bracketed integrals coincide, so G_L(0) = J^(m) exactly;
     it is read off the untruncated G_L even when a box bound zeroes L and M.
     """
     boxed_out = _box_vanishes(F, params.eta / params.r_exponent)
-    G_L, G_M = _inner_G(F, m, "LM", swaps)
+    G_L, G_M = inner_G(F, m, "LM")
     J = G_L.eval((0,))
     if boxed_out:
         return J, LogLinear.zero(), LogLinear.zero()
@@ -349,10 +348,9 @@ def leading_coefficient(F: TestFunction, params: SieveParams, variant: str = "Sp
 
     # coordinates whose swap leaves F unchanged share their J, L and M; their
     # pair sums have at least as many orbits as I's, so they meet the budget first
-    reps = _swap_representatives(F.poly)
-    values = {r: _coordinate_values(F, r, params, reps) for r in set(reps)}
-    J_vals, L_vals, M_vals = zip(*(values[r] for r in reps))
-    I_val = _I_k(F, reps)
+    values = {r: _coordinate_values(F, r, params) for r in set(F.swaps)}
+    J_vals, L_vals, M_vals = zip(*(values[r] for r in F.swaps))
+    I_val = I_k(F)
 
     sum_L = sum(L_vals, LogLinear.zero())
     sum_M = sum(M_vals, LogLinear.zero())

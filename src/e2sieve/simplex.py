@@ -23,7 +23,8 @@ only through gamma!, |gamma|, e and f, so the sums are kept as ints per key
 invariant under permutations within F's swap classes, so one side of the sum
 runs over orbit representatives weighted by orbit size (for an F fixed by no
 swap, the plain pair sum).  A spacings-based Monte Carlo estimator
-cross-checks I and J numerically.
+cross-checks I and J numerically; for J, `integrate_out` first integrates out
+u_m exactly by int_0^{1-s} u^e du = (1-s)^(e+1)/(e+1), the 1/(e+1) above.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import (BudgetExceeded, SymPoly, TestFunction, _int_numerators,
-                      definite_integral_one_var)
+from .algebra import BudgetExceeded, SymPoly, TestFunction, _int_numerators
 
 # ---------------------------------------------------------------------------
 # Exact integrals
@@ -66,35 +66,21 @@ def monomial_simplex_integral(exponents: Sequence[int]) -> Fraction:
 
 
 def integrate_out(p: SymPoly, var: int) -> SymPoly:
-    """int_0^{1-s} p du_var with s the sum of the other coordinates, exactly."""
-    upper = SymPoly.constant(p.nvars, 1)
-    for i in range(p.nvars):
-        if i != var:
-            upper = upper - SymPoly.variable(p.nvars, i)
-    return definite_integral_one_var(p, var, 0, upper)
+    """int_0^{1-s} p du_var with s the sum of the other coordinates, exactly.
 
-
-def _swap_representatives(poly: SymPoly) -> list[int]:
-    """For each coordinate m (1-based), the first r <= m whose swap with m fixes poly.
-
-    Invariance under the swap of u_r and u_m is an equivalence relation, so m
-    only needs testing against the representatives found so far, and only on
-    the terms whose exponents of u_r and u_m differ: the swap fixes the rest.
+    Term by term int_0^{1-s} u^e du = (1-s)^(e+1) / (e+1): the terms with
+    exponent e of u_var, weighted by 1/(e+1), are summed by Horner in (1 - s).
     """
-    reps: list[int] = []
-    out: list[int] = []
-    for m in range(poly.nvars):
-        for r in reps:
-            perm = list(range(poly.nvars))
-            perm[r], perm[m] = m, r
-            if all(poly.terms.get(tuple(map(exps.__getitem__, perm))) == c
-                   for exps, c in poly.terms.items() if exps[r] != exps[m]):
-                out.append(r + 1)
-                break
-        else:
-            reps.append(m)
-            out.append(m + 1)
-    return out
+    n = p.nvars
+    groups: dict[int, dict[tuple[int, ...], Fraction]] = {}
+    for exps, c in p.terms.items():
+        e = exps[var]
+        groups.setdefault(e, {})[exps[:var] + (0,) + exps[var + 1:]] = c / (e + 1)
+    slack = 1 - sum((SymPoly.variable(n, i) for i in range(n) if i != var), SymPoly.zero(n))
+    acc = SymPoly.zero(n)
+    for e in range(max(groups, default=-1), -1, -1):
+        acc = acc * slack + SymPoly._wrap(n, groups.get(e, {}))
+    return acc * slack
 
 
 # Most pairs (orbit representatives x terms) one kernel call may sum, about
@@ -103,14 +89,12 @@ _MAX_PAIRS = 1_000_000
 
 
 def _orbit_representatives(poly: SymPoly, m: int | None,
-                           swaps: list[int] | None = None) -> list[tuple[tuple[int, ...], int]]:
+                           swaps: list[int]) -> list[tuple[tuple[int, ...], int]]:
     """(exponents, orbit size) of each term of poly sorted within every swap class.
 
     The 0-based coordinate m, if given, is taken out of its class first.
-    `swaps` is poly's `_swap_representatives`, found here when not given.
+    `swaps` is poly's swap classes, as `TestFunction.swaps` gives them.
     """
-    if swaps is None:
-        swaps = _swap_representatives(poly)
     classes: dict[int, list[int]] = {}
     for i, r in enumerate(swaps):
         if i != m:
@@ -137,7 +121,7 @@ def _pair_sums(poly: SymPoly, m: int | None,
     rest (e = 0 and rest = all exponents when m is None).  S sums
     |orbit| n_alpha n_beta gamma! over representatives alpha and all terms
     beta, gamma = rest_alpha + rest_beta, n the coefficients' int numerators.
-    `swaps` is poly's `_swap_representatives`.  Raises BudgetExceeded
+    `swaps` is poly's swap classes.  Raises BudgetExceeded
     before the pair loop above _MAX_PAIRS pairs.
     """
     reps = _orbit_representatives(poly, m, swaps)
@@ -168,12 +152,7 @@ def _pair_sums(poly: SymPoly, m: int | None,
 
 def I_k(F: TestFunction) -> Fraction:
     """I_k(F) = int_{R_k} F^2, exactly, from the pair sums."""
-    return _I_k(F, _swap_representatives(F.poly))
-
-
-def _I_k(F: TestFunction, swaps: list[int]) -> Fraction:
-    """I_k(F), given `swaps` = `_swap_representatives(F.poly)`."""
-    sums, den = _pair_sums(F.poly, None, swaps)
+    sums, den = _pair_sums(F.poly, None, F.swaps)
     return sum((Fraction(s, _factorial(F.k + g)) for (_, _, g), s in sums.items()),
                Fraction(0)) / den
 
@@ -183,15 +162,10 @@ def inner_G(F: TestFunction, m: int, kinds: str) -> tuple[SymPoly, ...]:
 
     Both kinds share one pass of pair sums.
     """
-    return _inner_G(F, m, kinds, _swap_representatives(F.poly))
-
-
-def _inner_G(F: TestFunction, m: int, kinds: str, swaps: list[int]) -> tuple[SymPoly, ...]:
-    """`inner_G`, given `swaps` = `_swap_representatives(F.poly)`."""
     k = F.k
     if not 1 <= m <= k:
         raise ValueError(f"m must be in 1..{k}")
-    sums, den = _pair_sums(F.poly, m - 1, swaps)
+    sums, den = _pair_sums(F.poly, m - 1, F.swaps)
     top = max((k + 1 + sum(key) for key in sums), default=0)   # the degree of G
     # every (e+1)(f+1) (k-1+|gamma|+n)! divides the common denominator
     common = lcm(*range(1, max((max(key[:2]) for key in sums), default=0) + 2)) ** 2

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from e2sieve import TARGETS, leading_coefficient
-from e2sieve.algebra import LogLinear, SymPoly, TestFunction, definite_integral_one_var
+from e2sieve.algebra import LogLinear, SymPoly, TestFunction
 from e2sieve.numth import factor_table
-from e2sieve.simplex import integrate_out, monomial_simplex_integral
+from e2sieve.simplex import monomial_simplex_integral
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -59,7 +59,8 @@ def expanding_I(F: TestFunction) -> Fraction:
 def expanding_J(F: TestFunction, m: int) -> Fraction:
     """Integrate out u_m, square, and integrate over the other coordinates."""
     var = m - 1
-    inner = integrate_out(F.poly, var)
+    upper = 1 - sum((SymPoly.variable(F.k, i) for i in range(F.k) if i != var), SymPoly.zero(F.k))
+    inner = definite_integral_one_var(F.poly, var, Fraction(0), upper)
     squared = inner * inner
     return integrate_poly_simplex(SymPoly(F.k - 1, {
         exps[:var] + exps[var + 1:]: c for exps, c in squared.terms.items()}))
@@ -76,7 +77,7 @@ def expanding_G(F: TestFunction, m: int, kind: str) -> SymPoly:
     lifted = SymPoly(ring, {exps + (0,): c for exps, c in F.poly.terms.items()})
     upper = 1 - sum((SymPoly.variable(ring, i) for i in range(k) if i != var), SymPoly.zero(ring))
     h1 = definite_integral_one_var(lifted, var, SymPoly.variable(ring, k), upper)
-    q = h1 * (h1 if kind == "M" else h1.substitute(k, 0))
+    q = h1 * (h1 if kind == "M" else substitute(h1, k, 0))
     one_minus_a = 1 - SymPoly.variable(1, 0)
     total = SymPoly.zero(1)
     for exps, c in q.terms.items():
@@ -146,6 +147,37 @@ def derivative(p: SymPoly, var: int) -> SymPoly:
             ne = exps[:var] + (e - 1,) + exps[var + 1:]
             out[ne] = out.get(ne, Fraction(0)) + c * e
     return SymPoly(p.nvars, out)
+
+
+def antiderivative(p: SymPoly, var: int) -> SymPoly:
+    """The antiderivative of p in u_var that vanishes at u_var = 0, term by term."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for exps, c in p.terms.items():
+        e = exps[var]
+        out[exps[:var] + (e + 1,) + exps[var + 1:]] = c / (e + 1)
+    return SymPoly(p.nvars, out)
+
+
+def substitute(p: SymPoly, var: int, replacement) -> SymPoly:
+    """Replace u_var by a rational or by a polynomial in the same ring."""
+    if not isinstance(replacement, SymPoly):
+        replacement = SymPoly.constant(p.nvars, replacement)
+    if replacement.nvars != p.nvars:
+        raise ValueError("replacement lives in a different ring")
+    groups: dict[int, dict[tuple[int, ...], Fraction]] = {}   # the terms by their power of u_var
+    for exps, c in p.terms.items():
+        groups.setdefault(exps[var], {})[exps[:var] + (0,) + exps[var + 1:]] = c
+    return sum((SymPoly(p.nvars, part) * replacement ** e for e, part in groups.items()),
+               SymPoly.zero(p.nvars))
+
+
+def definite_integral_one_var(f: SymPoly, var: int, lower, upper) -> SymPoly:
+    """Integrate f in u_var between limits (rationals, or polynomials free of u_var)."""
+    for bound in (lower, upper):
+        if isinstance(bound, SymPoly) and any(e[var] for e in bound.terms):
+            raise ValueError("integration limit must not involve the integration variable")
+    anti = antiderivative(f, var)
+    return substitute(anti, var, upper) - substitute(anti, var, lower)
 
 
 def permuted(p: SymPoly, perm) -> SymPoly:

@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import derivative, permuted
+from conftest import antiderivative, definite_integral_one_var, derivative, permuted, substitute
 from e2sieve.algebra import (
     BudgetExceeded,
     LogLinear,
     SymPoly,
     TestFunction,
     as_rational,
-    definite_integral_one_var,
     loglinear_eval,
     parse_poly,
 )
@@ -58,7 +57,6 @@ def test_constant_variable_basics():
     assert not u1.is_constant()
     assert (u1 + u2 - u1 - u2).is_zero()
     assert (u1 * u2).total_degree() == 2
-    assert u1.uses_var(0) and not u1.uses_var(1)
 
 
 def test_zero_coefficients_are_dropped():
@@ -130,22 +128,22 @@ def test_fundamental_theorem(triple, var_seed):
     var = var_seed % f.nvars
     # d/du of the antiderivative gives back f; the definite integral of the
     # derivative telescopes to the endpoint difference.
-    assert derivative(f.antiderivative(var), var) == f
+    assert derivative(antiderivative(f, var), var) == f
     lo, hi = Fraction(1, 3), Fraction(5, 2)
     value = definite_integral_one_var(derivative(f, var), var, lo, hi)
-    assert value == f.substitute(var, hi) - f.substitute(var, lo)
+    assert value == substitute(f, var, hi) - substitute(f, var, lo)
 
 
 @given(poly_strategy(3), rationals, rationals, rationals)
 @settings(max_examples=100)
 def test_eval_respects_substitute(p, a, b, c):
-    assert p.eval([a, b, c]) == p.substitute(0, a).substitute(1, b).substitute(2, c).constant_value()
+    assert p.eval([a, b, c]) == substitute(substitute(substitute(p, 0, a), 1, b), 2, c).constant_value()
 
 
 def test_substitute_polynomial_replacement():
     # (u1 + u2)^2 with u1 -> 1 - u2 collapses to the constant 1
     p = (SymPoly.variable(2, 0) + SymPoly.variable(2, 1)) ** 2
-    q = p.substitute(0, SymPoly.constant(2, 1) - SymPoly.variable(2, 1))
+    q = substitute(p, 0, SymPoly.constant(2, 1) - SymPoly.variable(2, 1))
     assert q == SymPoly.constant(2, 1)
 
 
@@ -254,6 +252,23 @@ def test_loglinear_equality_is_multiplicative():
     assert LogLinear.log(Fraction(8, 9)) == LogLinear.log(2, 3) - LogLinear.log(3, 2)
     assert LogLinear.log(2) != LogLinear.log(3)
     assert hash(LogLinear.log(4)) == hash(LogLinear.log(2, 2))
+
+
+def test_loglinear_hash_and_unequal_constants_never_factor(monkeypatch):
+    import sympy
+
+    p, q = sympy.nextprime(4 * 10 ** 24), sympy.nextprime(5 * 10 ** 24)   # 25 digits each
+
+    def refuse(n, *args, **kwargs):
+        raise AssertionError(f"factorint({n}) called")
+
+    monkeypatch.setattr(sympy, "factorint", refuse)
+    semiprime = LogLinear.log(p * q)
+    assert len(str(p * q)) == 50
+    assert isinstance(hash(semiprime), int)
+    assert hash(semiprime + 1) == hash(LogLinear(1, [(p, 1), (q, 1)]))
+    assert semiprime + 1 != LogLinear(2, [(p, 1), (q, 1)])
+    assert semiprime != Fraction(1, 3)
 
 
 def test_loglinear_arithmetic():

@@ -184,6 +184,23 @@ def test_scan_hits_needs_H(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("shifts", ["--H=-3,0,2", "--H=-1,0,2"])
+def test_scan_hits_rejects_negative_shifts(capsys, shifts):
+    code, out, err = run_cli(capsys, ["scan", "--mode", "hits", "--limit", "20",
+                                      "--universe", "P2", shifts])
+    assert code == 2 and out == ""
+    assert "shifts must be non-negative" in err
+
+
+def test_scan_hits_default_threshold_is_the_number_of_distinct_shifts(capsys):
+    code, out, _ = run_cli(capsys, ["scan", "--mode", "hits", "--limit", "500",
+                                    "--universe", "P2", "--H", "0,0,2"])
+    assert code == 0
+    assert json.loads(out)["threshold"] == 2
+    assert run_cli(capsys, ["scan", "--mode", "hits", "--limit", "500",
+                            "--universe", "P2", "--H", "0,2"])[1] == out
+
+
 def test_scan_bv(capsys):
     code, out, _ = run_cli(capsys, ["scan", "--mode", "bv", "--limit", "1000",
                                     "--theta", "1/3", "--universe", "primes"])

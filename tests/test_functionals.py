@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from conftest import (divide_by_one_minus_x, division_closed_form, mpmath_quad_outer,
                       run_with_src, theorem11_eta_oracle)
-from e2sieve import TARGETS, functionals, simplex
-from e2sieve.algebra import LogLinear, SymPoly, TestFunction, loglinear_eval, parse_poly
+from e2sieve import TARGETS, algebra
+from e2sieve.algebra import (LogLinear, SymPoly, TestFunction, _swap_representatives, loglinear_eval,
+                             parse_poly)
 from e2sieve.functionals import (
     BudgetExceeded,
     _MAX_K_DIGITS,
@@ -31,7 +32,7 @@ from e2sieve.functionals import (
     quad_outer,
     theorem11_plan,
 )
-from e2sieve.simplex import J_k_m, _swap_representatives
+from e2sieve.simplex import J_k_m
 
 
 HALF = Fraction(1, 2)
@@ -244,18 +245,24 @@ def test_leading_coefficient_values_match_direct_calls_per_coordinate(expr):
 
 @pytest.mark.parametrize("expr", [SYM12, ASYMMETRIC, "1 - P1 + P2"])
 def test_leading_coefficient_finds_the_swap_classes_once(monkeypatch, expr):
-    # I and every coordinate class reuse the classes the coefficient found
+    # I and every coordinate class reuse the classes F keeps once found
     calls = []
 
     def spy(poly):
         calls.append(poly)
         return _swap_representatives(poly)
 
-    monkeypatch.setattr(functionals, "_swap_representatives", spy)
-    monkeypatch.setattr(simplex, "_swap_representatives", spy)
+    monkeypatch.setattr(algebra, "_swap_representatives", spy)
+    params = SieveParams(k=4, rho=2, theta=Fraction(1), eta=Fraction(1, 100))
     F = TestFunction(k=4, poly=parse_poly(expr, 4))
-    leading_coefficient(F, SieveParams(k=4, rho=2, theta=Fraction(1), eta=Fraction(1, 100)))
+    leading_coefficient(F, params)
     assert len(calls) == 1
+    leading_coefficient(F, params)
+    assert len(calls) == 1
+    F = TestFunction(k=4, poly=parse_poly(expr, 4))
+    quad_outer(F, 1, params, "L")
+    quad_outer(F, 1, params, "M")
+    assert len(calls) == 2
 
 
 def test_rho_monotonicity_is_exactly_minus_cI(target_coefficients):

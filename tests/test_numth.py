@@ -302,6 +302,9 @@ def test_tuple_hit_count():
         tuple_hit_count((0, 2), 100, "P2", 3)   # threshold > |H|
     with pytest.raises(ValueError):
         tuple_hit_count((0, 2), 100, "primes", 1)  # universe not supported here
+    for shifts in ((-3, 0, 2), (-1, 0, 2), (-1,)):
+        with pytest.raises(ValueError, match="shifts must be non-negative"):
+            tuple_hit_count(shifts, 20, "P2", 1)
 
 
 def test_tuple_hit_count_matches_a_brute_loop():

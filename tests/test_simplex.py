@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import (
     brute_swap_representatives,
     compile_poly,
+    definite_integral_one_var,
     eval_poly_array,
     expanding_G,
     expanding_I,
@@ -21,16 +22,16 @@ from conftest import (
     sample_solid_simplex,
 )
 from e2sieve import TARGETS, simplex
-from e2sieve.algebra import BudgetExceeded, SymPoly, TestFunction, parse_poly
+from e2sieve.algebra import BudgetExceeded, SymPoly, TestFunction, _swap_representatives, parse_poly
 from e2sieve.simplex import (
     _MAX_PAIRS,
     I_k,
     J_k_m,
     _column_sampler,
     _orbit_representatives,
-    _swap_representatives,
     _term_evaluator,
     inner_G,
+    integrate_out,
     mc_simplex_integral,
     monomial_simplex_integral,
 )
@@ -94,6 +95,27 @@ def test_pair_kernel_equals_the_expanding_oracle(F):
 
 
 @st.composite
+def small_polynomials(draw):
+    nvars = draw(st.integers(1, 4))
+    exponents = st.tuples(*[st.integers(0, 4)] * nvars)
+    return SymPoly(nvars, draw(st.dictionaries(exponents, st.builds(
+        Fraction, st.integers(-9, 9), st.integers(1, 9)), max_size=6)))
+
+
+@given(p=small_polynomials())
+@example(p=SymPoly(1))
+@example(p=SymPoly(4))
+@settings(max_examples=100, deadline=None)
+def test_integrate_out_equals_the_definite_integral(p):
+    n = p.nvars
+    for var in range(n):
+        upper = 1 - sum((SymPoly.variable(n, i) for i in range(n) if i != var), SymPoly.zero(n))
+        got = integrate_out(p, var)
+        assert got == definite_integral_one_var(p, var, Fraction(0), upper)
+        assert all(exps[var] == 0 for exps in got.terms)
+
+
+@st.composite
 def labelled_polynomials(draw):
     """Sums of orbits under the coordinate permutations that keep labels: from
     every coordinate in one class (symmetric) to every one alone (asymmetric)."""
@@ -118,14 +140,14 @@ def test_orbit_pairs_of_a_symmetric_degree_7_function():
     # of the full symmetric group, G at one coordinate over 116 of S_5
     F = TestFunction.from_expression(6, "(1-P1)**7")
     assert len(F.poly.terms) == 1716
-    assert len(_orbit_representatives(F.poly, None)) * 1716 == 75_504
-    assert len(_orbit_representatives(F.poly, 0)) * 1716 == 199_056
-    assert all(len(_orbit_representatives(F.poly, m)) == 116 for m in range(6))
+    assert len(_orbit_representatives(F.poly, None, F.swaps)) * 1716 == 75_504
+    assert len(_orbit_representatives(F.poly, 0, F.swaps)) * 1716 == 199_056
+    assert all(len(_orbit_representatives(F.poly, m, F.swaps)) == 116 for m in range(6))
 
 
 def test_kernel_over_the_pair_budget_raises_before_its_pair_loop():
     F = TestFunction.from_expression(6, "P1**12")   # 6188 terms
-    assert len(_orbit_representatives(F.poly, 0)) * len(F.poly.terms) > _MAX_PAIRS
+    assert len(_orbit_representatives(F.poly, 0, F.swaps)) * len(F.poly.terms) > _MAX_PAIRS
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceeded, match="pairs"):
