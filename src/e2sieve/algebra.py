@@ -224,14 +224,20 @@ class SymPoly:
         if len(point) != self.nvars:
             raise ValueError(f"point has {len(point)} coordinates, expected {self.nvars}")
         pt = [as_rational(x) for x in point]
-        total = Fraction(0)
-        for exps, c in self.terms.items():
-            term = c
-            for x, e in zip(pt, exps):
+        # ints over the common denominators: x_i = xs[i] / den, c = num / cden,
+        # and every term padded to the top degree with powers of den
+        den = lcm(*(x.denominator for x in pt))
+        xs = [x.numerator * (den // x.denominator) for x in pt]
+        items, cden = _int_numerators(self.terms)
+        top = max(map(sum, self.terms), default=0)
+        total = 0
+        for exps, num in items:
+            term = num * den ** (top - sum(exps))
+            for x, e in zip(xs, exps):
                 if e:
                     term *= x ** e
             total += term
-        return total
+        return Fraction(total, cden * den ** top)
 
     # -- canonical text form ---------------------------------------------------
 

@@ -430,6 +430,8 @@ def tuple_hit_count(shifts: Sequence[int], limit: int, universe: str, threshold:
         raise ValueError("shift set must be nonempty")
     if hs[0] < 0:
         raise ValueError("shifts must be non-negative")
+    if limit < 0:
+        raise ValueError("limit must be >= 0")
     if not 0 <= threshold <= len(hs):
         raise ValueError("threshold must be between 0 and |shifts|")
     if universe not in ("E2", "P2"):

@@ -23,14 +23,16 @@ Two deliberate implementation choices keep the whole pipeline exact:
   through lambda reproduces the y table identically.
 
 Factorizations come from `numth.factor_table`: one table below R for the
-moduli, and one over [0, 2N + max h) for the window that `s_sums` scans
-(`weight_w`, for a single n, tests the primes below R instead).
+moduli, and one over [0, 2N + max h) from which `s_sums` reads primality and
+beta.  Neither `s_sums` nor `weight_w` factors the shifted values n + h_i:
+an entry d of the lambda table reaches exactly the n with d_i | n + h_i,
+one residue class modulo prod d_i, so `s_sums` adds each entry along its
+progression and `weight_w` tests each entry's divisibility directly.
 """
 
 from __future__ import annotations
 
 import decimal
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import TestFunction, as_rational
+from .algebra import TestFunction, _int_numerators, as_rational
 from .numth import (
     _prime_factors,
     beta_mask,
@@ -50,6 +52,11 @@ from .numth import (
 )
 
 _TUPLE_BUDGET = 2_000_000
+# n per block of the s_sums scan.  A block holds object arrays of big-int
+# lambda sums and squares, and each lambda entry costs one slice add per block
+# and coordinate.  At N = 10^6, shifts (0, 2), blocks of 2^13 to 2^15 n time
+# alike (within 10 %, 2-CPU Xeon); 2^14 peaks at 47 MiB RSS, 2^15 at 53 MiB.
+_BLOCK = 2 ** 14
 
 
 def _divisors_below(primes: Sequence[int], bound: int) -> list[int]:
@@ -140,19 +147,11 @@ class SieveContext:
             primes = _prime_factors(spf, v)
             if len(set(primes)) == len(primes) and math.gcd(v, self.W) == 1:
                 self._factors[v] = primes
-        self._small_primes = [v for v, primes in self._factors.items() if primes == [v]]
         self._tuples = self._enumerate_supported()
         self._y_table = {t: self._y_value(t) for t in self._tuples}
         self._lambda_table = self._build_lambda()
-        # the same table as int numerators over one common denominator, in a
-        # trie keyed by d_1, ..., d_k
-        self._lambda_den = math.lcm(*(v.denominator for v in self._lambda_table.values()))
-        self._lambda_trie: dict = {}
-        for d, v in self._lambda_table.items():
-            node = self._lambda_trie
-            for x in d[:-1]:
-                node = node.setdefault(x, {})
-            node[d[-1]] = v.numerator * (self._lambda_den // v.denominator)
+        # the same table as (d, int numerator) pairs over one common denominator
+        self._lambda_numerators, self._lambda_den = _int_numerators(self._lambda_table)
 
     # -- context structure ----------------------------------------------------
 
@@ -299,25 +298,13 @@ def y_from_lambda(ctx: SieveContext, r: Sequence[int]) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _lambda_numerator(ctx: SieveContext, divisor_lists: list[list[int]]) -> int:
-    """Sum of lambda_d * ctx._lambda_den over d in the product of the lists.
-
-    The walk down the trie drops every prefix that no supported d extends
-    (product >= R or a shared factor), so it needs no bound or gcd test.
-    """
-    nodes = [ctx._lambda_trie]
-    for divisors in divisor_lists:
-        nodes = [child for node in nodes for d in divisors if (child := node.get(d)) is not None]
-    return sum(nodes)
-
-
 def weight_w(ctx: SieveContext, n: int) -> Fraction:
-    """w_n = (sum over divisor tuples of the shifted values of lambda)^2."""
+    """w_n = (sum of lambda_d over the entries with d_i | n + h_i for every i)^2."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    lists = [_divisors_below([p for p in ctx._small_primes if (n + h) % p == 0], ctx.R)
-             for h in ctx.shifts]
-    a = _lambda_numerator(ctx, lists)
+    values = [n + h for h in ctx.shifts]
+    a = sum(num for d, num in ctx._lambda_numerators
+            if all(v % di == 0 for v, di in zip(values, d)))
     return Fraction(a * a, ctx._lambda_den ** 2)
 
 
@@ -345,55 +332,58 @@ class SSums:
 def s_sums(ctx: SieveContext, rho: int) -> SSums:
     """Accumulate S0, S1^(m), S2^(m) (with the four-way split), S and S'.
 
-    w_n depends on n only through the kernels of n + h_i (the product of the
-    primes p < R, p coprime to W, dividing it), so the scan groups the n by
-    their kernel tuple and sums count * lambda-sum^2 per group, in ints over
-    the common denominator ctx._lambda_den^2.
+    The d_i of a lambda entry d are pairwise coprime and coprime to W, so the
+    n = n0 + W j of the window with d_i | n + h_i for every i are the j in
+    one class j0 (mod D = prod d_i), found by CRT.  The scan walks the window
+    in blocks of _BLOCK values of n; per block it adds each entry's numerator
+    along its progression into an object array of lambda-sum numerators a_n,
+    over the common denominator ctx._lambda_den.  S0 sums a_n^2, S1^(m) the
+    same over the n with n + h_m prime.  For S2^(m) a second array holds ap_n,
+    the part of a_n from the entries with d_m > 1; over the beta n,
+    IV = sum ap^2 and I = sum ap a - IV, and III = S2 - 2 I - IV follows from
+    a^2 = 2 ap a1 + a1^2 + ap^2 with a1 = a - ap.
     """
     if rho < 1:
         raise ValueError("rho must be >= 1")
-    N, W, R = ctx.N, ctx.W, ctx.R
+    N, W, k = ctx.N, ctx.W, ctx.k
     spf = factor_table(2 * N + ctx.shifts[-1])  # raises above its budget, before allocating
 
-    kernel = np.ones(N + ctx.shifts[-1], dtype=np.int64)  # kernel of N + i
-    for p in ctx._small_primes:
-        kernel[-N % p:: p] *= p
-    n = np.arange(N + (ctx.nu0 - N) % W, 2 * N, W, dtype=np.int64)
-    values = [n + h for h in ctx.shifts]
-    # group the n by their kernel tuple; each kernel is below len(spf), and the
-    # group index is renumbered after every coordinate, so the code fits int64
-    group = np.zeros(len(n), dtype=np.int64)
-    for v in values:
-        _, first, group = np.unique(group * len(spf) + kernel[v - N],
-                                    return_index=True, return_inverse=True)
-    keys = list(zip(*(kernel[v[first] - N].tolist() for v in values)))
-    divisors = {kv: _divisors_below(_prime_factors(spf, kv), R) for kv in set().union(*keys)}
-    divisors[1] = [1]
+    n0 = N + (ctx.nu0 - N) % W
+    length = len(range(n0, 2 * N, W))
+    progressions = []  # (j0, D, numerator, d) per entry
+    for d, num in ctx._lambda_numerators:
+        j0, D = 0, 1
+        for h, di in zip(ctx.shifts, d):
+            r = -(n0 + h) * pow(W, -1, di) % di
+            j0 += D * ((r - j0) * pow(D, -1, di) % di)
+            D *= di
+        progressions.append((j0, D, num, d))
 
-    def total(key: tuple[int, ...]) -> int:
-        """The lambda-sum numerator of every n whose kernels are `key`."""
-        return _lambda_numerator(ctx, [divisors[kv] for kv in key])
-
-    totals = [total(key) for key in keys]
-    pinned_total = functools.cache(total)  # few distinct keys once d_m = 1
-
-    def per_group(mask=None) -> list[int]:
-        return np.bincount(group if mask is None else group[mask], minlength=len(keys)).tolist()
-
-    S0 = sum(c * a * a for c, a in zip(per_group(), totals))
-    S1, S2, parts = [], [], []
-    for m, v in enumerate(values):
-        S1.append(sum(c * a * a for c, a in zip(per_group(spf[v] == v), totals)))
-        part_i = part_iii = part_iv = 0
-        for c, a, key in zip(per_group(beta_mask(spf, v, N, ctx.Y)), totals, keys):
-            if c:
-                a1 = pinned_total(key[:m] + (1,) + key[m + 1:])  # d_m = 1
-                ap = a - a1
-                part_i += c * ap * a1
-                part_iii += c * a1 * a1
-                part_iv += c * ap * ap
-        S2.append(2 * part_i + part_iii + part_iv)
-        parts.append((part_i, part_iii, part_iv))
+    S0, S1, S2, part_i, part_iv = 0, [0] * k, [0] * k, [0] * k, [0] * k
+    for lo in range(0, length, _BLOCK):
+        size = min(_BLOCK, length - lo)
+        a = np.zeros(size, dtype=object)
+        for j0, D, num, _ in progressions:
+            a[(j0 - lo) % D:: D] += num
+        sq = a * a
+        S0 += sq.sum()
+        n = np.arange(n0 + W * lo, n0 + W * (lo + size), W, dtype=np.int64)
+        betas = []
+        for m, h in enumerate(ctx.shifts):
+            v = n + h
+            S1[m] += sq[spf[v] == v].sum()
+            betas.append(beta_mask(spf, v, N, ctx.Y))
+            S2[m] += sq[betas[m]].sum()
+        del sq  # the squares go before the ap arrays come
+        for m, beta in enumerate(betas):
+            ap = np.zeros(size, dtype=object)
+            for j0, D, num, d in progressions:
+                if d[m] > 1:
+                    ap[(j0 - lo) % D:: D] += num
+            ap = ap[beta]
+            iv = ap.dot(ap)
+            part_i[m] += ap.dot(a[beta]) - iv
+            part_iv[m] += iv
 
     den = ctx._lambda_den ** 2
     return SSums(
@@ -403,9 +393,9 @@ def s_sums(ctx: SieveContext, rho: int) -> SSums:
         S2=tuple(Fraction(x, den) for x in S2),
         # I = ap * a1 and II = a1 * ap are equal by construction
         parts=tuple({"I": Fraction(i, den), "II": Fraction(i, den),
-                     "III": Fraction(iii, den), "IV": Fraction(iv, den)}
-                    for i, iii, iv in parts),
+                     "III": Fraction(s2 - 2 * i - iv, den), "IV": Fraction(iv, den)}
+                    for s2, i, iv in zip(S2, part_i, part_iv)),
         S=Fraction(sum(S2) - rho * S0, den),
         Sprime=Fraction(sum(S1) + sum(S2) - rho * S0, den),
-        n_scanned=len(n),
+        n_scanned=length,
     )

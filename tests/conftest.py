@@ -1,5 +1,6 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,8 @@ import pytest
 
 from e2sieve import TARGETS, leading_coefficient
 from e2sieve.algebra import LogLinear, SymPoly, TestFunction
-from e2sieve.numth import factor_table
+from e2sieve.numth import _prime_factors, beta_mask, factor_table
+from e2sieve.sieveweights import SieveContext, SSums, _divisors_below
 from e2sieve.simplex import monomial_simplex_integral
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -180,6 +182,20 @@ def definite_integral_one_var(f: SymPoly, var: int, lower, upper) -> SymPoly:
     return substitute(anti, var, upper) - substitute(anti, var, lower)
 
 
+def fraction_eval(p: SymPoly, point) -> Fraction:
+    """p at a point of ints and Fractions, one Fraction multiply-add per term."""
+    if len(point) != p.nvars:
+        raise ValueError(f"point has {len(point)} coordinates, expected {p.nvars}")
+    total = Fraction(0)
+    for exps, c in p.terms.items():
+        term = c
+        for x, e in zip(point, exps):
+            if e:
+                term *= Fraction(x) ** e
+        total += term
+    return total
+
+
 def permuted(p: SymPoly, perm) -> SymPoly:
     """Relabel variables: new variable perm[i] receives old variable i."""
     out: dict[tuple[int, ...], Fraction] = {}
@@ -299,6 +315,94 @@ def cofactor_members(universe: str, limit: int) -> np.ndarray:
     if universe == "P2":
         e2 |= prime
     return e2
+
+
+# ---------------------------------------------------------------------------
+# The kernel-grouped S-sums: one lambda-trie walk per group of equal kernels
+# ---------------------------------------------------------------------------
+
+
+def _lambda_numerator(trie: dict, divisor_lists: list[list[int]]) -> int:
+    """Sum of the trie's numerators over d in the product of the lists.
+
+    The walk down the trie drops every prefix that no supported d extends
+    (product >= R or a shared factor), so it needs no bound or gcd test.
+    """
+    nodes = [trie]
+    for divisors in divisor_lists:
+        nodes = [child for node in nodes for d in divisors if (child := node.get(d)) is not None]
+    return sum(nodes)
+
+
+def trie_s_sums(ctx: SieveContext, rho: int) -> SSums:
+    """The S-sums by grouping the window's n by their kernel tuple.
+
+    The kernel of n + h_i is the product of the primes p < R, p coprime to W,
+    that divide it, and w_n depends on n only through the kernels.  Each group
+    sums count * lambda-sum^2, the lambda sum read off a trie of the lambda
+    numerators keyed by d_1, ..., d_k: the scan `s_sums` did before it added
+    the entries along their progressions.
+    """
+    N, W, R = ctx.N, ctx.W, ctx.R
+    den = math.lcm(*(v.denominator for v in ctx._lambda_table.values()))
+    trie: dict = {}
+    for d, v in ctx._lambda_table.items():
+        node = trie
+        for x in d[:-1]:
+            node = node.setdefault(x, {})
+        node[d[-1]] = v.numerator * (den // v.denominator)
+    spf = factor_table(2 * N + ctx.shifts[-1])
+
+    kernel = np.ones(N + ctx.shifts[-1], dtype=np.int64)  # kernel of N + i
+    for p in (v for v, primes in ctx._factors.items() if primes == [v]):
+        kernel[-N % p:: p] *= p
+    n = np.arange(N + (ctx.nu0 - N) % W, 2 * N, W, dtype=np.int64)
+    values = [n + h for h in ctx.shifts]
+    # group the n by their kernel tuple, renumbering the group after every coordinate
+    group = np.zeros(len(n), dtype=np.int64)
+    for v in values:
+        _, first, group = np.unique(group * len(spf) + kernel[v - N],
+                                    return_index=True, return_inverse=True)
+    keys = list(zip(*(kernel[v[first] - N].tolist() for v in values)))
+    divisors = {kv: _divisors_below(_prime_factors(spf, kv), R) for kv in set().union(*keys)}
+    divisors[1] = [1]
+
+    def total(key: tuple[int, ...]) -> int:
+        return _lambda_numerator(trie, [divisors[kv] for kv in key])
+
+    totals = [total(key) for key in keys]
+
+    def per_group(mask=None) -> list[int]:
+        return np.bincount(group if mask is None else group[mask], minlength=len(keys)).tolist()
+
+    S0 = sum(c * a * a for c, a in zip(per_group(), totals))
+    S1, S2, parts = [], [], []
+    for m, v in enumerate(values):
+        S1.append(sum(c * a * a for c, a in zip(per_group(spf[v] == v), totals)))
+        part_i = part_iii = part_iv = 0
+        for c, a, key in zip(per_group(beta_mask(spf, v, N, ctx.Y)), totals, keys):
+            if c:
+                a1 = total(key[:m] + (1,) + key[m + 1:])  # d_m = 1
+                ap = a - a1
+                part_i += c * ap * a1
+                part_iii += c * a1 * a1
+                part_iv += c * ap * ap
+        S2.append(2 * part_i + part_iii + part_iv)
+        parts.append((part_i, part_iii, part_iv))
+
+    den2 = den ** 2
+    return SSums(
+        rho=rho,
+        S0=Fraction(S0, den2),
+        S1=tuple(Fraction(x, den2) for x in S1),
+        S2=tuple(Fraction(x, den2) for x in S2),
+        parts=tuple({"I": Fraction(i, den2), "II": Fraction(i, den2),
+                     "III": Fraction(iii, den2), "IV": Fraction(iv, den2)}
+                    for i, iii, iv in parts),
+        S=Fraction(sum(S2) - rho * S0, den2),
+        Sprime=Fraction(sum(S1) + sum(S2) - rho * S0, den2),
+        n_scanned=len(n),
+    )
 
 
 # ---------------------------------------------------------------------------

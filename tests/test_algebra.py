@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import antiderivative, definite_integral_one_var, derivative, permuted, substitute
+from conftest import (
+    antiderivative,
+    definite_integral_one_var,
+    derivative,
+    fraction_eval,
+    permuted,
+    substitute,
+)
 from e2sieve.algebra import (
     BudgetExceeded,
     LogLinear,
@@ -132,6 +139,29 @@ def test_fundamental_theorem(triple, var_seed):
     lo, hi = Fraction(1, 3), Fraction(5, 2)
     value = definite_integral_one_var(derivative(f, var), var, lo, hi)
     assert value == substitute(f, var, hi) - substitute(f, var, lo)
+
+
+point_coordinates = st.one_of(st.integers(-7, 7), mixed_rationals)
+
+
+@st.composite
+def polys_and_points(draw):
+    nvars = draw(st.integers(1, 4))
+    p = draw(st.one_of(poly_strategy(nvars, max_terms=8), st.just(SymPoly.zero(nvars)),
+                       mixed_rationals.map(lambda c: SymPoly.constant(nvars, c))))
+    return p, draw(st.lists(point_coordinates, min_size=nvars, max_size=nvars))
+
+
+@given(polys_and_points())
+@settings(max_examples=200)
+def test_eval_matches_fraction_by_fraction_evaluation(case):
+    p, point = case
+    value = p.eval(point)
+    assert isinstance(value, Fraction) and value == fraction_eval(p, point)
+    for wrong in (point[:-1], point + [1]):
+        message = f"point has {len(wrong)} coordinates, expected {p.nvars}"
+        with pytest.raises(ValueError, match=message):
+            p.eval(wrong)
 
 
 @given(poly_strategy(3), rationals, rationals, rationals)

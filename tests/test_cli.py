@@ -192,6 +192,12 @@ def test_scan_hits_rejects_negative_shifts(capsys, shifts):
     assert "shifts must be non-negative" in err
 
 
+def test_scan_hits_rejects_a_negative_limit(capsys):
+    code, out, err = run_cli(capsys, ["scan", "--mode", "hits", "--limit", "-5", "--H", "0,2"])
+    assert code == 2 and out == ""
+    assert "limit must be >= 0" in err
+
+
 def test_scan_hits_default_threshold_is_the_number_of_distinct_shifts(capsys):
     code, out, _ = run_cli(capsys, ["scan", "--mode", "hits", "--limit", "500",
                                     "--universe", "P2", "--H", "0,0,2"])

@@ -305,6 +305,10 @@ def test_tuple_hit_count():
     for shifts in ((-3, 0, 2), (-1, 0, 2), (-1,)):
         with pytest.raises(ValueError, match="shifts must be non-negative"):
             tuple_hit_count(shifts, 20, "P2", 1)
+    for limit in (-1, -5):
+        with pytest.raises(ValueError, match="limit must be >= 0"):
+            tuple_hit_count((0, 2), limit, "P2", 1)
+    assert tuple_hit_count((0, 2), 0, "P2", 1).count == 0
 
 
 def test_tuple_hit_count_matches_a_brute_loop():

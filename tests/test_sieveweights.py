@@ -2,13 +2,19 @@
 
 import hashlib
 import math
+import os
 import time
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from conftest import run_with_src, trie_s_sums
+from e2sieve import sieveweights
 from e2sieve.algebra import SymPoly, TestFunction, parse_poly
 from e2sieve.numth import euler_phi, is_squarefree
 from e2sieve.sieveweights import (
@@ -336,3 +342,64 @@ def test_s_sums_over_the_table_budget_raises_before_allocating():
         tracemalloc.stop()
     assert time.perf_counter() - start < 0.5
     assert peak < 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# the progression scan against the kernel-grouped trie walk, and at scale
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def weight_systems(draw):
+    """A small desk context: k = 1..3, W default, 1 or 6, a random F of degree <= 2."""
+    k = draw(st.integers(1, 3))
+    offset = draw(st.integers(0, 1))  # one parity, so the default W = 2 is admissible
+    halves = draw(st.sets(st.integers(0, 6), min_size=k, max_size=k))
+    shifts = sorted(2 * x + offset for x in halves)
+    W = draw(st.sampled_from([None, 1, 6]))
+    assume(W != 6 or len({h % 3 for h in shifts}) < 3)
+    exponent = st.tuples(*([st.integers(0, 2)] * k))
+    coefficient = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+    F = TestFunction(k=k, poly=SymPoly(k, draw(st.dictionaries(exponent, coefficient, max_size=4))))
+    return SieveContext(N=draw(st.integers(100, 3000)), shifts=shifts, F=F, W=W, **DESK)
+
+
+@given(ctx=weight_systems(), rho=st.integers(1, 3),
+       block=st.one_of(st.just(sieveweights._BLOCK), st.integers(5, 300)))
+@settings(max_examples=40, deadline=None)
+def test_s_sums_equals_the_kernel_grouped_trie_walk(ctx, rho, block):
+    with mock.patch.object(sieveweights, "_BLOCK", block):  # small blocks cross many boundaries
+        assert repr(s_sums(ctx, rho)) == repr(trie_s_sums(ctx, rho))
+
+
+def test_s_sums_over_several_blocks_equals_the_trie_walk():
+    ctx = desk_ctx(70_000, (0, 2), "(1-u1)*(1-u2)", W=1)
+    sums = s_sums(ctx, 1)
+    assert sums.n_scanned > 4 * sieveweights._BLOCK
+    assert repr(sums) == repr(trie_s_sums(ctx, 1))
+
+
+SCALE_GUARD = """
+import hashlib
+from fractions import Fraction
+from e2sieve import SieveContext, TestFunction, parse_poly, s_sums
+F = TestFunction(k=2, poly=parse_poly("(1-u1)*(1-u2)", 2))
+ctx = SieveContext(N=10**6, shifts=(0, 2), F=F, theta=Fraction(1), delta=Fraction(149, 2000),
+                   eta=Fraction(1, 10))
+print(hashlib.sha256(repr(s_sums(ctx, 1)).encode()).hexdigest())
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from procfs")
+def test_s_sums_at_a_million_keeps_its_digest_and_a_bounded_peak():
+    # 80 MiB lies between the block scan's peak here (about 47 MiB) and the 136 MiB of
+    # grouping the window by kernel tuples.  The child reports VmHWM, the peak RSS of its
+    # own address space: its ru_maxrss would carry over the high-water mark of the
+    # process that spawned it.
+    run = run_with_src(["-c", SCALE_GUARD])
+    assert run.returncode == 0, run.stderr
+    digest, peak_kib = run.stdout.split()
+    assert digest == "c5fa3f4102155e2665ef21adfbb609b98edf068775141266be6f4e3d691794c9"
+    assert int(peak_kib) < 80 * 1024
