@@ -11,11 +11,9 @@ we need:
   with r_i, q_i rational and q_i > 0.  Closed under addition and rational
   scaling, which is all the closed-form outer integrals produce.
 
-The only floating point in this module lives in evaluation helpers:
-``loglinear_eval`` renders a LogLinear to a correctly rounded decimal string
-through the stdlib ``decimal`` module (ln is correctly rounded in a widened
-context, so the accumulated error stays far below one unit in the last
-requested digit).
+The only floating point in this module is stdlib ``decimal``, whose ln is
+correctly rounded: ``loglinear_eval`` renders a LogLinear to a correctly rounded
+string, and ``LogLinear.sign`` adds digits until the value clears a rounding bound.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ import decimal
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
@@ -419,15 +417,31 @@ def parse_poly(expression: str, k: int) -> SymPoly:
 # ---------------------------------------------------------------------------
 
 
+_SIGN_DIGITS = 960   # sign()'s limit; Decimal.ln: 13 ms at 960 digits, 180 at 1,920 (2-CPU Xeon)
+
+
+def _to_decimal(x: Fraction) -> decimal.Decimal:
+    return decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator)
+
+
+def _split_off(n: int, g: int) -> tuple[int, int]:
+    """(e, n // g**e) for the largest e with g**e | n, in O(log e) divisions."""
+    if n % g:
+        return 0, n
+    e, m = _split_off(n // g, g * g)   # n = g^(2e + 1) m, and g*g does not divide m
+    return (2 * e + 2, m // g) if m % g == 0 else (2 * e + 1, m)
+
+
 class LogLinear:
     """Exact value  const + sum_i coeff_i * ln(arg_i), all rational, args > 0.
 
     Construction merges duplicate args (exact Fraction equality) and drops
-    zero coefficients and ln(1) terms.  Structural equality would miss
-    relations like ln(4) = 2 ln(2), so __eq__ canonicalizes each argument
-    into its prime-exponent vector first, but only when the constants agree:
-    two values with different constants differ, since a nonzero rational is
-    no Q-combination of logs of positive rationals (Lindemann-Weierstrass).
+    zero coefficients and ln(1) terms.  Comparisons rewrite the log terms over a
+    coprime basis of the arguments' numerators and denominators, split by gcds
+    alone (D.J. Bernstein, J. Algorithms 54, 2005), so ln(4) = 2 ln(2) is seen
+    without factoring.  Logs of pairwise coprime integers > 1 are Q-linearly
+    independent and no Q-combination of them is a nonzero rational (Lindemann-
+    Weierstrass): zero iff constant and vector are; `sign` certifies the rest.
     """
 
     __slots__ = ("const", "terms")
@@ -488,37 +502,61 @@ class LogLinear:
 
     __rmul__ = __mul__
 
-    # -- canonical form and equality ------------------------------------------
+    # -- exact zero test, equality and sign --------------------------------------
 
-    def canonical(self) -> tuple[Fraction, tuple[tuple[int, Fraction], ...]]:
-        """(const, sorted prime-exponent vector): ln-args split into primes."""
-        from sympy import factorint  # local import; sympy load is slow
-
+    def _log_vector(self) -> dict[int, Fraction]:
+        """The log terms as {g: coefficient of ln g} over a coprime basis, zeros dropped."""
+        numbers = list({n for q, _ in self.terms for n in (q.numerator, q.denominator) if n > 1})
+        basis: list[int] = []
+        while numbers:   # a split divides the product of basis and numbers by g or more
+            x = numbers.pop()
+            for i, b in enumerate(basis):
+                if (g := gcd(x, b)) > 1:
+                    del basis[i]
+                    numbers += [n for n in (g, _split_off(b, g)[1], _split_off(x, g)[1]) if n > 1]
+                    break
+            else:
+                basis.append(x)
         vec: dict[int, Fraction] = {}
         for q, r in self.terms:
-            for p, e in factorint(q.numerator).items():
-                vec[p] = vec.get(p, Fraction(0)) + r * e
-            for p, e in factorint(q.denominator).items():
-                vec[p] = vec.get(p, Fraction(0)) - r * e
-        cleaned = tuple(sorted((p, c) for p, c in vec.items() if c != 0))
-        return self.const, cleaned
+            for n, c in ((q.numerator, r), (q.denominator, -r)):
+                for g in [g for g in basis if n % g == 0]:   # n is a product of their powers
+                    vec[g] = vec.get(g, 0) + _split_off(n, g)[0] * c
+        return {g: c for g, c in vec.items() if c != 0}
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = LogLinear(other)
         if not isinstance(other, LogLinear):
             return NotImplemented
-        if self.const != other.const:
-            return False   # see the class docstring
-        if self.terms == other.terms:
-            return True  # cheap structural path
-        return self.canonical() == other.canonical()
+        return self.const == other.const and not (self - other)._log_vector()   # see the class docstring
 
     def __hash__(self):
-        return hash(self.const)   # equal values have equal constants, so nothing is factored
+        return hash(self.const)   # equal values have equal constants
 
     def is_zero(self) -> bool:
-        return self == LogLinear.zero()
+        return self.const == 0 and not self._log_vector()
+
+    def sign(self) -> int:
+        """-1, 0 or 1: exact for zero, else a + sum c_g ln g at 30, 60, 120, ... digits.
+
+        Every decimal operation (ln too) is correctly rounded, so with u = 10^(1 - digits) the
+        sum is off by at most (n + 4) u (|a| + sum |c_g ln g|) for n basis terms, inside the
+        test's (6n + 2) u times the computed magnitudes.  BudgetExceeded past _SIGN_DIGITS.
+        """
+        if not (vec := self._log_vector()):
+            return (self.const > 0) - (self.const < 0)
+        digits = 30
+        while digits <= _SIGN_DIGITS:
+            with decimal.localcontext(decimal.Context(prec=digits)):
+                parts = [_to_decimal(self.const)] + [_to_decimal(c) * decimal.Decimal(g).ln()
+                                                     for g, c in vec.items()]
+                total = sum(parts)
+                bound = (6 * len(vec) + 2) * sum(map(abs, parts)).scaleb(1 - digits)
+            if abs(total) > bound:
+                return 1 if total > 0 else -1
+            digits *= 2
+        raise BudgetExceeded(f"sign undecided at {_SIGN_DIGITS} digits")
 
     # -- numeric evaluation -----------------------------------------------------
 
@@ -528,10 +566,9 @@ class LogLinear:
             raise ValueError("digits must be >= 1")
         with decimal.localcontext() as ctx:
             ctx.prec = digits + guard
-            total = decimal.Decimal(self.const.numerator) / decimal.Decimal(self.const.denominator)
+            total = _to_decimal(self.const)
             for q, r in self.terms:
-                lnq = (decimal.Decimal(q.numerator) / decimal.Decimal(q.denominator)).ln()
-                total += decimal.Decimal(r.numerator) / decimal.Decimal(r.denominator) * lnq
+                total += _to_decimal(r) * _to_decimal(q).ln()
         with decimal.localcontext() as ctx:
             ctx.prec = digits
             ctx.rounding = decimal.ROUND_HALF_EVEN

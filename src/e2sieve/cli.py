@@ -77,6 +77,7 @@ _CONVERTERS = {
     "mode": str,
     "H": _parse_shifts,
     "mc_samples": int,
+    "epsilon": _parse_fraction,
 }
 
 
@@ -138,12 +139,11 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         file_values = _load_config_file(args.config)
     for key, raw in file_values.items():
         name = key.replace("-", "_")
-        if name not in _CONVERTERS and name != "epsilon":
+        if name not in _CONVERTERS:
             raise ValueError(f"unknown config key {key!r}")
-        conv = _CONVERTERS.get(name, _parse_fraction)
-        setattr(cfg, name, conv(raw))
+        setattr(cfg, name, _CONVERTERS[name](raw))
         explicit.add(name)
-    for name in list(_CONVERTERS) + ["epsilon"]:
+    for name in _CONVERTERS:
         flag_value = getattr(args, name, None)
         if flag_value is not None:
             setattr(cfg, name, flag_value)
@@ -170,16 +170,6 @@ def _fraction_decimal(fr: Fraction, digits: int) -> str:
         ctx.rounding = decimal.ROUND_HALF_EVEN
         d = decimal.Decimal(fr.numerator) / decimal.Decimal(fr.denominator)
     return "0" if d == 0 else str(d)
-
-
-def _loglinear_sign(value: LogLinear) -> int:
-    """Sign decision at 60 digits; raises if inconclusively close to zero."""
-    if value.const == 0 and not value.terms:
-        return 0
-    d = value.evaluate_decimal(60)
-    if abs(d) < decimal.Decimal("1e-50"):
-        raise BudgetExceeded("sign of the leading coefficient is numerically inconclusive")
-    return 1 if d > 0 else -1
 
 
 def _emit(text: str) -> None:
@@ -234,7 +224,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         ("log_term", loglinear_eval(log_const, cfg.digits), "-"),
         ("coefficient", loglinear_eval(lc.value, cfg.digits), ref("coefficient")),
     ]
-    sign = _loglinear_sign(lc.value)
+    sign = lc.value.sign()
     verdict = "positive" if sign > 0 else "not positive"
 
     mc_rows = []

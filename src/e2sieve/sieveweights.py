@@ -147,8 +147,7 @@ class SieveContext:
             primes = _prime_factors(spf, v)
             if len(set(primes)) == len(primes) and math.gcd(v, self.W) == 1:
                 self._factors[v] = primes
-        self._tuples = self._enumerate_supported()
-        self._y_table = {t: self._y_value(t) for t in self._tuples}
+        self._y_table = {t: self._y_value(t) for t in self._enumerate_supported()}
         self._lambda_table = self._build_lambda()
         # the same table as (d, int numerator) pairs over one common denominator
         self._lambda_numerators, self._lambda_den = _int_numerators(self._lambda_table)
@@ -162,19 +161,8 @@ class SieveContext:
         raise ValueError("no admissible residue mod W; the shift set collides with W")
 
     def is_supported(self, values: Sequence[int]) -> bool:
-        """Support predicate: squarefree product < R, coprime to W, arity k."""
-        if len(values) != self.k:
-            return False
-        prod = 1
-        for v in values:
-            if v < 1:
-                return False
-            prod *= v
-        if prod >= self.R:
-            return False
-        if math.gcd(prod, self.W) != 1:
-            return False
-        return is_squarefree(prod)
+        """Arity k, squarefree product < R and coprime to W: exactly the y table's keys."""
+        return tuple(values) in self._y_table
 
     def _enumerate_supported(self) -> list[tuple[int, ...]]:
         out: list[tuple[int, ...]] = []
@@ -240,9 +228,9 @@ class SieveContext:
 
     def _build_lambda(self) -> dict[tuple[int, ...], Fraction]:
         acc: dict[tuple[int, ...], Fraction] = {}
-        for r in self._tuples:
+        for r, y in self._y_table.items():
             factors = [self._factors[v] for v in r]
-            contrib = self._y_table[r] / math.prod(p - 1 for primes in factors for p in primes)
+            contrib = y / math.prod(p - 1 for primes in factors for p in primes)
             if contrib == 0:
                 continue
             for d in iter_product(*(_divisors_below(primes, self.R) for primes in factors)):
@@ -255,22 +243,16 @@ class SieveContext:
         return table
 
     def supported_tuples(self) -> list[tuple[int, ...]]:
-        return list(self._tuples)
+        return list(self._y_table)
 
     def y_table_value(self, values: Sequence[int]) -> Fraction:
         """The defining y value: F at the surrogate log ratios (0 off support)."""
-        t = tuple(int(v) for v in values)
-        if not self.is_supported(t):
-            return Fraction(0)
-        return self._y_table[t]
+        return self._y_table.get(tuple(int(v) for v in values), Fraction(0))
 
 
 def lambda_weight(ctx: SieveContext, t: Sequence[int]) -> Fraction:
     """The sieve weight lambda_d, exactly; zero off support."""
-    values = tuple(int(v) for v in t)
-    if not ctx.is_supported(values):
-        return Fraction(0)
-    return ctx._lambda_table.get(values, Fraction(0))
+    return ctx._lambda_table.get(tuple(int(v) for v in t), Fraction(0))
 
 
 def y_from_lambda(ctx: SieveContext, r: Sequence[int]) -> Fraction:

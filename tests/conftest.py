@@ -13,7 +13,7 @@ import pytest
 
 from e2sieve import TARGETS, leading_coefficient
 from e2sieve.algebra import LogLinear, SymPoly, TestFunction
-from e2sieve.numth import _prime_factors, beta_mask, factor_table
+from e2sieve.numth import _prime_factors, beta_mask, factor_table, is_squarefree
 from e2sieve.sieveweights import SieveContext, SSums, _divisors_below
 from e2sieve.simplex import monomial_simplex_integral
 
@@ -266,6 +266,24 @@ def division_closed_form(pcoeffs: list[Fraction], eta: Fraction, c: Fraction) ->
 
 
 # ---------------------------------------------------------------------------
+# The factoring canonical form of a LogLinear
+# ---------------------------------------------------------------------------
+
+
+def canonical(value: LogLinear) -> tuple[Fraction, tuple[tuple[int, Fraction], ...]]:
+    """(const, sorted prime-exponent vector): the log arguments split into primes."""
+    import sympy
+
+    vec: dict[int, Fraction] = {}
+    for q, r in value.terms:
+        for p, e in sympy.factorint(q.numerator).items():
+            vec[p] = vec.get(p, Fraction(0)) + r * e
+        for p, e in sympy.factorint(q.denominator).items():
+            vec[p] = vec.get(p, Fraction(0)) - r * e
+    return value.const, tuple(sorted((p, c) for p, c in vec.items() if c != 0))
+
+
+# ---------------------------------------------------------------------------
 # The mpmath quadrature of the outer integrals
 # ---------------------------------------------------------------------------
 
@@ -315,6 +333,19 @@ def cofactor_members(universe: str, limit: int) -> np.ndarray:
     if universe == "P2":
         e2 |= prime
     return e2
+
+
+# ---------------------------------------------------------------------------
+# The arithmetic support predicate of the sieve weights
+# ---------------------------------------------------------------------------
+
+
+def supported_by_predicate(ctx: SieveContext, values) -> bool:
+    """Arity k, every entry >= 1, squarefree product below R and coprime to W."""
+    if len(values) != ctx.k or min(values) < 1:
+        return False
+    prod = math.prod(values)
+    return prod < ctx.R and math.gcd(prod, ctx.W) == 1 and is_squarefree(prod)
 
 
 # ---------------------------------------------------------------------------

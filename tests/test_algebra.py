@@ -1,21 +1,27 @@
 """Exact polynomial and log-linear arithmetic."""
 
 import decimal
+import math
+import time
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     antiderivative,
+    canonical,
     definite_integral_one_var,
     derivative,
     fraction_eval,
     permuted,
+    run_with_src,
     substitute,
 )
+from e2sieve import algebra
 from e2sieve.algebra import (
     BudgetExceeded,
     LogLinear,
@@ -299,6 +305,116 @@ def test_loglinear_hash_and_unequal_constants_never_factor(monkeypatch):
     assert hash(semiprime + 1) == hash(LogLinear(1, [(p, 1), (q, 1)]))
     assert semiprime + 1 != LogLinear(2, [(p, 1), (q, 1)])
     assert semiprime != Fraction(1, 3)
+
+
+def test_loglinear_equality_of_large_semiprime_logs_never_factors(monkeypatch):
+    import sympy
+
+    p, q = sympy.nextprime(4 * 10 ** 24), sympy.nextprime(5 * 10 ** 24)   # 25 digits each
+
+    def refuse(n, *args, **kwargs):
+        raise AssertionError(f"factorint({n}) called")
+
+    monkeypatch.setattr(sympy, "factorint", refuse)
+    assert LogLinear.log(p * q) == LogLinear(0, [(p, 1), (q, 1)])
+    assert LogLinear.log(p * q) != LogLinear(0, [(p, 1), (q, 2)])
+    assert (LogLinear.log(Fraction(p, q), 2) - LogLinear(0, [(p * p, 1), (q * q, -1)])).is_zero()
+
+
+def test_loglinear_equality_splits_off_high_powers_in_few_divisions():
+    start = time.perf_counter()
+    assert (LogLinear.log(Fraction(1, 2 ** 100_000)) + LogLinear.log(2, 100_000)).is_zero()
+    assert LogLinear.log(2 * 3 ** 50_000) == LogLinear(0, [(3, 50_000), (6, 1), (3, -1)])
+    # one division per unit of exponent takes seconds here
+    assert time.perf_counter() - start < 1
+
+
+# products of small prime powers, so that arguments share factors in many ways
+prime_products = st.lists(st.sampled_from([2, 3, 5, 7]), max_size=4).map(math.prod)
+small_args = st.builds(Fraction, prime_products, prime_products)
+PERTURBATIONS = {
+    "none": lambda x, s: LogLinear.zero(),
+    "zero": lambda x, s: LogLinear(0, [(x * x, s), (x, -2 * s)]),   # ln x^2 - 2 ln x
+    "log": lambda x, s: LogLinear.log(x, s),
+}
+
+
+@given(st.lists(st.tuples(small_args, small_args, rationals), max_size=4),
+       st.lists(st.tuples(small_args, rationals), max_size=4),
+       small_args, rationals, st.sampled_from(sorted(PERTURBATIONS)))
+@settings(max_examples=150, deadline=None)
+def test_loglinear_equality_agrees_with_factoring(split_terms, other_terms, x, s, perturbation):
+    a = LogLinear(1, [(q1 * q2, r) for q1, q2, r in split_terms])
+    b = LogLinear(1, [t for q1, q2, r in split_terms for t in ((q1, r), (q2, r))])
+    b = b + PERTURBATIONS[perturbation](x, s)
+    c = LogLinear(1, other_terms)
+    for u, v in ((a, b), (a, c)):
+        assert (u == v) == (canonical(u) == canonical(v))
+        assert (u - v).is_zero() == (canonical(u - v) == (0, ()))
+
+
+SYMPY_BLOCKED = """
+import sys
+sys.modules["sympy"] = None   # any import of sympy now raises ImportError
+from e2sieve.algebra import LogLinear
+from e2sieve.cli import main
+assert LogLinear.log(4) == LogLinear.log(2, 2)
+sys.exit(main(["verify", "--theorem", "thm1.3"]))
+"""
+
+
+def test_equality_and_verify_run_without_sympy():
+    run = run_with_src(["-c", SYMPY_BLOCKED])
+    assert run.returncode == 0, run.stderr
+    assert "leading coefficient is positive" in run.stdout
+
+
+def ln2_convergent(digits: int) -> Fraction:
+    """The first continued-fraction convergent of ln 2 whose denominator has `digits` digits."""
+    h_prev, h, k_prev, k = 0, 1, 1, 0
+    with mpmath.workdps(200):
+        x = mpmath.log(2)
+        while len(str(k)) < digits:
+            a = int(mpmath.floor(x))
+            x = 1 / (x - a)
+            h_prev, h, k_prev, k = h, a * h + h_prev, k, a * k + k_prev
+    return Fraction(h, k)
+
+
+def test_loglinear_sign_is_certified_within_1e_minus_60_of_zero(monkeypatch):
+    c = ln2_convergent(30)
+    value = LogLinear(c, [(2, -1)])
+    with mpmath.workdps(200):
+        gap = mpmath.mpf(c.numerator) / c.denominator - mpmath.log(2)
+    assert 1e-61 < gap < 1e-59
+    assert value.sign() == 1 and (-value).sign() == -1
+    monkeypatch.setattr(algebra, "_SIGN_DIGITS", 60)
+    with pytest.raises(BudgetExceeded, match="60 digits"):
+        value.sign()
+
+
+def test_loglinear_sign_of_an_exact_value_evaluates_nothing(monkeypatch):
+    monkeypatch.setattr(algebra, "_SIGN_DIGITS", 0)   # any evaluation would raise
+    assert (LogLinear.log(4) - LogLinear.log(2, 2)).sign() == 0
+    assert LogLinear.zero().sign() == 0
+    assert (LogLinear(Fraction(-1, 3)) + LogLinear.log(6) - LogLinear(0, [(2, 1), (3, 1)])).sign() == -1
+    with pytest.raises(BudgetExceeded):
+        LogLinear.log(2).sign()
+
+
+@given(rationals, st.lists(st.tuples(small_args, rationals), max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_loglinear_sign_matches_a_200_digit_evaluation(const, terms):
+    value = LogLinear(const, terms)
+    if canonical(value) == (0, ()):
+        expected = 0
+    else:
+        with mpmath.workdps(200):
+            exact = mpmath.mpf(const.numerator) / const.denominator + mpmath.fsum(
+                mpmath.mpf(r.numerator) / r.denominator * mpmath.log(mpmath.mpf(q.numerator) / q.denominator)
+                for q, r in value.terms)
+            expected = int(mpmath.sign(exact))
+    assert value.sign() == expected
 
 
 def test_loglinear_arithmetic():

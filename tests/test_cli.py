@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from e2sieve import TARGETS, cli
+from e2sieve import TARGETS, algebra, cli
 from e2sieve.algebra import BudgetExceeded
 from e2sieve.cli import build_parser, main
 from e2sieve.simplex import mc_simplex_integral
@@ -83,6 +83,12 @@ def test_verify_mc_budget_exits_2_before_the_exact_coefficient(capsys, monkeypat
     with pytest.raises(BudgetExceeded) as exc:
         mc_simplex_integral(TARGETS["thm1.2"].test_function(), "I", 100_000_001, 0)
     assert err == f"error: {exc.value}\n"
+
+
+def test_verify_exits_2_when_the_sign_is_undecided(capsys, monkeypatch):
+    monkeypatch.setattr(algebra, "_SIGN_DIGITS", 0)   # no evaluation is allowed
+    code, out, err = run_cli(capsys, ["verify", "--theorem", "thm1.3"])
+    assert (code, out, err) == (2, "", "error: sign undecided at 0 digits\n")
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +342,16 @@ def test_flags_override_config(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["verify", "--config", str(cfg), "--format", "text"])
     assert code == 0
     assert "leading coefficient is positive" in out  # text, not json
+
+
+def test_config_epsilon_reaches_theorem11_and_the_flag_overrides_it(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("rho = 5\nepsilon = 1/5\n")
+    code, out, _ = run_cli(capsys, ["theorem11", "--config", str(cfg)])
+    assert code == 0 and json.loads(out)["epsilon"] == "1/5"
+    assert out == run_cli(capsys, ["theorem11", "--rho", "5", "--epsilon", "1/5"])[1]
+    code, out, _ = run_cli(capsys, ["theorem11", "--config", str(cfg), "--epsilon", "1/4"])
+    assert code == 0 and json.loads(out)["epsilon"] == "1/4"
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):

@@ -6,6 +6,7 @@ import os
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import product as iter_product
 from unittest import mock
 
 import mpmath
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import run_with_src, trie_s_sums
+from conftest import run_with_src, supported_by_predicate, trie_s_sums
 from e2sieve import sieveweights
 from e2sieve.algebra import SymPoly, TestFunction, parse_poly
 from e2sieve.numth import euler_phi, is_squarefree
@@ -108,6 +109,22 @@ def test_supported_tuples_k2_pairwise_coprime():
     for t in ctx.supported_tuples():
         prod = t[0] * t[1]
         assert prod < ctx.R and is_squarefree(prod)
+
+
+K3 = dict(shifts=(0, 2, 6), F=TestFunction(k=3, poly=parse_poly("(1-u1)*(1-u2)*(1-u3)", 3)))
+
+
+@pytest.mark.parametrize("make, overrides", [
+    (make_ctx_k1, {}), (make_ctx_k2, {}), (make_ctx_k2, dict(W=6)),
+    (make_ctx_k2, K3), (make_ctx_k2, dict(K3, W=6)),
+], ids=["k1", "k2", "k2-W6", "k3", "k3-W6"])
+def test_supported_tuples_are_every_tuple_the_predicate_accepts(make, overrides):
+    ctx = make(**overrides)
+    accepted = {t for t in iter_product(range(1, ctx.R), repeat=ctx.k) if supported_by_predicate(ctx, t)}
+    assert len(accepted) > ctx.R // 2
+    assert sorted(ctx.supported_tuples()) == sorted(accepted)   # each tuple once
+    for t in iter_product(range(ctx.R + 1), repeat=ctx.k):     # 0 and R included
+        assert ctx.is_supported(t) == supported_by_predicate(ctx, t), t
 
 
 # ---------------------------------------------------------------------------
