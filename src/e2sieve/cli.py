@@ -12,11 +12,15 @@ Four subcommands:
                 progressions (selected by --mode).
 * theorem11  -- the large-k plan record for a requested rho.
 
-Outputs are deterministic byte-for-byte for a fixed configuration and seed:
-no timestamps, sorted JSON keys, fixed float repr.  A flat key=value file
-can be supplied via --config; explicit flags override it.  Exit codes:
-0 success (and positive verdict for verify), 1 negative verdict, 2 usage,
-parse or budget errors.
+argparse is the only parser, and every default sits on its argument.  A flat
+key = value file given by --config becomes --key=value tokens right after the
+subcommand, so each key must be a flag of that subcommand and the flags on
+the command line win.  Each subcommand returns its exit code with its result
+as a JSON payload, CSV rows and text, and `main` writes the one --format asks
+for.  Outputs are deterministic byte-for-byte for a fixed configuration and
+seed: no timestamps, sorted JSON keys, fixed float repr.  Exit codes: 0
+success (and positive verdict for verify), 1 negative verdict, 2 usage, parse
+or budget errors.
 """
 
 from __future__ import annotations
@@ -25,11 +29,11 @@ import argparse
 import decimal
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import replace
 from fractions import Fraction
 
-from .algebra import LogLinear, TestFunction, loglinear_eval, parse_poly
-from .catalog import TARGETS, VerificationTarget, get_target
+from .algebra import _SIGN_DIGITS, LogLinear, TestFunction, loglinear_eval, parse_poly
+from .catalog import TARGETS, get_target
 from .functionals import (
     BudgetExceeded,
     SieveParams,
@@ -40,8 +44,11 @@ from .functionals import (
 from .numth import bv_table, gap_scan, tuple_hit_count
 from .simplex import check_mc_samples, mc_simplex_integral
 
+# what a subcommand returns: exit code, JSON payload, CSV rows and text
+Result = tuple[int, dict, list[tuple], str]
+
 # ---------------------------------------------------------------------------
-# Configuration
+# Inputs
 # ---------------------------------------------------------------------------
 
 
@@ -59,66 +66,9 @@ def _parse_shifts(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"not a shift list: {text!r} ({exc})") from None
 
 
-_CONVERTERS = {
-    "theorem": str,
-    "k": int,
-    "rho": int,
-    "theta": _parse_fraction,
-    "delta": _parse_fraction,
-    "eta": _parse_fraction,
-    "variant": str,
-    "F": str,
-    "digits": int,
-    "limit": int,
-    "universe": str,
-    "threshold": int,
-    "format": str,
-    "seed": int,
-    "mode": str,
-    "H": _parse_shifts,
-    "mc_samples": int,
-    "epsilon": _parse_fraction,
-}
-
-
-@dataclass
-class RunConfig:
-    """Validated, fully defaulted inputs of one CLI run."""
-
-    command: str
-    theorem: str | None = None
-    k: int | None = None
-    rho: int = 1
-    theta: Fraction = Fraction(1, 2)
-    delta: Fraction = Fraction(0)
-    eta: Fraction = Fraction(1, 10 ** 10)
-    variant: str = "Sprime"
-    F: str | None = None
-    digits: int = 15
-    limit: int | None = None
-    universe: str = "E2"
-    threshold: int | None = None
-    format: str = "text"
-    seed: int = 0
-    mode: str = "gaps"
-    H: tuple[int, ...] | None = None
-    mc_samples: int = 0
-    epsilon: Fraction = Fraction(1, 10)
-    explicit: frozenset = frozenset()
-
-    def validate(self) -> None:
-        if self.digits < 15:
-            raise ValueError("--digits must be >= 15")
-        if self.format not in ("text", "json", "csv"):
-            raise ValueError("--format must be text, json or csv")
-        if self.variant not in ("S", "Sprime"):
-            raise ValueError("--variant must be S or Sprime")
-        if self.seed < 0 or self.mc_samples < 0:
-            raise ValueError("--seed and --mc-samples must be non-negative")
-
-
-def _load_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _config_tokens(path: str) -> list[str]:
+    """The file's `key = value` lines as `--key=value` tokens; `#` starts a comment."""
+    tokens = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -127,41 +77,15 @@ def _load_config_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
-    return values
+            tokens.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return tokens
 
 
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    explicit: set[str] = set()
-    file_values: dict[str, str] = {}
-    if getattr(args, "config", None):
-        file_values = _load_config_file(args.config)
-    for key, raw in file_values.items():
-        name = key.replace("-", "_")
-        if name not in _CONVERTERS:
-            raise ValueError(f"unknown config key {key!r}")
-        setattr(cfg, name, _CONVERTERS[name](raw))
-        explicit.add(name)
-    for name in _CONVERTERS:
-        flag_value = getattr(args, name, None)
-        if flag_value is not None:
-            setattr(cfg, name, flag_value)
-            explicit.add(name)
-    if "format" not in explicit:
-        cfg.format = _FORMAT_DEFAULTS[args.command]
-    cfg.explicit = frozenset(explicit)
-    cfg.validate()
-    return cfg
-
-
-# ---------------------------------------------------------------------------
-# Rendering helpers
-# ---------------------------------------------------------------------------
-
-
-def _fraction_str(fr: Fraction) -> str:
-    return str(fr.numerator) if fr.denominator == 1 else f"{fr.numerator}/{fr.denominator}"
+def _params(args: argparse.Namespace, base: SieveParams, variant: str) -> tuple[SieveParams, str]:
+    """base and variant, with each of --rho, --theta, --delta, --eta and --variant that was given."""
+    given = {name: getattr(args, name) for name in ("rho", "theta", "delta", "eta")
+             if getattr(args, name, None) is not None}
+    return replace(base, **given), args.variant or variant
 
 
 def _fraction_decimal(fr: Fraction, digits: int) -> str:
@@ -172,44 +96,20 @@ def _fraction_decimal(fr: Fraction, digits: int) -> str:
     return "0" if d == 0 else str(d)
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
-
-
-def _emit_json(obj) -> None:
-    _emit(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False))
-
-
-def _emit_csv(rows: list[tuple]) -> None:
-    _emit("\n".join(",".join(str(col) for col in row) for row in rows))
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
-def _target_params(cfg: RunConfig, target: VerificationTarget) -> tuple[SieveParams, str]:
-    """The target's parameters and variant, each replaced by its flag where one was given."""
-    def pick(name: str):
-        return getattr(cfg, name) if name in cfg.explicit else getattr(target, name)
-
-    params = SieveParams(k=target.k, rho=pick("rho"), theta=pick("theta"),
-                         delta=cfg.delta, eta=pick("eta"))
-    return params, pick("variant")
-
-
-def cmd_verify(cfg: RunConfig) -> int:
-    if not cfg.theorem:
+def cmd_verify(args: argparse.Namespace) -> Result:
+    if not args.theorem:
         raise ValueError("verify needs --theorem")
-    target = get_target(cfg.theorem)
+    target = get_target(args.theorem)
     F = target.test_function()
-    params, variant = _target_params(cfg, target)
-    overridden = bool({"rho", "theta", "delta", "eta", "variant"} & cfg.explicit)
-    if cfg.mc_samples:
-        check_mc_samples(cfg.mc_samples)   # exit 2 before the exact work, not after it
+    params, variant = _params(args, target.params(), target.variant)
+    overridden = any(getattr(args, name) is not None for name in ("rho", "eta", "variant"))
+    if args.mc_samples:
+        check_mc_samples(args.mc_samples)   # exit 2 before the exact work, not after it
     lc = leading_coefficient(F, params, variant)
     log_const = lemma41_constant(params.eta)
 
@@ -217,98 +117,87 @@ def cmd_verify(cfg: RunConfig) -> int:
         return "-" if overridden else target.reference[name]
 
     rows = [
-        ("I", _fraction_decimal(lc.I_value, cfg.digits), ref("I")),
-        ("J", _fraction_decimal(lc.J_values[0], cfg.digits), ref("J")),
-        ("L", loglinear_eval(lc.L_values[0], cfg.digits), ref("L")),
-        ("M", loglinear_eval(lc.M_values[0], cfg.digits), ref("M")),
-        ("log_term", loglinear_eval(log_const, cfg.digits), "-"),
-        ("coefficient", loglinear_eval(lc.value, cfg.digits), ref("coefficient")),
+        ("I", _fraction_decimal(lc.I_value, args.digits), ref("I")),
+        ("J", _fraction_decimal(lc.J_values[0], args.digits), ref("J")),
+        ("L", loglinear_eval(lc.L_values[0], args.digits), ref("L")),
+        ("M", loglinear_eval(lc.M_values[0], args.digits), ref("M")),
+        ("log_term", loglinear_eval(log_const, args.digits), "-"),
+        ("coefficient", loglinear_eval(lc.value, args.digits), ref("coefficient")),
     ]
     sign = lc.value.sign()
     verdict = "positive" if sign > 0 else "not positive"
 
     mc_rows = []
-    if cfg.mc_samples:
-        est_i = mc_simplex_integral(F, "I", cfg.mc_samples, cfg.seed)
-        est_j = mc_simplex_integral(F, "J", cfg.mc_samples, cfg.seed + 1, m=1)
+    if args.mc_samples:
+        est_i = mc_simplex_integral(F, "I", args.mc_samples, args.seed)
+        est_j = mc_simplex_integral(F, "J", args.mc_samples, args.seed + 1, m=1)
         mc_rows = [
             ("mc_I", repr(est_i.value), repr(est_i.stderr)),
             ("mc_J", repr(est_j.value), repr(est_j.stderr)),
         ]
 
-    if cfg.format == "json":
-        payload = {
-            "target": target.name,
-            "k": target.k,
-            "rho": params.rho,
-            "theta": _fraction_str(params.theta),
-            "eta": _fraction_str(params.eta),
-            "variant": variant,
-            "values": {name: {"computed": comp, "reference": ref} for name, comp, ref in rows},
-            "I_exact": _fraction_str(lc.I_value),
-            "J_exact": _fraction_str(lc.J_values[0]),
-            "coefficient_closed_form": lc.value.to_text(),
-            "verdict": verdict,
-        }
-        if mc_rows:
-            payload["monte_carlo"] = {name: {"value": v, "stderr": s} for name, v, s in mc_rows}
-        _emit_json(payload)
-    elif cfg.format == "csv":
-        out = [("quantity", "computed", "reference")] + rows + mc_rows
-        out.append(("verdict", verdict, "-"))
-        _emit_csv(out)
-    else:
-        width = max(len(r[0]) for r in rows)
-        lines = [f"target {target.name}  (k={target.k}, rho={params.rho}, "
-                 f"theta={_fraction_str(params.theta)}, eta={_fraction_str(params.eta)}, "
-                 f"variant={variant})"]
-        for name, comp, ref in rows:
-            lines.append(f"  {name:<{width}}  computed {comp:<26} reference {ref}")
-        for name, v, s in mc_rows:
-            lines.append(f"  {name:<{width}}  estimate {v:<26} stderr {s}")
-        lines.append(f"leading coefficient is {verdict}")
-        _emit("\n".join(lines))
-    return 0 if sign > 0 else 1
+    payload = {
+        "target": target.name,
+        "k": target.k,
+        "rho": params.rho,
+        "theta": str(params.theta),
+        "eta": str(params.eta),
+        "variant": variant,
+        "values": {name: {"computed": comp, "reference": ref} for name, comp, ref in rows},
+        "I_exact": str(lc.I_value),
+        "J_exact": str(lc.J_values[0]),
+        "coefficient_closed_form": lc.value.to_text(),
+        "verdict": verdict,
+    }
+    if mc_rows:
+        payload["monte_carlo"] = {name: {"value": v, "stderr": s} for name, v, s in mc_rows}
+    csv_rows = [("quantity", "computed", "reference"), *rows, *mc_rows, ("verdict", verdict, "-")]
+    width = max(len(r[0]) for r in rows)
+    lines = [f"target {target.name}  (k={target.k}, rho={params.rho}, "
+             f"theta={params.theta}, eta={params.eta}, variant={variant})"]
+    for name, comp, ref in rows:
+        lines.append(f"  {name:<{width}}  computed {comp:<26} reference {ref}")
+    for name, v, s in mc_rows:
+        lines.append(f"  {name:<{width}}  estimate {v:<26} stderr {s}")
+    lines.append(f"leading coefficient is {verdict}")
+    return 0 if sign > 0 else 1, payload, csv_rows, "\n".join(lines)
 
 
-def _resolve_functional_inputs(cfg: RunConfig) -> tuple[TestFunction, SieveParams, str]:
-    if not cfg.F:
+def _resolve_functional_inputs(args: argparse.Namespace) -> tuple[TestFunction, SieveParams, str]:
+    if not args.F:
         raise ValueError("functional needs --F (builtin name or expression)")
-    if cfg.F in TARGETS or f"thm{cfg.F}" in TARGETS:
-        target = get_target(cfg.F)
-        k = cfg.k if cfg.k is not None else target.k
-        if k != target.k:
-            raise ValueError(f"builtin {target.name} has k={target.k}, got --k {k}")
-        expression = target.expression
-        params, variant = _target_params(cfg, target)
+    if args.F in TARGETS or f"thm{args.F}" in TARGETS:
+        target = get_target(args.F)
+        if args.k not in (None, target.k):
+            raise ValueError(f"builtin {target.name} has k={target.k}, got --k {args.k}")
+        expression, base, variant = target.expression, target.params(), target.variant
     else:
-        if cfg.k is None:
+        if args.k is None:
             raise ValueError("functional with a custom expression needs --k")
-        expression = cfg.F
-        params = SieveParams(k=cfg.k, rho=cfg.rho, theta=cfg.theta,
-                             delta=cfg.delta, eta=cfg.eta)
-        variant = cfg.variant
+        # what a custom expression takes where a bundled target supplies its own values
+        expression, base, variant = args.F, SieveParams(k=args.k, rho=1, theta=Fraction(1, 2)), "Sprime"
+    params, variant = _params(args, base, variant)
     F = TestFunction(k=params.k, poly=parse_poly(expression, params.k))
     return F, params, variant
 
 
-def cmd_functional(cfg: RunConfig) -> int:
-    F, params, variant = _resolve_functional_inputs(cfg)
+def cmd_functional(args: argparse.Namespace) -> Result:
+    F, params, variant = _resolve_functional_inputs(args)
     lc = leading_coefficient(F, params, variant)
 
     def frac_entry(fr: Fraction) -> dict:
-        return {"exact": _fraction_str(fr), "float": float(fr)}
+        return {"exact": str(fr), "float": float(fr)}
 
     def log_entry(v: LogLinear) -> dict:
         return {"closed_form": v.to_text(), "float": v.to_float()}
 
     payload = {
-        "F": cfg.F,
+        "F": args.F,
         "k": params.k,
         "rho": params.rho,
-        "theta": _fraction_str(params.theta),
-        "delta": _fraction_str(params.delta),
-        "eta": _fraction_str(params.eta),
+        "theta": str(params.theta),
+        "delta": str(params.delta),
+        "eta": str(params.eta),
         "variant": variant,
         "I": frac_entry(lc.I_value),
         "J": {f"m={m}": frac_entry(v) for m, v in enumerate(lc.J_values, 1)},
@@ -320,42 +209,36 @@ def cmd_functional(cfg: RunConfig) -> int:
             "addends": {name: log_entry(v) for name, v in lc.breakdown.items()},
         },
     }
-    if cfg.format == "csv":
-        rows: list[tuple] = [("quantity", "m", "exact_or_closed", "float")]
-        rows.append(("I", "-", payload["I"]["exact"], payload["I"]["float"]))
+    rows: list[tuple] = [("quantity", "m", "exact_or_closed", "float")]
+    rows.append(("I", "-", payload["I"]["exact"], payload["I"]["float"]))
+    for m in range(1, params.k + 1):
+        rows.append(("J", m, payload["J"][f"m={m}"]["exact"], payload["J"][f"m={m}"]["float"]))
+    for name in ("L", "M"):
         for m in range(1, params.k + 1):
-            rows.append(("J", m, payload["J"][f"m={m}"]["exact"], payload["J"][f"m={m}"]["float"]))
-        for name in ("L", "M"):
-            for m in range(1, params.k + 1):
-                entry = payload[name][f"m={m}"]
-                rows.append((name, m, f"\"{entry['closed_form']}\"", entry["float"]))
-        rows.append(("coefficient", "-", f"\"{payload['leading_coefficient']['closed_form']}\"",
-                     payload["leading_coefficient"]["float"]))
-        _emit_csv(rows)
-    elif cfg.format == "text":
-        lines = [f"k={params.k} rho={params.rho} theta={_fraction_str(params.theta)} "
-                 f"delta={_fraction_str(params.delta)} eta={_fraction_str(params.eta)} variant={variant}",
-                 f"I = {payload['I']['exact']} = {payload['I']['float']!r}"]
+            entry = payload[name][f"m={m}"]
+            rows.append((name, m, f"\"{entry['closed_form']}\"", entry["float"]))
+    rows.append(("coefficient", "-", f"\"{payload['leading_coefficient']['closed_form']}\"",
+                 payload["leading_coefficient"]["float"]))
+    lines = [f"k={params.k} rho={params.rho} theta={params.theta} "
+             f"delta={params.delta} eta={params.eta} variant={variant}",
+             f"I = {payload['I']['exact']} = {payload['I']['float']!r}"]
+    for m in range(1, params.k + 1):
+        e = payload["J"][f"m={m}"]
+        lines.append(f"J(m={m}) = {e['exact']} = {e['float']!r}")
+    for name in ("L", "M"):
         for m in range(1, params.k + 1):
-            e = payload["J"][f"m={m}"]
-            lines.append(f"J(m={m}) = {e['exact']} = {e['float']!r}")
-        for name in ("L", "M"):
-            for m in range(1, params.k + 1):
-                e = payload[name][f"m={m}"]
-                lines.append(f"{name}(m={m}) = {e['float']!r}  [{e['closed_form']}]")
-        lc_entry = payload["leading_coefficient"]
-        lines.append(f"leading coefficient = {lc_entry['float']!r}  [{lc_entry['closed_form']}]")
-        _emit("\n".join(lines))
-    else:
-        _emit_json(payload)
-    return 0
+            e = payload[name][f"m={m}"]
+            lines.append(f"{name}(m={m}) = {e['float']!r}  [{e['closed_form']}]")
+    lc_entry = payload["leading_coefficient"]
+    lines.append(f"leading coefficient = {lc_entry['float']!r}  [{lc_entry['closed_form']}]")
+    return 0, payload, rows, "\n".join(lines)
 
 
-def cmd_scan(cfg: RunConfig) -> int:
-    if cfg.limit is None:
+def cmd_scan(args: argparse.Namespace) -> Result:
+    if args.limit is None:
         raise ValueError("scan needs --limit")
-    if cfg.mode == "gaps":
-        report = gap_scan(cfg.limit, cfg.rho, cfg.universe)
+    if args.mode == "gaps":
+        report = gap_scan(args.limit, args.rho, args.universe)
         payload = report.to_dict()
         csv_rows = [("universe", "limit", "rho", "min_gap", "argmin"),
                     (report.universe, report.limit, report.rho, report.min_gap,
@@ -365,11 +248,11 @@ def cmd_scan(cfg: RunConfig) -> int:
         text = (f"universe {report.universe}, limit {report.limit}, rho {report.rho}\n"
                 f"min gap {report.min_gap} at {report.argmin}\n"
                 f"histogram { {g: report.histogram[g] for g in sorted(report.histogram)} }")
-    elif cfg.mode == "hits":
-        if cfg.H is None:
+    elif args.mode == "hits":
+        if args.H is None:
             raise ValueError("scan --mode hits needs --H")
-        threshold = cfg.threshold if cfg.threshold is not None else len(set(cfg.H))
-        report = tuple_hit_count(cfg.H, cfg.limit, cfg.universe, threshold)
+        threshold = args.threshold if args.threshold is not None else len(set(args.H))
+        report = tuple_hit_count(args.H, args.limit, args.universe, threshold)
         payload = report.to_dict()
         csv_rows = [("shifts", "universe", "limit", "threshold", "count", "witnesses"),
                     (" ".join(map(str, report.shifts)), report.universe, report.limit,
@@ -377,56 +260,42 @@ def cmd_scan(cfg: RunConfig) -> int:
         text = (f"shifts {report.shifts}, universe {report.universe}, limit {report.limit}, "
                 f"threshold {report.threshold}\ncount {report.count}\n"
                 f"witnesses {list(report.witnesses)}")
-    elif cfg.mode == "bv":
-        universe = cfg.universe
-        if universe not in ("primes", "beta"):
+    else:
+        if args.universe not in ("primes", "beta"):
             raise ValueError("scan --mode bv needs --universe primes or beta")
-        eta = cfg.eta if universe == "beta" else None
-        table = bv_table(cfg.limit, eta, cfg.theta, universe)
+        eta = args.eta if args.universe == "beta" else None
+        table = bv_table(args.limit, eta, args.theta, args.universe)
         payload = table.to_dict()
         csv_rows = [("q", "max_discrepancy")]
-        csv_rows += [(q, _fraction_str(v)) for q, v in sorted(table.rows.items())]
-        csv_rows.append(("weighted_sum", _fraction_str(table.weighted_sum)))
-        text = (f"universe {table.universe}, N {table.N}, theta {_fraction_str(table.theta)}\n"
-                + "\n".join(f"q={q}: {_fraction_str(v)}" for q, v in sorted(table.rows.items()))
-                + f"\nweighted sum {_fraction_str(table.weighted_sum)}")
-    else:
-        raise ValueError("--mode must be gaps, hits or bv")
-
-    if cfg.format == "csv":
-        _emit_csv(csv_rows)
-    elif cfg.format == "text":
-        _emit(text)
-    else:
-        _emit_json(payload)
-    return 0
+        csv_rows += [(q, str(v)) for q, v in sorted(table.rows.items())]
+        csv_rows.append(("weighted_sum", str(table.weighted_sum)))
+        text = (f"universe {table.universe}, N {table.N}, theta {table.theta}\n"
+                + "\n".join(f"q={q}: {v}" for q, v in sorted(table.rows.items()))
+                + f"\nweighted sum {table.weighted_sum}")
+    return 0, payload, csv_rows, text
 
 
-def cmd_theorem11(cfg: RunConfig) -> int:
-    if "rho" not in cfg.explicit:
+def cmd_theorem11(args: argparse.Namespace) -> Result:
+    if args.rho is None:
         raise ValueError("theorem11 needs --rho")
-    plan = theorem11_plan(cfg.rho, cfg.theta, cfg.epsilon)
+    plan = theorem11_plan(args.rho, args.theta, args.epsilon)
     payload = {
         "rho": plan.rho,
-        "theta": _fraction_str(plan.theta),
-        "epsilon": _fraction_str(plan.epsilon),
+        "theta": str(plan.theta),
+        "epsilon": str(plan.epsilon),
         "k": plan.k,
         "log2_k": plan.log2_k,
         "A": plan.A,
         "T": plan.T,
         "eta": plan.eta,
-        "eta_ratio": None if plan.eta_ratio is None else _fraction_str(plan.eta_ratio),
+        "eta_ratio": None if plan.eta_ratio is None else str(plan.eta_ratio),
         "rhs83": plan.rhs83,
         "vanishing_ok": plan.vanishing_ok,
         "rhs83_exceeds_rho": plan.rhs83_exceeds_rho,
     }
-    if cfg.format == "csv":
-        _emit_csv([("field", "value")] + [(key, payload[key]) for key in sorted(payload)])
-    elif cfg.format == "text":
-        _emit("\n".join(f"{key} = {payload[key]}" for key in sorted(payload)))
-    else:
-        _emit_json(payload)
-    return 0
+    fields = sorted(payload)
+    return (0, payload, [("field", "value")] + [(key, payload[key]) for key in fields],
+            "\n".join(f"{key} = {payload[key]}" for key in fields))
 
 
 # ---------------------------------------------------------------------------
@@ -441,21 +310,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="flat key=value file; flags override it")
-        p.add_argument("--digits", type=int, help="significant digits for printed values (>= 15)")
-        p.add_argument("--format", choices=["text", "json", "csv"], help="output format")
-        p.add_argument("--seed", type=int, help="seed for sampled diagnostics")
+    def add_common(p: argparse.ArgumentParser, fmt: str) -> None:
+        p.add_argument("--config", help="flat key = value file of this subcommand's flags; "
+                                        "flags override it")
+        p.add_argument("--digits", type=int, default=15,
+                       help=f"significant digits for printed values (15 to {_SIGN_DIGITS})")
+        p.add_argument("--format", choices=["text", "json", "csv"], default=fmt,
+                       help=f"output format (default {fmt})")
+        p.add_argument("--seed", type=int, default=0, help="seed for sampled diagnostics")
 
     p_verify = sub.add_parser("verify", help="recompute a bundled target and compare digits")
     p_verify.add_argument("--theorem", help="target name: thm1.2, thm1.3 or thm1.4")
     p_verify.add_argument("--rho", type=int, help="override the target count")
     p_verify.add_argument("--eta", type=_parse_fraction, help="override the small-factor cutoff")
     p_verify.add_argument("--variant", choices=["S", "Sprime"], help="override the weighted sum")
-    p_verify.add_argument("--mc-samples", dest="mc_samples", type=int,
+    p_verify.add_argument("--mc-samples", dest="mc_samples", type=int, default=0,
                           help="also print Monte Carlo estimates of I and J")
-    add_common(p_verify)
+    add_common(p_verify, "text")
 
+    # --rho, --theta, --delta, --eta and --variant default to the builtin target's values,
+    # or for an expression to those _resolve_functional_inputs gives it
     p_fun = sub.add_parser("functional", help="evaluate the functionals for a test function")
     p_fun.add_argument("--F", help="builtin target name or a power-sum expression")
     p_fun.add_argument("--k", type=int, help="number of variables (>= 2)")
@@ -464,51 +338,62 @@ def build_parser() -> argparse.ArgumentParser:
     p_fun.add_argument("--delta", type=_parse_fraction, help="prelimit offset, rational >= 0")
     p_fun.add_argument("--eta", type=_parse_fraction, help="small-factor cutoff, rational in (0, 1/4)")
     p_fun.add_argument("--variant", choices=["S", "Sprime"], help="which weighted sum")
-    add_common(p_fun)
+    add_common(p_fun, "json")
 
     p_scan = sub.add_parser("scan", help="sequence diagnostics")
-    p_scan.add_argument("--mode", choices=["gaps", "hits", "bv"], help="what to scan (default gaps)")
+    p_scan.add_argument("--mode", choices=["gaps", "hits", "bv"], default="gaps",
+                        help="what to scan (default gaps)")
     p_scan.add_argument("--limit", type=int,
                         help="scan bound (N for --mode bv); its prime sieve or factor table (limit "
                              "+ max H + 1 entries, about 2N for bv) may not exceed 4,000,000 entries")
-    p_scan.add_argument("--rho", type=int, help="gap step for --mode gaps")
-    p_scan.add_argument("--universe", help="E2, P2 or primes (bv: primes or beta)")
+    p_scan.add_argument("--rho", type=int, default=1, help="gap step for --mode gaps")
+    p_scan.add_argument("--universe", default="E2", help="E2, P2 or primes (bv: primes or beta)")
     p_scan.add_argument("--H", type=_parse_shifts, help="comma-separated shifts for --mode hits")
     p_scan.add_argument("--threshold", type=int, help="minimum hits for --mode hits")
-    p_scan.add_argument("--theta", type=_parse_fraction, help="modulus exponent for --mode bv")
-    p_scan.add_argument("--eta", type=_parse_fraction, help="beta cutoff for --mode bv")
-    add_common(p_scan)
+    p_scan.add_argument("--theta", type=_parse_fraction, default="1/2",
+                        help="modulus exponent for --mode bv")
+    p_scan.add_argument("--eta", type=_parse_fraction, default="1/10000000000",
+                        help="beta cutoff for --mode bv")
+    add_common(p_scan, "json")
 
     p_thm = sub.add_parser("theorem11", help="large-k plan record")
     p_thm.add_argument("--rho", type=int, help="target count (>= 3)")
-    p_thm.add_argument("--theta", type=_parse_fraction, help="distribution exponent")
-    p_thm.add_argument("--epsilon", type=_parse_fraction, help="slack parameter in (0, 1]")
-    add_common(p_thm)
+    p_thm.add_argument("--theta", type=_parse_fraction, default="1/2", help="distribution exponent")
+    p_thm.add_argument("--epsilon", type=_parse_fraction, default="1/10",
+                       help="slack parameter in (0, 1]")
+    add_common(p_thm, "json")
 
     return parser
 
 
-_FORMAT_DEFAULTS = {"verify": "text", "functional": "json", "scan": "json", "theorem11": "json"}
+_COMMANDS = {"verify": cmd_verify, "functional": cmd_functional, "scan": cmd_scan,
+            "theorem11": cmd_theorem11}
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _merge_config(args)
-        dispatch = {
-            "verify": cmd_verify,
-            "functional": cmd_functional,
-            "scan": cmd_scan,
-            "theorem11": cmd_theorem11,
-        }
-        return dispatch[cfg.command](cfg)
-    except BudgetExceeded as exc:
+        if args.config:
+            at = argv.index(args.command) + 1
+            args, unknown = parser.parse_known_args(argv[:at] + _config_tokens(args.config) + argv[at:])
+            if unknown:   # argv itself parsed above, so these came from the file
+                raise ValueError(f"unknown config key {unknown[0][2:].partition('=')[0]!r}")
+        if not 15 <= args.digits <= _SIGN_DIGITS:
+            raise ValueError(f"--digits must be between 15 and {_SIGN_DIGITS}")
+        if args.seed < 0 or getattr(args, "mc_samples", 0) < 0:
+            raise ValueError("--seed and --mc-samples must be non-negative")
+        code, payload, rows, text = _COMMANDS[args.command](args)
+        if args.format == "json":
+            text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+        elif args.format == "csv":
+            text = "\n".join(",".join(map(str, row)) for row in rows)
+    except (BudgetExceeded, ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -24,12 +24,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import as_rational
+from .algebra import BudgetExceeded, as_rational
 
 # ---------------------------------------------------------------------------
 # Basic sieves and integer helpers
@@ -224,18 +223,16 @@ def beta(n: int, N: int, eta: Fraction) -> int:
     return 1 if _smallest_prime_factor(m, base) is None else 0
 
 
-@lru_cache(maxsize=16)
-def _beta_numbers(N: int, eta: Fraction) -> tuple[int, ...]:
-    """All n in (N, 2N] with beta(n) = 1, read off one factor table."""
+def _beta_numbers(N: int, eta: Fraction) -> np.ndarray:
+    """All n in (N, 2N] with beta(n) = 1 as an int64 array, read off one factor table."""
     spf = factor_table(2 * N + 1)
     values = np.arange(N + 1, 2 * N + 1, dtype=np.int64)
-    flags = beta_mask(spf, values, N, floor_rational_power(N, as_rational(eta)))
-    return tuple(values[flags].tolist())
+    return values[beta_mask(spf, values, N, floor_rational_power(N, as_rational(eta)))]
 
 
 def pi_beta(N: int, eta: Fraction) -> int:
     """sum of beta(n) over N < n <= 2N."""
-    return len(_beta_numbers(N, as_rational(eta)))
+    return len(_beta_numbers(N, eta))
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +455,12 @@ def tuple_hit_count(shifts: Sequence[int], limit: int, universe: str, threshold:
 # Distribution-in-progressions table
 # ---------------------------------------------------------------------------
 
+# Most moduli q <= floor(N^theta) that bv_table takes.  Each costs one residue
+# pass over the values and one bincount of q entries: 2*10^4 moduli at N = 2*10^4,
+# theta = 1 take about 1 s, with a 1,521-digit weighted-sum denominator (5*10^4
+# take 5.7 s and 3,720 digits; 10^5 pass Python's 4,300-digit str() limit).
+_BV_MODULI = 20_000
+
 
 @dataclass(frozen=True)
 class BVTable:
@@ -493,14 +496,16 @@ def bv_table(N: int, eta: Fraction | None, theta: Fraction, universe: str) -> BV
         raise ValueError("universe must be 'primes' or 'beta'")
     if not 0 < theta <= 1:
         raise ValueError("theta must satisfy 0 < theta <= 1")
+    if universe == "beta" and eta is None:
+        raise ValueError("beta universe needs eta")
+    qmax = floor_rational_power(N, theta)
+    if qmax > _BV_MODULI:
+        raise BudgetExceeded(f"{qmax} moduli q <= N^theta exceed the budget of {_BV_MODULI}")
     if universe == "beta":
-        if eta is None:
-            raise ValueError("beta universe needs eta")
         eta = as_rational(eta)
-        values = np.array(_beta_numbers(N, eta), dtype=np.int64)
+        values = _beta_numbers(N, eta)
     else:
         values = np.array(primes_in_range(N, 2 * N), dtype=np.int64)
-    qmax = floor_rational_power(N, theta)
     spf = factor_table(qmax + 1)
     rows: dict[int, Fraction] = {}
     for q in range(1, qmax + 1):

@@ -12,9 +12,9 @@ and w_n = (sum_{d_i | n + h_i} lambda_d)^2.
 Two deliberate implementation choices keep the whole pipeline exact:
 
 * The irrational inputs log r / log R are replaced *once* by rational
-  surrogates rounded to `log_digits` decimal digits (default 48); the
-  surrogate error is at most 10^-log_digits per coordinate and is tracked
-  (`log_eps`, `y_error_bound`).  Everything downstream is Fraction
+  surrogates rounded to `_LOG_DIGITS` = 48 decimal digits; the surrogate
+  error is at most 10^-48 per coordinate and is tracked (`log_eps`,
+  `y_error_bound`).  Everything downstream is Fraction
   arithmetic, so the partition of the almost-prime sums into their four
   parts, the linear-combination identities, the symmetry and the c^2
   scaling all hold exactly, not just to rounding.
@@ -52,6 +52,7 @@ from .numth import (
 )
 
 _TUPLE_BUDGET = 2_000_000
+_LOG_DIGITS = 48   # decimal digits of each surrogate log(r)/log(R)
 # n per block of the s_sums scan.  A block holds object arrays of big-int
 # lambda sums and squares, and each lambda entry costs one slice add per block
 # and coordinate.  At N = 10^6, shifts (0, 2), blocks of 2^13 to 2^15 n time
@@ -87,7 +88,6 @@ class SieveContext:
         delta: Fraction = Fraction(0),
         eta: Fraction = Fraction(1, 100),
         W: int | None = None,
-        log_digits: int = 48,
     ):
         if N < 16:
             raise ValueError("N is too small")
@@ -108,9 +108,6 @@ class SieveContext:
             raise ValueError("need 0 <= delta < theta/2")
         if not 0 < self.eta < Fraction(1, 4):
             raise ValueError("eta must be in (0, 1/4)")
-        if log_digits < 20:
-            raise ValueError("log_digits must be >= 20")
-        self.log_digits = int(log_digits)
 
         self.R = floor_rational_power(self.N, self.theta / 2 - self.delta)
         if self.R < 3:
@@ -122,23 +119,19 @@ class SieveContext:
             raise ValueError("need Y < R")
 
         if W is None:
-            lll = math.log(math.log(math.log(self.N)))
-            self.D0 = max(2, math.floor(lll))
-            self.W = 1
-            for p in primes_up_to(self.D0):
-                self.W *= p
+            D0 = max(2, math.floor(math.log(math.log(math.log(self.N)))))
+            self.W = math.prod(primes_up_to(D0))
         else:
             W = int(W)
             if W < 1 or (W > 1 and not is_squarefree(W)):
                 raise ValueError("W must be a positive squarefree integer")
-            self.D0 = None
             self.W = W
 
         self.nu0 = self._find_nu0()
 
         self._log_cache: dict[int, Fraction] = {1: Fraction(0)}
-        # the logs behind the surrogates, at log_digits + 22 working digits
-        self._log_context = decimal.Context(prec=self.log_digits + 22)
+        # the logs behind the surrogates, at _LOG_DIGITS + 22 working digits
+        self._log_context = decimal.Context(prec=_LOG_DIGITS + 22)
         self._ln_R = decimal.Decimal(self.R).ln(self._log_context)
         # prime factors of every squarefree v < R coprime to W
         spf = factor_table(self.R)
@@ -188,10 +181,10 @@ class SieveContext:
     @property
     def log_eps(self) -> Fraction:
         """Certified bound on |surrogate - log(r)/log(R)| per coordinate."""
-        return Fraction(1, 10 ** self.log_digits)
+        return Fraction(1, 10 ** _LOG_DIGITS)
 
     def surrogate_log(self, r: int) -> Fraction:
-        """log(r)/log(R) rounded once to log_digits decimal digits, as a Fraction."""
+        """log(r)/log(R) rounded once to _LOG_DIGITS decimal digits, as a Fraction."""
         if r < 1:
             raise ValueError("r must be >= 1")
         cached = self._log_cache.get(r)
@@ -199,9 +192,9 @@ class SieveContext:
             return cached
         with decimal.localcontext(self._log_context):
             ratio = decimal.Decimal(r).ln() / self._ln_R
-            scaled = int((ratio * 10 ** self.log_digits)
+            scaled = int((ratio * 10 ** _LOG_DIGITS)
                          .to_integral_value(rounding=decimal.ROUND_HALF_EVEN))
-        val = Fraction(scaled, 10 ** self.log_digits)
+        val = Fraction(scaled, 10 ** _LOG_DIGITS)
         self._log_cache[r] = val
         return val
 

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from e2sieve import TARGETS, algebra, cli
+from e2sieve import TARGETS, algebra, cli, numth
 from e2sieve.algebra import BudgetExceeded
 from e2sieve.cli import build_parser, main
 from e2sieve.simplex import mc_simplex_integral
@@ -238,6 +238,20 @@ def test_scan_over_the_table_budget_exits_2_before_allocating(capsys, argv):
     assert peak < 2 ** 20, peak
 
 
+def test_scan_bv_runs_at_the_moduli_budget_and_exits_2_one_past_it(capsys, monkeypatch):
+    # at theta = 1 the moduli are q <= N
+    argv = ["scan", "--mode", "bv", "--theta", "1", "--universe", "primes", "--limit"]
+    code, out, _ = run_cli(capsys, argv + [str(numth._BV_MODULI)])
+    rows = json.loads(out)["rows"]
+    assert code == 0 and len(rows) == sum(map(numth.is_squarefree, range(1, numth._BV_MODULI + 1)))
+    calls = []
+    monkeypatch.setattr(numth, "primes_in_range", lambda *args: calls.append(args))
+    code, out, err = run_cli(capsys, argv + [str(numth._BV_MODULI + 1)])
+    assert (code, out, calls) == (2, "", [])
+    assert err == f"error: {numth._BV_MODULI + 1} moduli q <= N^theta exceed the budget of " \
+                  f"{numth._BV_MODULI}\n"
+
+
 def test_scan_needs_limit(capsys):
     code, _, err = run_cli(capsys, ["scan", "--mode", "gaps"])
     assert code == 2 and "error" in err
@@ -317,6 +331,16 @@ def test_digits_below_15_rejected(capsys):
     assert code == 2 and "digits" in err
 
 
+def test_digits_run_up_to_the_sign_budget_and_exit_2_past_it(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, ["verify", "--theorem", "thm1.3", "--digits", "960"])
+    assert code == 0 and "leading coefficient is positive" in out
+    calls = []
+    monkeypatch.setattr(cli, "leading_coefficient", lambda *args: calls.append(args))
+    code, out, err = run_cli(capsys, ["verify", "--theorem", "thm1.3", "--digits", "961"])
+    assert (code, out, calls) == (2, "", [])
+    assert err == "error: --digits must be between 15 and 960\n"
+
+
 def test_parser_lists_all_subcommands():
     text = build_parser().format_help()
     for name in ("verify", "functional", "scan", "theorem11"):
@@ -359,6 +383,38 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg.write_text("frobnicate = 1\n")
     code, _, err = run_cli(capsys, ["verify", "--config", str(cfg)])
     assert code == 2 and "frobnicate" in err
+
+
+@pytest.mark.parametrize("line", ["theta = 1", "limit = 5"])
+def test_config_key_that_is_not_a_flag_of_the_subcommand_exits_2(tmp_path, capsys, line):
+    # verify has no --theta and no --limit
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"theorem = thm1.3\n{line}\n")
+    code, out, err = run_cli(capsys, ["verify", "--config", str(cfg)])
+    key = line.split()[0]
+    assert (code, out, err) == (2, "", f"error: unknown config key {key!r}\n")
+
+
+def test_bad_config_value_exits_2_as_the_flag_does(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("theorem = thm1.3\nvariant = X\n")
+    errors = []
+    for argv in (["verify", "--config", str(cfg)], ["verify", "--theorem", "thm1.3", "--variant", "X"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err.splitlines()[-1])
+    assert errors[0] == errors[1] and "invalid choice: 'X'" in errors[0]
+
+
+@pytest.mark.parametrize("key", ["mc_samples", "mc-samples"])
+def test_config_key_may_spell_a_flag_with_underscores(tmp_path, capsys, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"theorem = thm1.3\n{key} = 20000\nseed = 3\n")
+    code, out, _ = run_cli(capsys, ["verify", "--config", str(cfg)])
+    assert code == 0 and "mc_I" in out
+    assert out == run_cli(capsys, ["verify", "--theorem", "thm1.3", "--mc-samples", "20000",
+                                   "--seed", "3"])[1]
 
 
 def test_missing_config_file_exits_2(capsys):

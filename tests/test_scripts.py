@@ -67,3 +67,42 @@ def test_desk_digests_match_the_cofactor_implementation():
     run = run_with_src(["scripts/desk_digest.py"])
     assert run.returncode == 0, run.stderr
     assert run.stdout == DESK_DIGESTS
+
+
+# printed by the two-parser CLI, while RunConfig merged the config file beside argparse
+CLI_DIGESTS = (
+    "verify:thm1.3:text c02631a3b31b3b17d50f376504d9b454672670d2fe2e8709dfce9d47dfdb2e49\n"
+    "verify:thm1.3:json f51d865384f60eeb8c1be5f2d3a7b548bdbfe88e05972558c2c6ce00d263d061\n"
+    "verify:thm1.3:csv a7f7fe116a5a8ece0d9813a2a76afcd76af90edb06be41358ff713e1a1bdad45\n"
+    "verify:thm1.4:text 2c94e70f1b657452f7ccd1e1b0800f6526884ba49c628c742b1c1a0c29b61da3\n"
+    "verify:thm1.4:json 1c51875c55af9cbf4dfb28ff6ba5d23d817c357b2bdd0e275e12c40d07eb75fa\n"
+    "verify:thm1.4:csv 93e3e5538a154cfd341c8fd34e4bf9c4609404a98e12b9d5a4d8dacc682ee43f\n"
+    "functional:custom:text 5959fc552da7568fbf4dbcbd2c862f27054dfa9f37c4d3c9f5ed12aaf71b379d\n"
+    "functional:custom:json 47ef913de5b08cb12e5ad1825eb3bbf6490dc1fbe0bc3b87127c3be82e6c6cb5\n"
+    "functional:custom:csv 37767c7ce5f4996beb6cdbb5a07f77a0405cdd75d8df29eda21c7fea60684ea7\n"
+    "functional:thm1.3:text 4855ba1415519cba6acb7e96633ca104cf543bd9de117c6f84fe3ace8e279e02\n"
+    "functional:thm1.3:json b83b2409f4cd02bc50df12669ea4881f6c02cc3523717a2485143aec04be6dc0\n"
+    "functional:thm1.3:csv 385027c89752fa995a2b69efc471378ca696d96faa76fac233fa485fabc7f44e\n"
+    "scan:gaps:text 717ce00b4159695bc580d829e7ae41ae9951c58dec9bffb828404d7ac0b3c886\n"
+    "scan:gaps:json 1e89e2fb366f1facb5acce821328c399aa37e7da31ba8a3a3a015417b909af29\n"
+    "scan:gaps:csv 1090681f26cfb122f6805b4da7597781ba4c8b358ecbd5e610318ce4ee9ef210\n"
+    "scan:hits:text dff4ecf278097544d888d6c4fb2966991c65642b9f796f0ab4e93f536339fd0c\n"
+    "scan:hits:json 73016aeccc6159f2bc5cdc3f6c3d7144d8da79c4eedc349f2b48a2d9ec146d4d\n"
+    "scan:hits:csv a9ca439fa55035d02a77681b44b749ae897568091e06f5f4a0ffd3da20d6ae17\n"
+    "scan:bv:text b13f5aab392c176589875c1212da98ee1427abb32dfd4da90e73a188cd7eb109\n"
+    "scan:bv:json 09490d0846f9d0cd51982d8b3920592129a2a7836ce157372557db0d0004eb34\n"
+    "scan:bv:csv b2b5580b0d5cb2ded9a4c32ca9b65b20c0200e9ad36b1f740e23ca0ee5885149\n"
+    "theorem11:text 7b93bc8dffa22390f74bb5f1ffe70ccaa607187aa17a5e517646a28dd09a276c\n"
+    "theorem11:json 672c7e83e44683eaf94cbe8a7f6f7507f96a10a80a3450a3b77916e3ba37892b\n"
+    "theorem11:csv 13608f8666d23a7abb28bceee445a16303ae29baf8292375cf9c674d2d6ad29c\n"
+    "verify:thm1.3:config f51d865384f60eeb8c1be5f2d3a7b548bdbfe88e05972558c2c6ce00d263d061\n"
+    "verify:thm1.4:config 93e3e5538a154cfd341c8fd34e4bf9c4609404a98e12b9d5a4d8dacc682ee43f\n"
+    "functional:custom:config 47ef913de5b08cb12e5ad1825eb3bbf6490dc1fbe0bc3b87127c3be82e6c6cb5\n"
+    "functional:thm1.3:config 4855ba1415519cba6acb7e96633ca104cf543bd9de117c6f84fe3ace8e279e02\n"
+)
+
+
+def test_cli_digests_match_the_two_parser_cli():
+    run = run_with_src(["scripts/cli_digest.py"])
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == CLI_DIGESTS
