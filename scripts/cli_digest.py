@@ -2,8 +2,9 @@
 """Print one SHA-256 line per case over the exit code and stdout of `e2sieve`.
 
 The cases: the eight commands of acceptance criterion 9, each in the text,
-json and csv formats, and the two `verify` and two `functional` commands
-once more with every flag read from a temporary `--config` file.  Two trees
+json and csv formats, the two `verify` and two `functional` commands once
+more with every flag read from a temporary `--config` file, and a `verify`
+whose Monte Carlo estimates span enough chunks for the two-process fill.  Two trees
 that print the same lines print the same CLI bytes.
 
     PYTHONPATH=src python3 scripts/cli_digest.py
@@ -30,6 +31,9 @@ CRITERION_9 = {
                 "--universe", "primes"],
     "theorem11": ["theorem11", "--rho", "7"],
 }
+# 10^5 samples are seven chunks of simplex._MC_CHUNK rows, so on two CPUs a
+# forked child fills the last three
+MC_SPLIT = ["verify", "--theorem", "thm1.2", "--mc-samples", "100000", "--seed", "5"]
 CONFIG_FORMATS = {"verify:thm1.3": "json", "verify:thm1.4": "csv",
                   "functional:custom": "json", "functional:thm1.3": "text"}
 
@@ -54,6 +58,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as directory:
         for name, fmt in CONFIG_FORMATS.items():
             print(f"{name}:config", digest(config_argv(CRITERION_9[name], fmt, directory)))
+    print("verify:thm1.2:mc-split", digest(MC_SPLIT))
 
 
 if __name__ == "__main__":

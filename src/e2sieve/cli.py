@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import decimal
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -303,12 +304,20 @@ def cmd_theorem11(args: argparse.Namespace) -> Result:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser, built once a process (parse_args leaves it as it is).
+
+    Flags and config keys must be spelled out: allow_abbrev=False rejects a
+    prefix such as --theo for --theorem.
+    """
     parser = argparse.ArgumentParser(
         prog="e2sieve",
         description="Exact sieve functionals and almost-prime diagnostics.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
     def add_common(p: argparse.ArgumentParser, fmt: str) -> None:
         p.add_argument("--config", help="flat key = value file of this subcommand's flags; "
@@ -319,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"output format (default {fmt})")
         p.add_argument("--seed", type=int, default=0, help="seed for sampled diagnostics")
 
-    p_verify = sub.add_parser("verify", help="recompute a bundled target and compare digits")
+    p_verify = add_parser("verify", help="recompute a bundled target and compare digits")
     p_verify.add_argument("--theorem", help="target name: thm1.2, thm1.3 or thm1.4")
     p_verify.add_argument("--rho", type=int, help="override the target count")
     p_verify.add_argument("--eta", type=_parse_fraction, help="override the small-factor cutoff")
@@ -330,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # --rho, --theta, --delta, --eta and --variant default to the builtin target's values,
     # or for an expression to those _resolve_functional_inputs gives it
-    p_fun = sub.add_parser("functional", help="evaluate the functionals for a test function")
+    p_fun = add_parser("functional", help="evaluate the functionals for a test function")
     p_fun.add_argument("--F", help="builtin target name or a power-sum expression")
     p_fun.add_argument("--k", type=int, help="number of variables (>= 2)")
     p_fun.add_argument("--rho", type=int, help="target hit count (>= 1)")
@@ -340,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fun.add_argument("--variant", choices=["S", "Sprime"], help="which weighted sum")
     add_common(p_fun, "json")
 
-    p_scan = sub.add_parser("scan", help="sequence diagnostics")
+    p_scan = add_parser("scan", help="sequence diagnostics")
     p_scan.add_argument("--mode", choices=["gaps", "hits", "bv"], default="gaps",
                         help="what to scan (default gaps)")
     p_scan.add_argument("--limit", type=int,
@@ -356,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="beta cutoff for --mode bv")
     add_common(p_scan, "json")
 
-    p_thm = sub.add_parser("theorem11", help="large-k plan record")
+    p_thm = add_parser("theorem11", help="large-k plan record")
     p_thm.add_argument("--rho", type=int, help="target count (>= 3)")
     p_thm.add_argument("--theta", type=_parse_fraction, default="1/2", help="distribution exponent")
     p_thm.add_argument("--epsilon", type=_parse_fraction, default="1/10",

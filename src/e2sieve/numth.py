@@ -47,12 +47,12 @@ def primes_up_to(limit: int) -> list[int]:
     return [i for i, flag in enumerate(sieve) if flag]
 
 
-def primes_in_range(lo: int, hi: int) -> list[int]:
-    """Primes in [lo, hi), read off the prime sieve _prime_mask(hi)."""
+def primes_in_range(lo: int, hi: int) -> np.ndarray:
+    """Primes in [lo, hi) as an int64 array, read off the prime sieve _prime_mask(hi)."""
     lo = max(lo, 2)
     if hi <= lo:
-        return []
-    return (np.flatnonzero(_prime_mask(hi)[lo:]) + lo).tolist()
+        return np.empty(0, dtype=np.int64)
+    return np.flatnonzero(_prime_mask(hi)[lo:]) + lo
 
 
 _FACTOR_TABLE_BUDGET = 4_000_000
@@ -460,6 +460,13 @@ def tuple_hit_count(shifts: Sequence[int], limit: int, universe: str, threshold:
 # theta = 1 take about 1 s, with a 1,521-digit weighted-sum denominator (5*10^4
 # take 5.7 s and 3,720 digits; 10^5 pass Python's 4,300-digit str() limit).
 _BV_MODULI = 20_000
+# Most moduli times values that bv_table takes, counted before it sieves as
+# floor(N^theta) * N, N bounding the primes or beta numbers in (N, 2N].  A
+# modulus's residue pass costs one step a value, so this bounds the time: at
+# 10^9, N = 10^6 and theta = 1/2 take 0.6 s for beta numbers, and N = 5*10^4
+# with 19,932 moduli 1.1 s, where N = 1,999,999 at theta = 2/3 (3.2*10^10)
+# took 22 s (2-CPU Xeon).
+_BV_WORK = 10 ** 9
 
 
 @dataclass(frozen=True)
@@ -501,11 +508,16 @@ def bv_table(N: int, eta: Fraction | None, theta: Fraction, universe: str) -> BV
     qmax = floor_rational_power(N, theta)
     if qmax > _BV_MODULI:
         raise BudgetExceeded(f"{qmax} moduli q <= N^theta exceed the budget of {_BV_MODULI}")
+    # the table budget of the sieve below goes first: no theta brings such an N within budget
+    _check_table_budget(2 * N + 1 if universe == "beta" else 2 * N)
+    if qmax * N > _BV_WORK:
+        raise BudgetExceeded(f"{qmax} moduli q <= N^theta times N = {N} exceed the budget "
+                             f"of {_BV_WORK}")
     if universe == "beta":
         eta = as_rational(eta)
         values = _beta_numbers(N, eta)
     else:
-        values = np.array(primes_in_range(N, 2 * N), dtype=np.int64)
+        values = primes_in_range(N, 2 * N)
     spf = factor_table(qmax + 1)
     rows: dict[int, Fraction] = {}
     for q in range(1, qmax + 1):

@@ -25,10 +25,18 @@ runs over orbit representatives weighted by orbit size (for an F fixed by no
 swap, the plain pair sum).  A spacings-based Monte Carlo estimator
 cross-checks I and J numerically; for J, `integrate_out` first integrates out
 u_m exactly by int_0^{1-s} u^e du = (1-s)^(e+1)/(e+1), the 1/(e+1) above.
+Where os.fork exists, the process may run on two CPUs and the samples span
+two chunks, a forked child draws and evaluates the second half of the
+samples from the same random stream, jumped ahead, so the estimate is the
+same bit for bit with or without it.  The child's memory is not counted in
+the parent's ru_maxrss.
 """
 
 from __future__ import annotations
 
+import mmap
+import os
+import traceback
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -216,7 +224,8 @@ class MCEstimate:
 # 2^14 is the measured optimum (thm1.2, I and J at 10^6 samples): 2^12 pays
 # 20 % more in per-call overhead, 2^15 is level, 2^16 is 15 % slower, and
 # 2^13 made the crosscheck benchmark's passes about 10 % slower.  The chunk
-# buffers add about 4 MiB to the traced peak at 2^14 (thm1.2, kind I).
+# buffers are the traced peak, about 3.4 MiB at 2^14 (thm1.2, kind I); the
+# squares live in an anonymous mapping, which tracemalloc does not see.
 _MC_CHUNK = 1 << 14
 # The statistics are taken on the array of squares in place, so a sample holds
 # 8 bytes at the peak and 10^7 samples take about 80 MiB.
@@ -304,21 +313,64 @@ def _term_evaluator(p: SymPoly, drop: int | None, size: int) -> Callable[[Column
     return evaluate
 
 
+def _child_start(samples: int) -> int:
+    """The first row that a forked child fills, or `samples` when no child runs.
+
+    A child runs where os.fork exists, the process may run on two CPUs and the
+    samples span two chunks.  It takes the later half of the chunks, the
+    smaller half when their count is odd.
+    """
+    chunks = -(-samples // _MC_CHUNK)
+    if (chunks < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or len(os.sched_getaffinity(0)) < 2):
+        return samples
+    return (chunks + 1) // 2 * _MC_CHUNK
+
+
 def _squares(p: SymPoly, drop: int | None, dim: int, samples: int,
              rng: np.random.Generator) -> np.ndarray:
     """p^2 at `samples` uniform points of R_dim, drawn and evaluated in chunks.
 
-    The chunk buffers are freed on return, so the peak is this one array of
-    the full sample count plus one chunk's buffers.
+    The squares live in one shared anonymous mapping.  Rows from
+    _child_start(samples) on are filled by a forked child whose copy of the
+    generator is advanced past the parent's rows (dim draws a row), so each
+    row sees the same uniforms as in one pass; the parent fills the rows
+    before and waits for the child, and raises if the child failed.  The
+    chunk buffers are freed on return, so the peak is this one array of the
+    full sample count plus one chunk's buffers in each process.
     """
-    sq = np.empty(samples)
+    sq = np.frombuffer(mmap.mmap(-1, 8 * samples), dtype=np.float64)
     size = min(_MC_CHUNK, samples)
     sample = _column_sampler(dim, size)
     evaluate = _term_evaluator(p, drop, size)
-    for start in range(0, samples, _MC_CHUNK):
-        rows = min(_MC_CHUNK, samples - start)
-        vals = evaluate(sample(rng, rows))
-        np.multiply(vals, vals, out=sq[start:start + rows])
+
+    def fill(lo: int, hi: int) -> None:
+        for start in range(lo, hi, _MC_CHUNK):
+            rows = min(_MC_CHUNK, hi - start)
+            vals = evaluate(sample(rng, rows))
+            np.multiply(vals, vals, out=sq[start:start + rows])
+
+    cut = _child_start(samples)
+    if cut == samples:
+        fill(0, samples)
+        return sq
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            rng.bit_generator.advance(cut * dim)
+            fill(cut, samples)
+            code = 0
+        except BaseException:
+            traceback.print_exc()
+        finally:
+            os._exit(code)
+    try:
+        fill(0, cut)
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if status:
+        raise RuntimeError(f"the Monte Carlo child process failed (wait status {status})")
     return sq
 
 
@@ -353,9 +405,12 @@ def mc_simplex_integral(
     major sampler and the planned evaluator do the same float operations in
     the same order as one (samples, dim) draw through np.sort, np.diff and
     per-term products, the path that the pinned figures were recorded with.
-    The mean and std(ddof=1) are numpy's, step for step, taken in place on
-    the array of squares.  Raises as check_mc_samples does, before
-    allocating.
+    On a host where this process may run on two CPUs, samples spanning two
+    chunks are split between this process and a forked child (see _squares);
+    the estimate is identical either way, and the child's memory is not in
+    this process's ru_maxrss.  The mean and std(ddof=1) are numpy's, step for
+    step, taken in place on the array of squares.  Raises as
+    check_mc_samples does, before allocating.
     """
     check_mc_samples(samples)
     if kind not in ("I", "J"):

@@ -252,6 +252,23 @@ def test_scan_bv_runs_at_the_moduli_budget_and_exits_2_one_past_it(capsys, monke
                   f"{numth._BV_MODULI}\n"
 
 
+def test_scan_bv_runs_at_the_work_budget_and_exits_2_before_sieving_past_it(capsys, monkeypatch):
+    # floor(N^(1/2)) = 1000 moduli times N = 10^6 is the budget exactly
+    argv = ["scan", "--mode", "bv", "--theta", "1/2", "--universe", "primes", "--limit"]
+    code, out, _ = run_cli(capsys, argv + ["1000000"])
+    assert code == 0 and len(json.loads(out)["rows"]) == sum(map(numth.is_squarefree, range(1, 1001)))
+    calls = []
+    monkeypatch.setattr(numth, "primes_in_range", lambda *args: calls.append(args))
+    monkeypatch.setattr(numth, "_beta_numbers", lambda *args: calls.append(args))
+    for limit, theta, universe, qmax in [("1000001", "1/2", "primes", 1000),
+                                         ("1999999", "2/3", "beta", 15874)]:
+        argv = ["scan", "--mode", "bv", "--limit", limit, "--theta", theta, "--universe", universe]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out, calls) == (2, "", [])
+        assert err == f"error: {qmax} moduli q <= N^theta times N = {limit} exceed the budget " \
+                      f"of {numth._BV_WORK}\n"
+
+
 def test_scan_needs_limit(capsys):
     code, _, err = run_cli(capsys, ["scan", "--mode", "gaps"])
     assert code == 2 and "error" in err
@@ -347,6 +364,25 @@ def test_parser_lists_all_subcommands():
         assert name in text
 
 
+def test_the_parser_is_built_once_and_parsing_leaves_it_unchanged(capsys):
+    parser = build_parser()
+    help_text = parser.format_help()
+    run_cli(capsys, ["verify", "--theorem", "thm1.3", "--format", "json"])
+    assert build_parser() is parser and parser.format_help() == help_text
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theo", "thm1.3"],
+    ["verify", "--theorem", "thm1.3", "--mc-sampl", "20000"],
+    ["scan", "--mode", "gaps", "--lim", "100"],
+])
+def test_a_prefix_of_a_flag_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # config files
 # ---------------------------------------------------------------------------
@@ -393,6 +429,13 @@ def test_config_key_that_is_not_a_flag_of_the_subcommand_exits_2(tmp_path, capsy
     code, out, err = run_cli(capsys, ["verify", "--config", str(cfg)])
     key = line.split()[0]
     assert (code, out, err) == (2, "", f"error: unknown config key {key!r}\n")
+
+
+def test_a_config_key_that_is_a_prefix_of_a_flag_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("the = thm1.3\n")
+    code, out, err = run_cli(capsys, ["verify", "--config", str(cfg)])
+    assert (code, out, err) == (2, "", "error: unknown config key 'the'\n")
 
 
 def test_bad_config_value_exits_2_as_the_flag_does(tmp_path, capsys):

@@ -48,7 +48,8 @@ def test_primes_in_range_matches_plain_sieve():
     full = primes_up_to(5000)
     for lo, hi in [(0, 100), (100, 1000), (997, 998), (4000, 5001), (1, 2)]:
         expected = [p for p in full if lo <= p < hi]
-        assert primes_in_range(lo, hi) == expected
+        primes = primes_in_range(lo, hi)
+        assert primes.dtype == np.int64 and primes.tolist() == expected
 
 
 def test_squarefree_and_phi():

@@ -69,7 +69,8 @@ def test_desk_digests_match_the_cofactor_implementation():
     assert run.stdout == DESK_DIGESTS
 
 
-# printed by the two-parser CLI, while RunConfig merged the config file beside argparse
+# printed by the two-parser CLI, while RunConfig merged the config file beside argparse;
+# the last line by the one-process Monte Carlo fill, before a forked child took half of it
 CLI_DIGESTS = (
     "verify:thm1.3:text c02631a3b31b3b17d50f376504d9b454672670d2fe2e8709dfce9d47dfdb2e49\n"
     "verify:thm1.3:json f51d865384f60eeb8c1be5f2d3a7b548bdbfe88e05972558c2c6ce00d263d061\n"
@@ -99,6 +100,7 @@ CLI_DIGESTS = (
     "verify:thm1.4:config 93e3e5538a154cfd341c8fd34e4bf9c4609404a98e12b9d5a4d8dacc682ee43f\n"
     "functional:custom:config 47ef913de5b08cb12e5ad1825eb3bbf6490dc1fbe0bc3b87127c3be82e6c6cb5\n"
     "functional:thm1.3:config 4855ba1415519cba6acb7e96633ca104cf543bd9de117c6f84fe3ace8e279e02\n"
+    "verify:thm1.2:mc-split 99ba6fc9eb8f1d9e1fdd5245f819ff7d88e712d7bd6f80048bba23d65216733f\n"
 )
 
 
