@@ -5,7 +5,9 @@ Each digest covers the canonical text of I, every J, L and M, the value and
 the four addends, so two trees that print the same lines compute the same
 exact values.  The cases: the three bundled targets in both variants, the
 benchmark's seeded asymmetric test functions at seeds 1 and 2, a test
-function symmetric in u1 and u2 only, and a box-truncated one.
+function symmetric in u1 and u2 only, a box-truncated one, one at delta > 0
+(so c = theta/2 - delta has a denominator of its own) and the symmetric
+basis sum 1 + P1 + P1^2 + P2 at k = 20.
 
     PYTHONPATH=src python3 scripts/exact_digest.py
 """
@@ -22,6 +24,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import CUSTOM, CUSTOM_RHO, custom_expression  # noqa: E402
 
 SYM12 = "1 - P1 + u1*u2 + 3*u3**2 - u4/7 + (u1+u2)**2*u3"
+DELTA = "(1 - P1)**2 + u1*u2/3 - 2*u3**3 + u2*u3"
 
 
 def cases():
@@ -39,6 +42,10 @@ def cases():
     boxed = TestFunction(k=3, poly=parse_poly("(1-u1)*(1-u2)*(1-u3) + u1*u2", 3),
                          box_bound=Fraction(1, 50))
     yield "boxed", boxed, SieveParams(k=3, rho=2, theta=Fraction(1, 2), eta=Fraction(1, 100)), "Sprime"
+    delta = SieveParams(k=3, rho=2, theta=Fraction(1), delta=Fraction(1, 20), eta=Fraction(1, 100))
+    yield "delta", TestFunction(k=3, poly=parse_poly(DELTA, 3)), delta, "Sprime"
+    basis = TestFunction(k=20, poly=parse_poly("1 + P1 + P1**2 + P2", 20))
+    yield "basis20", basis, SieveParams(k=20, rho=3, theta=Fraction(1), eta=Fraction(1, 100)), "S"
 
 
 def main() -> None:

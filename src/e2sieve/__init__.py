@@ -42,7 +42,6 @@ from .numth import (
     is_admissible,
     p2_sequence,
     pi_beta,
-    pi_flat,
     primes_in_range,
     primes_up_to,
     tuple_hit_count,
@@ -60,7 +59,6 @@ from .simplex import (
     J_k_m,
     MCEstimate,
     mc_simplex_integral,
-    monomial_simplex_integral,
 )
 
 __version__ = "0.1.0"
@@ -98,13 +96,11 @@ __all__ = [
     "lemma41_constant",
     "loglinear_eval",
     "mc_simplex_integral",
-    "monomial_simplex_integral",
     "outer_L",
     "outer_M",
     "p2_sequence",
     "parse_poly",
     "pi_beta",
-    "pi_flat",
     "primes_in_range",
     "primes_up_to",
     "quad_outer",

@@ -37,6 +37,12 @@ closed form is the LogLinear value
 
     P(0) ln(c/eta) + P(1) ln((1-eta)/(1-c)) - sum_{i>=1} r_i (c^i - eta^i) / i.
 
+It is summed in Python ints: with c = a/b and eta = u/v, P's coefficients
+are ints over one denominator, the constant an int over that times
+lcm(1..T) (bv)^T for P of degree T, and only the constant, P(0) and P(1)
+become Fractions.  `leading_coefficient` adds the k coordinates' L (and M)
+values into one LogLinear, their constants summed and their terms merged.
+
 An independent check integrates the same polynomial numerically after the
 substitution xi = e^t, which turns the integrand into the smooth, bounded
 P(e^t) / (1 - e^t) on [ln eta, ln c], and evaluates it by tanh-sinh
@@ -55,8 +61,9 @@ import sys
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from math import lcm
 
-from .algebra import BudgetExceeded, LogLinear, SymPoly, TestFunction, as_rational
+from .algebra import BudgetExceeded, LogLinear, SymPoly, TestFunction, _int_numerators, as_rational
 from .simplex import I_k, inner_G
 
 # ---------------------------------------------------------------------------
@@ -150,19 +157,32 @@ def _weight_coeffs(G: SymPoly, power: int, c: Fraction) -> list[Fraction]:
 
 
 def _outer(G: SymPoly, power: int, params: SieveParams) -> LogLinear:
-    """Exact int_eta^c P(xi) / (xi (1 - xi)) dxi as a LogLinear, P from _weight_coeffs.
+    """Exact int_eta^c P(xi) / (xi (1 - xi)) dxi as a LogLinear, P = c^power G(xi/c).
 
     P(0) ln(c/eta) + P(1) ln((1-eta)/(1-c)) - sum_{i>=1} r_i (c^i - eta^i)/i,
-    with the suffix sums r_i = p_{i+1} + p_{i+2} + ... (see the module docstring).
+    with the suffix sums r_i = p_{i+1} + p_{i+2} + ... (see the module docstring),
+    summed as ints: with c = a/b and eta = u/v, p_i is num[i] / (Dg a^T b^power)
+    for G's common denominator Dg and degree T, and the sum is an int over that
+    times lcm(1..T) (bv)^T.
     """
     c, eta = params.r_exponent, params.eta
-    p = _weight_coeffs(G, power, c)
-    const = r = Fraction(0)
-    for i in range(len(p) - 1, 0, -1):
-        const -= r * (c ** i - eta ** i) / i
-        r += p[i]
-    p0, p1 = p[0], p[0] + r
-    return LogLinear(const, [(c, p0), (eta, -p0), (1 - eta, p1), (1 - c, -p1)])
+    (a, b), (u, v) = c.as_integer_ratio(), eta.as_integer_ratio()
+    items, den = _int_numerators(G.terms)
+    T = max(G.total_degree(), 0)
+    num = [0] * (T + 1)
+    for (i,), n in items:
+        num[i] = n * a ** (power + T - i) * b ** i
+    den *= a ** T * b ** power
+    lcm_T = lcm(*range(1, T + 1))
+    r = total = sum(num[1:])
+    acc, av, ub = 0, 1, 1
+    for i in range(1, T + 1):   # acc = sum_i r_i (lcm_T/i) ((av)^i - (ub)^i) (bv)^(T-i), by Horner
+        r -= num[i]
+        av, ub = av * a * v, ub * u * b
+        acc = acc * b * v + r * (lcm_T // i) * (av - ub)
+    p0, p1 = Fraction(num[0], den), Fraction(num[0] + total, den)
+    return LogLinear(Fraction(-acc, den * lcm_T * (b * v) ** T),
+                     [(c, p0), (eta, -p0), (1 - eta, p1), (1 - c, -p1)])
 
 
 def outer_L(F: TestFunction, m: int, params: SieveParams) -> LogLinear:
@@ -328,7 +348,7 @@ def _coordinate_values(F: TestFunction, m: int, params: SieveParams) -> tuple[Fr
     """
     boxed_out = _box_vanishes(F, params.eta / params.r_exponent)
     G_L, G_M = inner_G(F, m, "LM")
-    J = G_L.eval((0,))
+    J = G_L.terms.get((0,), Fraction(0))
     if boxed_out:
         return J, LogLinear.zero(), LogLinear.zero()
     return J, _outer(G_L, 1, params), _outer(G_M, 2, params)
@@ -352,8 +372,8 @@ def leading_coefficient(F: TestFunction, params: SieveParams, variant: str = "Sp
     J_vals, L_vals, M_vals = zip(*(values[r] for r in F.swaps))
     I_val = I_k(F)
 
-    sum_L = sum(L_vals, LogLinear.zero())
-    sum_M = sum(M_vals, LogLinear.zero())
+    sum_L, sum_M = (LogLinear(sum(v.const for v in vals), [t for v in vals for t in v.terms])
+                    for vals in (L_vals, M_vals))
     sum_J = sum(J_vals, Fraction(0))
 
     c_eta = lemma41_constant(params.eta)

@@ -185,13 +185,6 @@ def floor_rational_power(N: int, exponent: Fraction) -> int:
 # ---------------------------------------------------------------------------
 
 
-def pi_flat(N: int) -> int:
-    """Number of primes in [N, 2N)."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    return len(primes_in_range(N, 2 * N))
-
-
 def _smallest_prime_factor(n: int, base: Sequence[int]) -> int | None:
     for p in base:
         if p * p > n:
@@ -461,11 +454,11 @@ def tuple_hit_count(shifts: Sequence[int], limit: int, universe: str, threshold:
 # take 5.7 s and 3,720 digits; 10^5 pass Python's 4,300-digit str() limit).
 _BV_MODULI = 20_000
 # Most moduli times values that bv_table takes, counted before it sieves as
-# floor(N^theta) * N, N bounding the primes or beta numbers in (N, 2N].  A
-# modulus's residue pass costs one step a value, so this bounds the time: at
-# 10^9, N = 10^6 and theta = 1/2 take 0.6 s for beta numbers, and N = 5*10^4
-# with 19,932 moduli 1.1 s, where N = 1,999,999 at theta = 2/3 (3.2*10^10)
-# took 22 s (2-CPU Xeon).
+# floor(N^theta) * N, N bounding the primes in [N, 2N) or the beta numbers in
+# (N, 2N].  A modulus's residue pass costs one step a value, so this bounds the
+# time: at 10^9, N = 10^6 and theta = 1/2 take 0.6 s for beta numbers, and
+# N = 5*10^4 with 19,932 moduli 1.1 s, where N = 1,999,999 at theta = 2/3
+# (3.2*10^10) took 22 s (2-CPU Xeon).
 _BV_WORK = 10 ** 9
 
 
@@ -473,9 +466,10 @@ _BV_WORK = 10 ** 9
 class BVTable:
     """Exact discrepancy table over squarefree moduli q <= floor(N^theta).
 
-    For the prime universe the reference count is pi_flat(N)/phi(q); for the
-    beta universe it is the count of beta numbers coprime to q over phi(q).  The
-    weighted sum aggregates mu^2(q) * max_(a,q)=1 |discrepancy|.
+    For the prime universe the reference count is the number of primes in
+    [N, 2N) over phi(q); for the beta universe it is the count of beta numbers
+    in (N, 2N] coprime to q over phi(q).  The weighted sum aggregates
+    mu^2(q) * max_(a,q)=1 |discrepancy|.
     """
 
     N: int

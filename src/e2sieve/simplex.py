@@ -19,7 +19,10 @@ gamma! n! / (k-1+|gamma|+n)!.  As 1 - s = a + (1 - a) tau, a binomial expansion 
 
 with gamma = alpha' + beta' and f the exponent of u_m in beta.  A pair enters
 only through gamma!, |gamma|, e and f, so the sums are kept as ints per key
-(e, f, |gamma|) over one denominator.  F and each pair's contribution are
+(e, f, |gamma|) over one denominator.  gamma! reads alpha only through its
+rest alpha' = alpha without u_m, so the terms that share a rest share one
+inner sum, and the L and M rows of G are filled from the same sums in one
+pass over (key, n).  F and each pair's contribution are
 invariant under permutations within F's swap classes, so one side of the sum
 runs over orbit representatives weighted by orbit size (for an F fixed by no
 swap, the plain pair sum).  A spacings-based Monte Carlo estimator
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm, prod
 from operator import add
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -59,18 +62,6 @@ def _factorial(n: int) -> int:
     while len(_FACTORIALS) <= n:
         _FACTORIALS.append(_FACTORIALS[-1] * len(_FACTORIALS))
     return _FACTORIALS[n]
-
-
-def monomial_simplex_integral(exponents: Sequence[int]) -> Fraction:
-    """Exact integral of u1^a1 ... uk^ak over the solid k-simplex."""
-    exponents = tuple(exponents)
-    if any(e < 0 for e in exponents):
-        raise ValueError("exponents must be non-negative")
-    k = len(exponents)
-    num = 1
-    for e in exponents:
-        num *= _factorial(e)
-    return Fraction(num, _factorial(k + sum(exponents)))
 
 
 def integrate_out(p: SymPoly, var: int) -> SymPoly:
@@ -147,28 +138,34 @@ def _pair_sums(poly: SymPoly, m: int | None,
         groups.setdefault((f, sum(rest)), []).append((rest, n))
     fact = [_factorial(i) for i in range(2 * poly.total_degree() + 1)].__getitem__
     numerators = dict(items)
-    sums: dict[tuple[int, int, int], int] = {}
+    # gamma! reads alpha only through its rest: one inner sum per rest and group
+    uses: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for exps, size in reps:
         e, rest = split(exps)
-        weight, g = size * numerators[exps], sum(rest)
+        uses.setdefault(rest, []).append((e, size * numerators[exps]))
+    sums: dict[tuple[int, int, int], int] = {}
+    for rest, shared in uses.items():
+        g = sum(rest)
         for (f, g2), group in groups.items():
             s = sum(n * prod(map(fact, map(add, rest, other))) for other, n in group)
-            key = (e, f, g + g2)
-            sums[key] = sums.get(key, 0) + weight * s
+            for e, weight in shared:
+                key = (e, f, g + g2)
+                sums[key] = sums.get(key, 0) + weight * s
     return sums, den * den
 
 
 def I_k(F: TestFunction) -> Fraction:
-    """I_k(F) = int_{R_k} F^2, exactly, from the pair sums."""
+    """I_k(F) = int_{R_k} F^2, exactly, from the pair sums over one denominator (k + g_max)!."""
     sums, den = _pair_sums(F.poly, None, F.swaps)
-    return sum((Fraction(s, _factorial(F.k + g)) for (_, _, g), s in sums.items()),
-               Fraction(0)) / den
+    top = _factorial(F.k + max((g for _, _, g in sums), default=0))
+    total = sum(s * (top // _factorial(F.k + g)) for (_, _, g), s in sums.items())
+    return Fraction(total, top * den)
 
 
 def inner_G(F: TestFunction, m: int, kinds: str) -> tuple[SymPoly, ...]:
     """The univariate G(a) of each inner kind in `kinds` ("L", "M" or "LM"), m 1-based.
 
-    Both kinds share one pass of pair sums.
+    Both kinds share one pass of pair sums and one pass over its keys.
     """
     k = F.k
     if not 1 <= m <= k:
@@ -177,24 +174,29 @@ def inner_G(F: TestFunction, m: int, kinds: str) -> tuple[SymPoly, ...]:
     top = max((k + 1 + sum(key) for key in sums), default=0)   # the degree of G
     # every (e+1)(f+1) (k-1+|gamma|+n)! divides the common denominator
     common = lcm(*range(1, max((max(key[:2]) for key in sums), default=0) + 2)) ** 2
-    common *= _factorial(top)
-    scale = [common // _factorial(P) for P in range(top + 1)]
+    fact = [_factorial(i) for i in range(top + 1)]
+    common *= fact[top]
+    scale = [common // fact[P] for P in range(top + 1)]
+    # per kind, rows[P][Q] is the numerator of (1-a)^P a^Q; kappa^M_n is kappa^L_n
+    # less C(e+1, n) - [n = 0], and kappa_0 = 0 for both kinds
+    rows = [[[0] * (top + 1) for _ in range(top + 1)] for _ in kinds]
+    is_m = [int(kind == "M") for kind in kinds]
+    for (e, f, g), s in sums.items():
+        d = (e + 1) * (f + 1)
+        for n in range(1, e + f + 3):
+            kappa, drop = comb(e + f + 2, n) - comb(f + 1, n), comb(e + 1, n)
+            P = k - 1 + g + n
+            t = s * fact[n] * (scale[P] // d)
+            for kind_rows, m_kind in zip(rows, is_m):
+                if c := kappa - m_kind * drop:
+                    kind_rows[P][e + f + 2 - n] += c * t
     out = []
-    for kind in kinds:
-        rows: dict[int, list[int]] = {}   # P -> numerators of (1-a)^P a^Q by Q
-        for (e, f, g), s in sums.items():
-            for n in range(e + f + 3):
-                # kappa^L_n, less C(e+1, n) - [n = 0] for kappa^M_n
-                c = (comb(e + f + 2, n) - comb(f + 1, n)
-                     - (kind == "M") * (comb(e + 1, n) - (n == 0)))
-                if c:
-                    P = k - 1 + g + n
-                    row = rows.setdefault(P, [0] * (top + 1))
-                    row[e + f + 2 - n] += s * c * _factorial(n) * (scale[P] // ((e + 1) * (f + 1)))
-        coeffs = zero = [0] * (top + 1)
-        for P in range(top, -1, -1):   # Horner in (1 - a): coeffs (1 - a) + rows[P]
-            coeffs = [x - y + z for x, y, z in zip(coeffs, [0] + coeffs, rows.get(P, zero))]
-        out.append(SymPoly(1, {(i,): Fraction(c, common * den) for i, c in enumerate(coeffs) if c}))
+    for kind_rows in rows:
+        coeffs = kind_rows[top]
+        for row in reversed(kind_rows[:top]):   # Horner in (1 - a): coeffs (1 - a) + row
+            coeffs = [x - y + z for x, y, z in zip(coeffs, [0] + coeffs, row)]
+        out.append(SymPoly._wrap(1, {(i,): Fraction(c, common * den)
+                                     for i, c in enumerate(coeffs) if c}))
     return tuple(out)
 
 

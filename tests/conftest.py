@@ -13,9 +13,8 @@ import pytest
 
 from e2sieve import TARGETS, leading_coefficient
 from e2sieve.algebra import LogLinear, SymPoly, TestFunction
-from e2sieve.numth import _prime_factors, beta_mask, factor_table, is_squarefree
+from e2sieve.numth import _prime_factors, beta_mask, factor_table, is_squarefree, primes_in_range
 from e2sieve.sieveweights import SieveContext, SSums, _divisors_below
-from e2sieve.simplex import monomial_simplex_integral
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -26,6 +25,13 @@ def run_with_src(argv) -> subprocess.CompletedProcess:
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     return subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, capture_output=True,
                           text=True, timeout=120)
+
+
+def monomial_simplex_integral(exponents) -> Fraction:
+    """Exact integral of u1^a1 ... uk^ak over the solid k-simplex: alpha! / (k + |alpha|)!."""
+    exponents = tuple(exponents)
+    return Fraction(math.prod(map(math.factorial, exponents)),
+                    math.factorial(len(exponents) + sum(exponents)))
 
 
 def iterated_simplex_integral(exponents) -> Fraction:
@@ -333,6 +339,11 @@ def cofactor_members(universe: str, limit: int) -> np.ndarray:
     if universe == "P2":
         e2 |= prime
     return e2
+
+
+def pi_flat(N: int) -> int:
+    """Number of primes in [N, 2N), the window of the prime rows of `numth.bv_table`."""
+    return len(primes_in_range(N, 2 * N))
 
 
 # ---------------------------------------------------------------------------

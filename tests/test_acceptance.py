@@ -25,7 +25,6 @@ from e2sieve import (
     leading_coefficient,
     loglinear_eval,
     mc_simplex_integral,
-    monomial_simplex_integral,
     parse_poly,
     s_sums,
     theorem11_plan,
@@ -35,7 +34,7 @@ from e2sieve.cli import main
 from e2sieve.functionals import quad_outer
 from e2sieve.numth import e2_sequence
 
-from conftest import iterated_simplex_integral
+from conftest import iterated_simplex_integral, monomial_simplex_integral
 
 MC_SEED = 20260817
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cofactor_members
+from conftest import cofactor_members, pi_flat
 from e2sieve.numth import (
     _FACTOR_TABLE_BUDGET,
     UNIVERSES,
@@ -31,7 +31,6 @@ from e2sieve.numth import (
     is_squarefree,
     p2_sequence,
     pi_beta,
-    pi_flat,
     primes_in_range,
     primes_up_to,
     tuple_hit_count,
@@ -390,7 +389,7 @@ def _assert_raises_before_allocating(call, *args):
 
 def test_scans_over_the_table_budget_raise_before_allocating():
     N = _FACTOR_TABLE_BUDGET // 2 + 1   # a table over [0, 2N)
-    _assert_raises_before_allocating(pi_flat, N)
+    _assert_raises_before_allocating(primes_in_range, N, 2 * N)
     _assert_raises_before_allocating(bv_table, N, None, Fraction(1, 2), "primes")
     _assert_raises_before_allocating(e2_sequence, _FACTOR_TABLE_BUDGET)   # limit + 1 entries
 

@@ -16,7 +16,8 @@ def test_script_output_is_deterministic(argv):
     assert runs[0].stdout and runs[0].stdout == runs[1].stdout
 
 
-# printed by the expanding implementation, before the pair kernel replaced it
+# printed by the expanding implementation, before the pair kernel replaced it; the
+# last two lines by the Fraction-valued outer form, before the integer sums replaced it
 EXACT_DIGESTS = (
     "thm1.2:S 85854687ee030495207642fe6f4f01b232548fa020d55ff23736ec2cc79d200f\n"
     "thm1.2:Sprime 20636beb43758d7210730a648339dd03448f2ce375dec9b9172f8189cff5ccc4\n"
@@ -30,6 +31,8 @@ EXACT_DIGESTS = (
     "custom2:seed2 9e3291b1f7690af6bc7e05b482036e003987c6d2d6d7b8082f30d4167e5eb1eb\n"
     "sym12 09f2bcb8709f392c6fcfdee4ce6584eccba1d807a4702a79db31c39fcd2db753\n"
     "boxed f3d972c0837434905851f28826668934e92d3f541e7ae51f436a2287354c57d1\n"
+    "delta 6b9aa197c590fd1379a48184134d963b714d963e7149e56231a7cf28d8961224\n"
+    "basis20 10281e9f670d355874df86f24dcc45003b128cd7cf4c333f4661d4d557ebd264\n"
 )
 
 

@@ -20,6 +20,7 @@ from conftest import (
     expanding_J,
     integrate_poly_simplex,
     iterated_simplex_integral,
+    monomial_simplex_integral,
     sample_solid_simplex,
 )
 from e2sieve import TARGETS, simplex
@@ -35,7 +36,6 @@ from e2sieve.simplex import (
     inner_G,
     integrate_out,
     mc_simplex_integral,
-    monomial_simplex_integral,
 )
 
 
@@ -118,10 +118,10 @@ def test_integrate_out_equals_the_definite_integral(p):
 
 
 @st.composite
-def labelled_polynomials(draw):
+def labelled_polynomials(draw, max_k=5):
     """Sums of orbits under the coordinate permutations that keep labels: from
     every coordinate in one class (symmetric) to every one alone (asymmetric)."""
-    k = draw(st.integers(1, 5))
+    k = draw(st.integers(1, max_k))
     classes = draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k))
     exponents = st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(lambda e: sum(e) <= 4)
     monomials = draw(st.dictionaries(exponents.map(tuple), st.builds(
@@ -135,6 +135,18 @@ def labelled_polynomials(draw):
 @settings(max_examples=150, deadline=None)
 def test_swap_classes_equal_the_brute_invariance_check(poly):
     assert _swap_representatives(poly) == brute_swap_representatives(poly)
+
+
+@given(poly=labelled_polynomials(max_k=4))
+@example(poly=parse_poly("1 - P1 + u1*u2 + 3*u3**2 - u4/7 + (u1+u2)**2*u3", 4))   # swaps u1, u2 only
+@example(poly=parse_poly("1 + u1/2 - 3*u2**2 + u1*u3 + u2*u3**2/5", 3))   # fixed by no swap
+@settings(max_examples=60, deadline=None)
+def test_inner_G_kinds_alone_equal_the_shared_rows_pass(poly):
+    F = TestFunction(k=poly.nvars, poly=poly)
+    for m in range(1, F.k + 1):
+        (G_L,), (G_M,) = inner_G(F, m, "L"), inner_G(F, m, "M")
+        both = inner_G(F, m, "LM")
+        assert [G.terms for G in both] == [G_L.terms, G_M.terms]
 
 
 def test_orbit_pairs_of_a_symmetric_degree_7_function():
