@@ -265,18 +265,6 @@ class SymPoly:
     def __repr__(self):
         return f"SymPoly({self.nvars}, {self.to_text()!r})"
 
-    # -- univariate helpers ------------------------------------------------------
-
-    def univariate_coeffs(self) -> list[Fraction]:
-        """Coefficient list [c0, c1, ...] for a 1-variable polynomial."""
-        if self.nvars != 1:
-            raise ValueError("univariate_coeffs needs nvars == 1")
-        deg = self.total_degree()
-        coeffs = [Fraction(0)] * (deg + 1 if deg >= 0 else 1)
-        for (e,), c in self.terms.items():
-            coeffs[e] = c
-        return coeffs
-
 
 def _int_numerators(terms: Mapping[tuple[int, ...], Fraction]) -> tuple[list, int]:
     """(exponents, integer numerator) pairs over the common denominator, and that denominator."""

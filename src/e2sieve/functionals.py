@@ -12,10 +12,11 @@ inner quantities at a fixed xi are
 
 where G_L(a) (resp. G_M(a)) is the integral over {u_i >= 0 (i != m),
 sum u_i <= 1 - a} of [int_a^{1-s} F dt][int_0^{1-s} F dt] (resp. of
-[int_a^{1-s} F dt]^2).  `simplex.inner_G` gives both as exact univariate
-polynomials from sums over pairs of F's terms: with u' = (1 - a) v and the
-slack tau = 1 - sum v as an extra Dirichlet coordinate, a pair with u_m
-exponents e, f and gamma = alpha' + beta' contributes
+[int_a^{1-s} F dt]^2).  `simplex.pair_pass` gives both as exact univariate
+polynomials, and I_k(F) beside them, from one pass of sums over pairs of
+F's terms: with u' = (1 - a) v and the slack tau = 1 - sum v as an extra
+Dirichlet coordinate, a pair with u_m exponents e, f and gamma = alpha' + beta'
+contributes
 
     c_alpha c_beta / ((e+1)(f+1)) sum_n kappa_n gamma! n! / (k-1+|gamma|+n)!
                                         (1-a)^(k-1+|gamma|+n) a^(e+f+2-n),
@@ -37,20 +38,23 @@ closed form is the LogLinear value
 
     P(0) ln(c/eta) + P(1) ln((1-eta)/(1-c)) - sum_{i>=1} r_i (c^i - eta^i) / i.
 
-It is summed in Python ints: with c = a/b and eta = u/v, P's coefficients
-are ints over one denominator, the constant an int over that times
-lcm(1..T) (bv)^T for P of degree T, and only the constant, P(0) and P(1)
-become Fractions.  `leading_coefficient` adds the k coordinates' L (and M)
-values into one LogLinear, their constants summed and their terms merged.
+It is summed in Python ints: with c = a/b, `_weight_poly` gives P's
+coefficients as ints over one denominator, and with eta = u/v the constant
+is an int over that times lcm(1..T) (bv)^T for P of degree T; only the
+constant, P(0) and P(1) become Fractions.  `leading_coefficient` runs one
+pair pass per swap class, reads I off any of them, and adds the k
+coordinates' L (and M) values into one LogLinear, their constants summed
+and their terms merged.
 
 An independent check integrates the same polynomial numerically after the
 substitution xi = e^t, which turns the integrand into the smooth, bounded
 P(e^t) / (1 - e^t) on [ln eta, ln c], and evaluates it by tanh-sinh
-quadrature without the partial fractions: stdlib `decimal` at 50 digits, the
-step halving until two successive levels agree, over a per-level node table
-that is built once per process.  `theorem11_plan` is the only user of mpmath
-(exp and log at thousands of digits), and it imports it itself, so importing
-the package does not load mpmath.
+quadrature without the partial fractions, from the same int coefficients
+of P: stdlib `decimal` at 50 digits, the step halving until two successive
+levels agree, over a per-level node table that is built once per process.
+`theorem11_plan` is the only user of mpmath (exp and log at thousands of
+digits), and it imports it itself, so importing the package does not load
+mpmath.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ from fractions import Fraction
 from math import lcm
 
 from .algebra import BudgetExceeded, LogLinear, SymPoly, TestFunction, _int_numerators, as_rational
-from .simplex import I_k, inner_G
+from .simplex import pair_pass
 
 # ---------------------------------------------------------------------------
 # Parameters
@@ -138,12 +142,12 @@ def _box_vanishes(F: TestFunction, a_min: Fraction | None) -> bool:
 
 def inner_L(F: TestFunction, m: int, a_min: Fraction | None = None) -> SymPoly:
     """Inner L functional: the univariate G_L(a), whose value at a is G_L(a)/(1-a)."""
-    return SymPoly.zero(1) if _box_vanishes(F, a_min) else inner_G(F, m, "L")[0]
+    return SymPoly.zero(1) if _box_vanishes(F, a_min) else pair_pass(F, m)[1]
 
 
 def inner_M(F: TestFunction, m: int, a_min: Fraction | None = None) -> SymPoly:
     """Inner M functional: the univariate G_M(a), whose value at a is G_M(a)/(1-a)^2."""
-    return SymPoly.zero(1) if _box_vanishes(F, a_min) else inner_G(F, m, "M")[0]
+    return SymPoly.zero(1) if _box_vanishes(F, a_min) else pair_pass(F, m)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +155,18 @@ def inner_M(F: TestFunction, m: int, a_min: Fraction | None = None) -> SymPoly:
 # ---------------------------------------------------------------------------
 
 
-def _weight_coeffs(G: SymPoly, power: int, c: Fraction) -> list[Fraction]:
-    """Coefficients of P(xi) = c^power * G(xi/c), power = 1 (L) or 2 (M)."""
-    return [g * c ** (power - i) for i, g in enumerate(G.univariate_coeffs())]
+def _weight_poly(G: SymPoly, power: int, c: Fraction) -> tuple[list[int], int]:
+    """P(xi) = c^power G(xi/c), power = 1 (L) or 2 (M), as int coefficients over one denominator.
+
+    With c = a/b, G's common denominator Dg and degree T, p_i = num[i] / (Dg a^T b^power).
+    """
+    a, b = c.as_integer_ratio()
+    items, den = _int_numerators(G.terms)
+    T = max(G.total_degree(), 0)
+    num = [0] * (T + 1)
+    for (i,), n in items:
+        num[i] = n * a ** (power + T - i) * b ** i
+    return num, den * a ** T * b ** power
 
 
 def _outer(G: SymPoly, power: int, params: SieveParams) -> LogLinear:
@@ -161,18 +174,13 @@ def _outer(G: SymPoly, power: int, params: SieveParams) -> LogLinear:
 
     P(0) ln(c/eta) + P(1) ln((1-eta)/(1-c)) - sum_{i>=1} r_i (c^i - eta^i)/i,
     with the suffix sums r_i = p_{i+1} + p_{i+2} + ... (see the module docstring),
-    summed as ints: with c = a/b and eta = u/v, p_i is num[i] / (Dg a^T b^power)
-    for G's common denominator Dg and degree T, and the sum is an int over that
-    times lcm(1..T) (bv)^T.
+    summed as ints: with c = a/b and eta = u/v, p_i is num[i] / den (`_weight_poly`)
+    for P of degree T, and the sum is an int over den lcm(1..T) (bv)^T.
     """
     c, eta = params.r_exponent, params.eta
     (a, b), (u, v) = c.as_integer_ratio(), eta.as_integer_ratio()
-    items, den = _int_numerators(G.terms)
-    T = max(G.total_degree(), 0)
-    num = [0] * (T + 1)
-    for (i,), n in items:
-        num[i] = n * a ** (power + T - i) * b ** i
-    den *= a ** T * b ** power
+    num, den = _weight_poly(G, power, c)
+    T = len(num) - 1
     lcm_T = lcm(*range(1, T + 1))
     r = total = sum(num[1:])
     acc, av, ub = 0, 1, 1
@@ -234,9 +242,9 @@ def _ts_nodes(level: int) -> list[tuple[Decimal, Decimal]]:
     return _TS_NODES[level]
 
 
-def _tanh_sinh(pcoeffs: list[Fraction], eta: Fraction, c: Fraction,
+def _tanh_sinh(num: list[int], den: int, eta: Fraction, c: Fraction,
                tol: float, max_evals: int) -> Decimal:
-    """int_{ln eta}^{ln c} P(e^t) / (1 - e^t) dt by tanh-sinh, P from its coefficients.
+    """int_{ln eta}^{ln c} P(e^t) / (1 - e^t) dt by tanh-sinh, P's coefficients num[i] / den.
 
     A node pair at t = ln c - z and t = ln eta + z, z = delta ln(c/eta)/2,
     needs the one exponential ez = e^z: xi = c/ez and xi = eta ez.  Levels are
@@ -246,7 +254,7 @@ def _tanh_sinh(pcoeffs: list[Fraction], eta: Fraction, c: Fraction,
     difference reached exceeds tol.
     """
     with decimal.localcontext(_QUAD_CONTEXT):
-        coeffs = [Decimal(p.numerator) / p.denominator for p in reversed(pcoeffs)]
+        coeffs = [Decimal(n) / den for n in reversed(num)]
         eta_d = Decimal(eta.numerator) / eta.denominator
         c_d = Decimal(c.numerator) / c.denominator
         half = (c_d / eta_d).ln() / 2   # half the length of [ln eta, ln c]
@@ -308,8 +316,8 @@ def quad_outer(
     c = params.r_exponent
     eta = params.eta
     inner, power = (inner_L, 1) if kind == "L" else (inner_M, 2)
-    pcoeffs = _weight_coeffs(inner(F, m, a_min=eta / c), power, c)
-    return float(_tanh_sinh(pcoeffs, eta, c, tol, max_evals))
+    num, den = _weight_poly(inner(F, m, a_min=eta / c), power, c)
+    return float(_tanh_sinh(num, den, eta, c, tol, max_evals))
 
 
 # ---------------------------------------------------------------------------
@@ -340,18 +348,19 @@ class LeadingCoefficient:
 VARIANTS = ("S", "Sprime")
 
 
-def _coordinate_values(F: TestFunction, m: int, params: SieveParams) -> tuple[Fraction, LogLinear, LogLinear]:
-    """(J^(m), L^(m), M^(m)) from one inner pass.
+def _coordinate_values(F: TestFunction, m: int,
+                       params: SieveParams) -> tuple[Fraction, Fraction, LogLinear, LogLinear]:
+    """(I, J^(m), L^(m), M^(m)) from one pair pass.
 
     At a = 0 the two bracketed integrals coincide, so G_L(0) = J^(m) exactly;
     it is read off the untruncated G_L even when a box bound zeroes L and M.
     """
     boxed_out = _box_vanishes(F, params.eta / params.r_exponent)
-    G_L, G_M = inner_G(F, m, "LM")
+    I, G_L, G_M = pair_pass(F, m)
     J = G_L.terms.get((0,), Fraction(0))
     if boxed_out:
-        return J, LogLinear.zero(), LogLinear.zero()
-    return J, _outer(G_L, 1, params), _outer(G_M, 2, params)
+        return I, J, LogLinear.zero(), LogLinear.zero()
+    return I, J, _outer(G_L, 1, params), _outer(G_M, 2, params)
 
 
 def leading_coefficient(F: TestFunction, params: SieveParams, variant: str = "Sprime") -> LeadingCoefficient:
@@ -366,11 +375,11 @@ def leading_coefficient(F: TestFunction, params: SieveParams, variant: str = "Sp
         raise ValueError("test function and parameters disagree on k")
     c = params.r_exponent
 
-    # coordinates whose swap leaves F unchanged share their J, L and M; their
-    # pair sums have at least as many orbits as I's, so they meet the budget first
+    # coordinates whose swap leaves F unchanged share their J, L and M, and
+    # every coordinate's pass gives the same I: one pass per swap class
     values = {r: _coordinate_values(F, r, params) for r in set(F.swaps)}
-    J_vals, L_vals, M_vals = zip(*(values[r] for r in F.swaps))
-    I_val = I_k(F)
+    I_vals, J_vals, L_vals, M_vals = zip(*(values[r] for r in F.swaps))
+    I_val = I_vals[0]
 
     sum_L, sum_M = (LogLinear(sum(v.const for v in vals), [t for v in vals for t in v.terms])
                     for vals in (L_vals, M_vals))

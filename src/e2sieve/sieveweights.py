@@ -141,9 +141,9 @@ class SieveContext:
             if len(set(primes)) == len(primes) and math.gcd(v, self.W) == 1:
                 self._factors[v] = primes
         self._y_table = {t: self._y_value(t) for t in self._enumerate_supported()}
-        self._lambda_table = self._build_lambda()
-        # the same table as (d, int numerator) pairs over one common denominator
-        self._lambda_numerators, self._lambda_den = _int_numerators(self._lambda_table)
+        # lambda_d = _lambda_numerators[d] / _lambda_den, over one common denominator
+        items, self._lambda_den = _int_numerators(self._build_lambda())
+        self._lambda_numerators: dict[tuple[int, ...], int] = dict(items)
 
     # -- context structure ----------------------------------------------------
 
@@ -245,7 +245,7 @@ class SieveContext:
 
 def lambda_weight(ctx: SieveContext, t: Sequence[int]) -> Fraction:
     """The sieve weight lambda_d, exactly; zero off support."""
-    return ctx._lambda_table.get(tuple(int(v) for v in t), Fraction(0))
+    return Fraction(ctx._lambda_numerators.get(tuple(int(v) for v in t), 0), ctx._lambda_den)
 
 
 def y_from_lambda(ctx: SieveContext, r: Sequence[int]) -> Fraction:
@@ -258,14 +258,14 @@ def y_from_lambda(ctx: SieveContext, r: Sequence[int]) -> Fraction:
     if not ctx.is_supported(values):
         return Fraction(0)
     acc = Fraction(0)
-    for d, lam in ctx._lambda_table.items():
+    for d, num in ctx._lambda_numerators.items():
         if all(dv % rv == 0 for dv, rv in zip(d, values)):
-            acc += lam / math.prod(d)
+            acc += Fraction(num, math.prod(d))
     front = 1
     for rv in values:
         primes = ctx._factors[rv]
         front *= (-1) ** len(primes) * math.prod(p - 1 for p in primes)
-    return front * acc
+    return front * acc / ctx._lambda_den
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +278,7 @@ def weight_w(ctx: SieveContext, n: int) -> Fraction:
     if n < 1:
         raise ValueError("n must be >= 1")
     values = [n + h for h in ctx.shifts]
-    a = sum(num for d, num in ctx._lambda_numerators
+    a = sum(num for d, num in ctx._lambda_numerators.items()
             if all(v % di == 0 for v, di in zip(values, d)))
     return Fraction(a * a, ctx._lambda_den ** 2)
 
@@ -326,7 +326,7 @@ def s_sums(ctx: SieveContext, rho: int) -> SSums:
     n0 = N + (ctx.nu0 - N) % W
     length = len(range(n0, 2 * N, W))
     progressions = []  # (j0, D, numerator, d) per entry
-    for d, num in ctx._lambda_numerators:
+    for d, num in ctx._lambda_numerators.items():
         j0, D = 0, 1
         for h, di in zip(ctx.shifts, d):
             r = -(n0 + h) * pow(W, -1, di) % di

@@ -21,11 +21,15 @@ with gamma = alpha' + beta' and f the exponent of u_m in beta.  A pair enters
 only through gamma!, |gamma|, e and f, so the sums are kept as ints per key
 (e, f, |gamma|) over one denominator.  gamma! reads alpha only through its
 rest alpha' = alpha without u_m, so the terms that share a rest share one
-inner sum, and the L and M rows of G are filled from the same sums in one
-pass over (key, n).  F and each pair's contribution are
-invariant under permutations within F's swap classes, so one side of the sum
-runs over orbit representatives weighted by orbit size (for an F fixed by no
-swap, the plain pair sum).  A spacings-based Monte Carlo estimator
+inner sum.  As (alpha+beta)! = (e+f)! gamma!, the same sums give
+
+    I_k(F) = sum_{(e, f, |gamma|)} S (e+f)! / (k+e+f+|gamma|)!
+
+at every coordinate, so `pair_pass` returns I, G_L and G_M from one pass,
+the L and M rows of G filled in one loop over (key, n).  F and each pair's
+contribution are invariant under permutations within F's swap classes, so
+one side of the sum runs over orbit representatives weighted by orbit size
+(for an F fixed by no swap, the plain pair sum).  A spacings-based Monte Carlo estimator
 cross-checks I and J numerically; for J, `integrate_out` first integrates out
 u_m exactly by int_0^{1-s} u^e du = (1-s)^(e+1)/(e+1), the 1/(e+1) above.
 Where os.fork exists, the process may run on two CPUs and the samples span
@@ -69,13 +73,14 @@ def integrate_out(p: SymPoly, var: int) -> SymPoly:
 
     Term by term int_0^{1-s} u^e du = (1-s)^(e+1) / (e+1): the terms with
     exponent e of u_var, weighted by 1/(e+1), are summed by Horner in (1 - s).
+    The result is a polynomial in the other p.nvars - 1 coordinates, in order.
     """
-    n = p.nvars
+    n = p.nvars - 1
     groups: dict[int, dict[tuple[int, ...], Fraction]] = {}
     for exps, c in p.terms.items():
         e = exps[var]
-        groups.setdefault(e, {})[exps[:var] + (0,) + exps[var + 1:]] = c / (e + 1)
-    slack = 1 - sum((SymPoly.variable(n, i) for i in range(n) if i != var), SymPoly.zero(n))
+        groups.setdefault(e, {})[exps[:var] + exps[var + 1:]] = c / (e + 1)
+    slack = 1 - sum((SymPoly.variable(n, i) for i in range(n)), SymPoly.zero(n))
     acc = SymPoly.zero(n)
     for e in range(max(groups, default=-1), -1, -1):
         acc = acc * slack + SymPoly._wrap(n, groups.get(e, {}))
@@ -87,12 +92,12 @@ def integrate_out(p: SymPoly, var: int) -> SymPoly:
 _MAX_PAIRS = 1_000_000
 
 
-def _orbit_representatives(poly: SymPoly, m: int | None,
+def _orbit_representatives(poly: SymPoly, m: int,
                            swaps: list[int]) -> list[tuple[tuple[int, ...], int]]:
     """(exponents, orbit size) of each term of poly sorted within every swap class.
 
-    The 0-based coordinate m, if given, is taken out of its class first.
-    `swaps` is poly's swap classes, as `TestFunction.swaps` gives them.
+    The 0-based coordinate m is taken out of its class first.  `swaps` is
+    poly's swap classes, as `TestFunction.swaps` gives them.
     """
     classes: dict[int, list[int]] = {}
     for i, r in enumerate(swaps):
@@ -112,15 +117,14 @@ def _orbit_representatives(poly: SymPoly, m: int | None,
     return out
 
 
-def _pair_sums(poly: SymPoly, m: int | None,
+def _pair_sums(poly: SymPoly, m: int,
                swaps: list[int]) -> tuple[dict[tuple[int, int, int], int], int]:
     """The pair sums S[(e, f, |gamma|)] as ints, and their common denominator.
 
     A term splits into its exponent e of the 0-based coordinate m and the
-    rest (e = 0 and rest = all exponents when m is None).  S sums
-    |orbit| n_alpha n_beta gamma! over representatives alpha and all terms
-    beta, gamma = rest_alpha + rest_beta, n the coefficients' int numerators.
-    `swaps` is poly's swap classes.  Raises BudgetExceeded
+    rest.  S sums |orbit| n_alpha n_beta gamma! over representatives alpha
+    and all terms beta, gamma = rest_alpha + rest_beta, n the coefficients'
+    int numerators.  `swaps` is poly's swap classes.  Raises BudgetExceeded
     before the pair loop above _MAX_PAIRS pairs.
     """
     reps = _orbit_representatives(poly, m, swaps)
@@ -128,21 +132,16 @@ def _pair_sums(poly: SymPoly, m: int | None,
         raise BudgetExceeded(f"{len(reps)} orbit representatives x {len(poly.terms)} terms "
                              f"exceeds the {_MAX_PAIRS} pairs of the simplex kernel")
     items, den = _int_numerators(poly.terms)
-
-    def split(exps):
-        return (0, exps) if m is None else (exps[m], exps[:m] + exps[m + 1:])
-
     groups: dict[tuple[int, int], list] = {}
     for exps, n in items:
-        f, rest = split(exps)
-        groups.setdefault((f, sum(rest)), []).append((rest, n))
+        rest = exps[:m] + exps[m + 1:]
+        groups.setdefault((exps[m], sum(rest)), []).append((rest, n))
     fact = [_factorial(i) for i in range(2 * poly.total_degree() + 1)].__getitem__
     numerators = dict(items)
     # gamma! reads alpha only through its rest: one inner sum per rest and group
     uses: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for exps, size in reps:
-        e, rest = split(exps)
-        uses.setdefault(rest, []).append((e, size * numerators[exps]))
+        uses.setdefault(exps[:m] + exps[m + 1:], []).append((exps[m], size * numerators[exps]))
     sums: dict[tuple[int, int, int], int] = {}
     for rest, shared in uses.items():
         g = sum(rest)
@@ -154,55 +153,54 @@ def _pair_sums(poly: SymPoly, m: int | None,
     return sums, den * den
 
 
-def I_k(F: TestFunction) -> Fraction:
-    """I_k(F) = int_{R_k} F^2, exactly, from the pair sums over one denominator (k + g_max)!."""
-    sums, den = _pair_sums(F.poly, None, F.swaps)
-    top = _factorial(F.k + max((g for _, _, g in sums), default=0))
-    total = sum(s * (top // _factorial(F.k + g)) for (_, _, g), s in sums.items())
-    return Fraction(total, top * den)
+def pair_pass(F: TestFunction, m: int) -> tuple[Fraction, SymPoly, SymPoly]:
+    """(I_k(F), G_L, G_M) from one pass of pair sums at coordinate m, 1-based.
 
-
-def inner_G(F: TestFunction, m: int, kinds: str) -> tuple[SymPoly, ...]:
-    """The univariate G(a) of each inner kind in `kinds` ("L", "M" or "LM"), m 1-based.
-
-    Both kinds share one pass of pair sums and one pass over its keys.
+    A pair's (alpha+beta)! is (e+f)! gamma!, so I is the sum of
+    S[(e, f, |gamma|)] (e+f)! / (k+e+f+|gamma|)!, whatever the coordinate.
+    The L and M rows of G are filled in one pass over (key, n).
     """
     k = F.k
     if not 1 <= m <= k:
         raise ValueError(f"m must be in 1..{k}")
     sums, den = _pair_sums(F.poly, m - 1, F.swaps)
     top = max((k + 1 + sum(key) for key in sums), default=0)   # the degree of G
-    # every (e+1)(f+1) (k-1+|gamma|+n)! divides the common denominator
-    common = lcm(*range(1, max((max(key[:2]) for key in sums), default=0) + 2)) ** 2
     fact = [_factorial(i) for i in range(top + 1)]
-    common *= fact[top]
+    whole = fact[max(top - 1, 0)]   # (k + |alpha+beta|)! for the largest pair
+    I = Fraction(sum(s * fact[e + f] * (whole // fact[k + e + f + g])
+                     for (e, f, g), s in sums.items()), whole * den)
+    # every (e+1)(f+1) (k-1+|gamma|+n)! divides the common denominator
+    common = lcm(*range(1, max((max(key[:2]) for key in sums), default=0) + 2)) ** 2 * fact[top]
     scale = [common // fact[P] for P in range(top + 1)]
-    # per kind, rows[P][Q] is the numerator of (1-a)^P a^Q; kappa^M_n is kappa^L_n
-    # less C(e+1, n) - [n = 0], and kappa_0 = 0 for both kinds
-    rows = [[[0] * (top + 1) for _ in range(top + 1)] for _ in kinds]
-    is_m = [int(kind == "M") for kind in kinds]
+    # rows[P][Q] is the numerator of (1-a)^P a^Q, for L then M; kappa^M_n is
+    # kappa^L_n less C(e+1, n) - [n = 0], and kappa_0 = 0 for L and M
+    rows_L, rows_M = ([[0] * (top + 1) for _ in range(top + 1)] for _ in "LM")
     for (e, f, g), s in sums.items():
         d = (e + 1) * (f + 1)
         for n in range(1, e + f + 3):
-            kappa, drop = comb(e + f + 2, n) - comb(f + 1, n), comb(e + 1, n)
-            P = k - 1 + g + n
+            kappa = comb(e + f + 2, n) - comb(f + 1, n)
+            P, Q = k - 1 + g + n, e + f + 2 - n
             t = s * fact[n] * (scale[P] // d)
-            for kind_rows, m_kind in zip(rows, is_m):
-                if c := kappa - m_kind * drop:
-                    kind_rows[P][e + f + 2 - n] += c * t
-    out = []
-    for kind_rows in rows:
-        coeffs = kind_rows[top]
-        for row in reversed(kind_rows[:top]):   # Horner in (1 - a): coeffs (1 - a) + row
+            rows_L[P][Q] += kappa * t
+            rows_M[P][Q] += (kappa - comb(e + 1, n)) * t
+
+    def collapse(rows: list[list[int]]) -> SymPoly:
+        coeffs = rows[top]
+        for row in reversed(rows[:top]):   # Horner in (1 - a): coeffs (1 - a) + row
             coeffs = [x - y + z for x, y, z in zip(coeffs, [0] + coeffs, row)]
-        out.append(SymPoly._wrap(1, {(i,): Fraction(c, common * den)
-                                     for i, c in enumerate(coeffs) if c}))
-    return tuple(out)
+        return SymPoly._wrap(1, {(i,): Fraction(c, common * den) for i, c in enumerate(coeffs) if c})
+
+    return I, collapse(rows_L), collapse(rows_M)
+
+
+def I_k(F: TestFunction) -> Fraction:
+    """I_k(F) = int_{R_k} F^2 exactly, read off the pair pass at coordinate 1."""
+    return pair_pass(F, 1)[0]
 
 
 def J_k_m(F: TestFunction, m: int) -> Fraction:
     """J_k^(m)(F) = G_L(0) exactly, m 1-based; for k = 1 it is (int_0^1 F)^2."""
-    return inner_G(F, m, "L")[0].terms.get((0,), Fraction(0))
+    return pair_pass(F, m)[1].terms.get((0,), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -268,21 +266,19 @@ def _column_sampler(dim: int, size: int) -> Callable[[np.random.Generator, int],
     return sample
 
 
-def _term_evaluator(p: SymPoly, drop: int | None, size: int) -> Callable[[Columns], np.ndarray]:
+def _term_evaluator(p: SymPoly, size: int) -> Callable[[Columns], np.ndarray]:
     """evaluate(cols) -> p at the points whose coordinates are cols (rows <= size).
 
-    The 0-based coordinate `drop`, if given, is one that no term involves and
-    that cols leave out; at least one coordinate remains.  Terms are planned
-    once: the float coefficient and the table rows of the nonzero powers.
-    x^e is x^(e-1) x, and x^1 is the column itself.  Each term is formed as
+    p has at least one coordinate.  Terms are planned once: the float
+    coefficient and the table rows of the nonzero powers.  x^e is
+    x^(e-1) x, and x^1 is the column itself.  Each term is formed as
     coefficient times its powers in coordinate order, and the terms are
     added in sorted-key order.  The result lives in the evaluator's buffer
     and is overwritten by its next call.
     """
-    keep = [j for j in range(p.nvars) if j != drop]
-    dim = len(keep)
+    dim = p.nvars
     keys = sorted(p.terms)
-    degree = [max((e[j] for e in keys), default=0) for j in keep]
+    degree = [max((e[j] for e in keys), default=0) for j in range(dim)]
     # table rows: the dim columns, then x_j^e for e = 2 .. degree[j], j ascending
     index: dict[tuple[int, int], int] = {(j, 1): j for j in range(dim)}
     chains = []   # (source row, column) per power row, in table order
@@ -290,8 +286,7 @@ def _term_evaluator(p: SymPoly, drop: int | None, size: int) -> Callable[[Column
         for e in range(2, degree[j] + 1):
             index[(j, e)] = dim + len(chains)
             chains.append((index[(j, e - 1)], j))
-    plan = [(float(p.terms[key]), [index[(j, key[c])] for j, c in enumerate(keep) if key[c]])
-            for key in keys]
+    plan = [(float(p.terms[key]), [index[(j, e)] for j, e in enumerate(key) if e]) for key in keys]
     powers = np.empty((len(chains), size))
     buf, out = np.empty(size), np.empty(size)
 
@@ -329,9 +324,8 @@ def _child_start(samples: int) -> int:
     return (chunks + 1) // 2 * _MC_CHUNK
 
 
-def _squares(p: SymPoly, drop: int | None, dim: int, samples: int,
-             rng: np.random.Generator) -> np.ndarray:
-    """p^2 at `samples` uniform points of R_dim, drawn and evaluated in chunks.
+def _squares(p: SymPoly, samples: int, rng: np.random.Generator) -> np.ndarray:
+    """p^2 at `samples` uniform points of R_dim, dim = p.nvars, drawn and evaluated in chunks.
 
     The squares live in one shared anonymous mapping.  Rows from
     _child_start(samples) on are filled by a forked child whose copy of the
@@ -342,9 +336,9 @@ def _squares(p: SymPoly, drop: int | None, dim: int, samples: int,
     full sample count plus one chunk's buffers in each process.
     """
     sq = np.frombuffer(mmap.mmap(-1, 8 * samples), dtype=np.float64)
-    size = min(_MC_CHUNK, samples)
+    dim, size = p.nvars, min(_MC_CHUNK, samples)
     sample = _column_sampler(dim, size)
-    evaluate = _term_evaluator(p, drop, size)
+    evaluate = _term_evaluator(p, size)
 
     def fill(lo: int, hi: int) -> None:
         for start in range(lo, hi, _MC_CHUNK):
@@ -419,17 +413,16 @@ def mc_simplex_integral(
         raise ValueError("kind must be 'I' or 'J'")
     rng = np.random.default_rng(seed)
     k = F.k
-    base, drop = F.poly, None
+    base = F.poly
     if kind == "J":
         if m is None or not 1 <= m <= k:
             raise ValueError(f"kind 'J' needs m in 1..{k}")
-        base, drop = integrate_out(F.poly, m - 1), m - 1
+        base = integrate_out(F.poly, m - 1)   # in the k - 1 other coordinates
         if k == 1:
             v = float(base.constant_value()) ** 2
             return MCEstimate(value=v, stderr=0.0, samples=samples, seed=seed, kind="J", m=m)
-    dim = k if drop is None else k - 1
-    sq = _squares(base, drop, dim, samples, rng)
-    vol = 1.0 / float(_factorial(dim))
+    sq = _squares(base, samples, rng)
+    vol = 1.0 / float(_factorial(base.nvars))
     # numpy's _var: the mean as add.reduce / n, the deviations squared in
     # place, their add.reduce / (n - 1), then sqrt; sq.std would copy sq
     mean = np.add.reduce(sq) / samples

@@ -386,13 +386,13 @@ def trie_s_sums(ctx: SieveContext, rho: int) -> SSums:
     the entries along their progressions.
     """
     N, W, R = ctx.N, ctx.W, ctx.R
-    den = math.lcm(*(v.denominator for v in ctx._lambda_table.values()))
+    den = ctx._lambda_den
     trie: dict = {}
-    for d, v in ctx._lambda_table.items():
+    for d, num in ctx._lambda_numerators.items():
         node = trie
         for x in d[:-1]:
             node = node.setdefault(x, {})
-        node[d[-1]] = v.numerator * (den // v.denominator)
+        node[d[-1]] = num
     spf = factor_table(2 * N + ctx.shifts[-1])
 
     kernel = np.ones(N + ctx.shifts[-1], dtype=np.int64)  # kernel of N + i

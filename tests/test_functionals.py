@@ -4,6 +4,7 @@ import random
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import mpmath
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import (divide_by_one_minus_x, division_closed_form, mpmath_quad_outer,
                       run_with_src, theorem11_eta_oracle)
-from e2sieve import TARGETS, algebra
+from e2sieve import TARGETS, algebra, simplex
 from e2sieve.algebra import (LogLinear, SymPoly, TestFunction, _swap_representatives, loglinear_eval,
                              parse_poly)
 from e2sieve.functionals import (
@@ -22,7 +23,7 @@ from e2sieve.functionals import (
     _outer,
     _tanh_sinh,
     _ts_nodes,
-    _weight_coeffs,
+    _weight_poly,
     inner_L,
     inner_M,
     leading_coefficient,
@@ -108,7 +109,7 @@ def test_G_divides_exactly_by_its_power_of_one_minus_a():
     for expr, k in [("(1-u1)*(1-u2)", 2), (SYM12, 4), (ASYMMETRIC, 4)]:
         F = TestFunction(k=k, poly=parse_poly(expr, k))
         for G, power in ((inner_L(F, 1), 1), (inner_M(F, 1), 2)):
-            coeffs = G.univariate_coeffs()
+            coeffs = [G.terms.get((i,), Fraction(0)) for i in range(G.total_degree() + 1)]
             for _ in range(power):
                 coeffs = divide_by_one_minus_x(coeffs)
             q = SymPoly(1, {(i,): c for i, c in enumerate(coeffs)})
@@ -132,6 +133,21 @@ def test_box_bound_forces_vanishing():
     lc = leading_coefficient(F, params, "S")
     assert lc.J_values == (J_k_m(F, 1), J_k_m(F, 2)) == (Fraction(1, 3), Fraction(1, 3))
     assert lc.L_values == lc.M_values == (LogLinear.zero(), LogLinear.zero())
+
+
+def test_leading_coefficient_runs_one_pair_pass_per_swap_class(monkeypatch):
+    # I is read off the coordinate passes: thm1.2 is symmetric (one swap
+    # class), and ASYMMETRIC at k = 4 has four
+    calls, pair_sums = [], simplex._pair_sums
+    monkeypatch.setattr(simplex, "_pair_sums",
+                        lambda poly, m, swaps: calls.append(m) or pair_sums(poly, m, swaps))
+    target = TARGETS["thm1.2"]
+    leading_coefficient(target.test_function(), target.params())
+    assert calls == [0]
+    calls.clear()
+    F = TestFunction(k=4, poly=parse_poly(ASYMMETRIC, 4))
+    leading_coefficient(F, SieveParams(k=4, rho=1, theta=HALF, eta=Fraction(1, 100)))
+    assert len(calls) == 4 and set(calls) == {0, 1, 2, 3}
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +176,11 @@ def test_outer_matches_the_division_closed_form(coeffs, power, params):
     # the suffix-sum closed form against partial fractions by exact division
     G = SymPoly(1, {(i,): c for i, c in enumerate(coeffs)})
     c = params.r_exponent
-    expected = division_closed_form(_weight_coeffs(G, power, c), params.eta, c)
+    pcoeffs = [G.terms.get((i,), Fraction(0)) * c ** (power - i)   # P(xi) = c^power G(xi/c)
+               for i in range(max(G.total_degree(), 0) + 1)]
+    num, den = _weight_poly(G, power, c)
+    assert [Fraction(n, den) for n in num] == pcoeffs
+    expected = division_closed_form(pcoeffs, params.eta, c)
     got = _outer(G, power, params)
     assert (got.const, got.terms) == (expected.const, expected.terms)
 
@@ -377,7 +397,8 @@ def outer_integrands(draw):
 @settings(max_examples=50, deadline=None)
 def test_tanh_sinh_matches_the_mpmath_quadrature(case):
     coeffs, eta, c = case
-    got = _tanh_sinh(coeffs, eta, c, 1e-13, 10_000)
+    den = lcm(*(q.denominator for q in coeffs))
+    got = _tanh_sinh([int(q * den) for q in coeffs], den, eta, c, 1e-13, 10_000)
     want, err = mpmath_quad_outer(coeffs, eta, c)
     with mpmath.workdps(40):
         assert err <= mpmath.mpf("1e-30")

@@ -33,9 +33,9 @@ from e2sieve.simplex import (
     _column_sampler,
     _orbit_representatives,
     _term_evaluator,
-    inner_G,
     integrate_out,
     mc_simplex_integral,
+    pair_pass,
 )
 
 
@@ -90,7 +90,7 @@ def partially_symmetric_functions(draw):
 def test_pair_kernel_equals_the_expanding_oracle(F):
     assert I_k(F) == expanding_I(F)
     for m in range(1, F.k + 1):
-        G_L, G_M = inner_G(F, m, "LM")
+        _, G_L, G_M = pair_pass(F, m)
         assert G_L == expanding_G(F, m, "L")
         assert G_M == expanding_G(F, m, "M")
         assert J_k_m(F, m) == expanding_J(F, m)
@@ -112,9 +112,11 @@ def test_integrate_out_equals_the_definite_integral(p):
     n = p.nvars
     for var in range(n):
         upper = 1 - sum((SymPoly.variable(n, i) for i in range(n) if i != var), SymPoly.zero(n))
-        got = integrate_out(p, var)
-        assert got == definite_integral_one_var(p, var, Fraction(0), upper)
-        assert all(exps[var] == 0 for exps in got.terms)
+        want = definite_integral_one_var(p, var, Fraction(0), upper)
+        assert all(exps[var] == 0 for exps in want.terms)
+        # integrate_out leaves u_var out of the result's coordinates
+        assert integrate_out(p, var) == SymPoly(n - 1, {e[:var] + e[var + 1:]: c
+                                                        for e, c in want.terms.items()})
 
 
 @st.composite
@@ -141,20 +143,17 @@ def test_swap_classes_equal_the_brute_invariance_check(poly):
 @example(poly=parse_poly("1 - P1 + u1*u2 + 3*u3**2 - u4/7 + (u1+u2)**2*u3", 4))   # swaps u1, u2 only
 @example(poly=parse_poly("1 + u1/2 - 3*u2**2 + u1*u3 + u2*u3**2/5", 3))   # fixed by no swap
 @settings(max_examples=60, deadline=None)
-def test_inner_G_kinds_alone_equal_the_shared_rows_pass(poly):
+def test_every_coordinate_pass_gives_the_same_I(poly):
+    # each coordinate's orbit-weighted pair sums cover every pair of terms
     F = TestFunction(k=poly.nvars, poly=poly)
-    for m in range(1, F.k + 1):
-        (G_L,), (G_M,) = inner_G(F, m, "L"), inner_G(F, m, "M")
-        both = inner_G(F, m, "LM")
-        assert [G.terms for G in both] == [G_L.terms, G_M.terms]
+    assert {pair_pass(F, m)[0] for m in range(1, F.k + 1)} == {expanding_I(F)}
 
 
 def test_orbit_pairs_of_a_symmetric_degree_7_function():
-    # (1 - P1)^7 at k = 6 has 1716 terms; I sums over 44 orbit representatives
-    # of the full symmetric group, G at one coordinate over 116 of S_5
+    # (1 - P1)^7 at k = 6 has 1716 terms; the pass at one coordinate sums
+    # over 116 orbit representatives of S_5
     F = TestFunction.from_expression(6, "(1-P1)**7")
     assert len(F.poly.terms) == 1716
-    assert len(_orbit_representatives(F.poly, None, F.swaps)) * 1716 == 75_504
     assert len(_orbit_representatives(F.poly, 0, F.swaps)) * 1716 == 199_056
     assert all(len(_orbit_representatives(F.poly, m, F.swaps)) == 116 for m in range(6))
 
@@ -165,7 +164,7 @@ def test_kernel_over_the_pair_budget_raises_before_its_pair_loop():
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceeded, match="pairs"):
-            inner_G(F, 1, "LM")
+            pair_pass(F, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -280,35 +279,27 @@ def test_column_sampler_equals_the_row_major_oracle_bit_for_bit(dim, size, parti
 
 @st.composite
 def sparse_polynomials(draw):
-    """(p, drop): a sparse p and None or a coordinate that p does not involve."""
     nvars = draw(st.integers(1, 6))
-    drop = draw(st.none() | st.integers(0, nvars - 1)) if nvars > 1 else None
-    exps = st.lists(st.integers(0, 4), min_size=nvars, max_size=nvars).map(
-        lambda e: tuple(0 if j == drop else x for j, x in enumerate(e)))
+    exps = st.tuples(*[st.integers(0, 4)] * nvars)
     terms = draw(st.dictionaries(exps, st.fractions(min_value=-50, max_value=50,
                                                     max_denominator=97), max_size=10))
-    return SymPoly(nvars, terms), drop
+    return SymPoly(nvars, terms)
 
 
-@given(case=sparse_polynomials(), rows=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1))
-@example(case=(SymPoly.zero(3), None), rows=5, seed=1)
-@example(case=(SymPoly.constant(2, Fraction(-7, 3)), None), rows=5, seed=2)
-@example(case=(SymPoly(3, {(1, 0, 0): Fraction(2), (0, 0, 1): Fraction(1, 3)}), None),
-         rows=5, seed=3)
-@example(case=(SymPoly(3, {(2, 0, 1): Fraction(5), (0, 0, 3): Fraction(-1)}), None),
+@given(p=sparse_polynomials(), rows=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1))
+@example(p=SymPoly.zero(3), rows=5, seed=1)
+@example(p=SymPoly.constant(2, Fraction(-7, 3)), rows=5, seed=2)
+@example(p=SymPoly(3, {(1, 0, 0): Fraction(2), (0, 0, 1): Fraction(1, 3)}), rows=5, seed=3)
+@example(p=SymPoly(3, {(2, 0, 1): Fraction(5), (0, 0, 3): Fraction(-1)}),
          rows=7, seed=4)   # u2 unused, still a column
-@example(case=(SymPoly(4, {(1, 2, 0, 1): Fraction(3), (0, 1, 0, 0): Fraction(1)}), 2),
-         rows=9, seed=5)   # u3 dropped, as J drops the integrated coordinate
+@example(p=integrate_out(SymPoly(4, {(1, 2, 0, 1): Fraction(3), (0, 1, 0, 0): Fraction(1)}), 2),
+         rows=9, seed=5)   # u3 integrated out, as for the Monte Carlo J
 @settings(max_examples=150, deadline=None)
-def test_term_evaluator_equals_the_per_term_oracle_bit_for_bit(case, rows, seed):
-    p, drop = case
-    dim = p.nvars - (drop is not None)
-    X = sample_solid_simplex(np.random.default_rng(seed), rows, dim)
+def test_term_evaluator_equals_the_per_term_oracle_bit_for_bit(p, rows, seed):
+    X = sample_solid_simplex(np.random.default_rng(seed), rows, p.nvars)
     exps, coeffs = compile_poly(p)
-    if drop is not None:
-        exps = np.delete(exps, drop, axis=1)
     expected = eval_poly_array(exps, coeffs, X)
-    evaluate = _term_evaluator(p, drop, rows + 3)
+    evaluate = _term_evaluator(p, rows + 3)
     cols = list(np.ascontiguousarray(X.T))
     assert _same_bits(evaluate(cols), expected)
     assert _same_bits(evaluate(cols), expected)   # its buffers are reused cleanly
@@ -366,7 +357,7 @@ def test_the_split_fill_equals_the_inline_fill_bit_for_bit(dim, chunks, offset, 
     for cpus in (1, 2):
         with pytest.MonkeyPatch.context() as mp:
             forks = _on_cpus(mp, cpus)
-            sq = simplex._squares(F.poly, None, dim, samples, np.random.default_rng(seed))
+            sq = simplex._squares(F.poly, samples, np.random.default_rng(seed))
             est_i = mc_simplex_integral(F, "I", samples, seed)
             est_j = mc_simplex_integral(G, "J", samples, seed, m=1)
         assert len(forks) == (3 if cpus == 2 and samples > _MC_CHUNK else 0)
