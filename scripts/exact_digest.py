@@ -6,8 +6,10 @@ the four addends, so two trees that print the same lines compute the same
 exact values.  The cases: the three bundled targets in both variants, the
 benchmark's seeded asymmetric test functions at seeds 1 and 2, a test
 function symmetric in u1 and u2 only, a box-truncated one, one at delta > 0
-(so c = theta/2 - delta has a denominator of its own) and the symmetric
-basis sum 1 + P1 + P1^2 + P2 at k = 20.
+(so c = theta/2 - delta has a denominator of its own), the symmetric basis
+sum 1 + P1 + P1^2 + P2 at k = 20, and a k = 3 expression that exercises the
+parser's grammar: unary minus, division by a negative rational, powers of
+sums, and u and P names.
 
     PYTHONPATH=src python3 scripts/exact_digest.py
 """
@@ -25,6 +27,7 @@ from workloads import CUSTOM, CUSTOM_RHO, custom_expression  # noqa: E402
 
 SYM12 = "1 - P1 + u1*u2 + 3*u3**2 - u4/7 + (u1+u2)**2*u3"
 DELTA = "(1 - P1)**2 + u1*u2/3 - 2*u3**3 + u2*u3"
+GRAMMAR = "-(1 - P1)**2 + (u1*u2 - 3*P2)/(-7/3) - -(u1 + 2*u3)**3/5 + (2 - u2)*P1**2/(-4)"
 
 
 def cases():
@@ -44,6 +47,8 @@ def cases():
     yield "boxed", boxed, SieveParams(k=3, rho=2, theta=Fraction(1, 2), eta=Fraction(1, 100)), "Sprime"
     delta = SieveParams(k=3, rho=2, theta=Fraction(1), delta=Fraction(1, 20), eta=Fraction(1, 100))
     yield "delta", TestFunction(k=3, poly=parse_poly(DELTA, 3)), delta, "Sprime"
+    grammar = SieveParams(k=3, rho=2, theta=Fraction(1, 2), eta=Fraction(1, 100))
+    yield "grammar", TestFunction(k=3, poly=parse_poly(GRAMMAR, 3)), grammar, "S"
     basis = TestFunction(k=20, poly=parse_poly("1 + P1 + P1**2 + P2", 20))
     yield "basis20", basis, SieveParams(k=20, rho=3, theta=Fraction(1), eta=Fraction(1, 100)), "S"
 

@@ -1,19 +1,20 @@
 """Exact symbolic building blocks: rationals, sparse polynomials, log-linear values.
 
-Everything downstream (simplex integrals, inner and outer functionals, sieve
-weights) is built on three value types that are closed under the operations
-we need:
+Everything downstream (simplex integrals, functionals, sieve weights) rests on
+three value types, closed under the operations it needs:
 
 * ``Fraction``    -- arbitrary-precision rationals, used as they are.
 * ``SymPoly``     -- multivariate polynomials with Fraction coefficients,
-  stored sparsely as {exponent tuple: coefficient}.
-* ``LogLinear``   -- exact values of the shape  r0 + sum_i r_i * ln(q_i)
-  with r_i, q_i rational and q_i > 0.  Closed under addition and rational
-  scaling, which is all the closed-form outer integrals produce.
+  stored sparsely as {exponent tuple: coefficient}; products, powers and
+  ``parse_poly`` work on int numerators over one denominator.
+* ``LogLinear``   -- exact values r0 + sum_i r_i * ln(q_i), r_i and q_i > 0
+  rational: closed under addition and rational scaling, which is all the
+  closed-form outer integrals produce.
 
-The only floating point in this module is stdlib ``decimal``, whose ln is
-correctly rounded: ``loglinear_eval`` renders a LogLinear to a correctly rounded
-string, and ``LogLinear.sign`` adds digits until the value clears a rounding bound.
+The only floating point here is stdlib ``decimal``, whose ln is correctly
+rounded: ``loglinear_eval`` renders a LogLinear to a correctly rounded string
+(one ln per distinct argument), and ``LogLinear.sign`` adds digits until the
+value clears a rounding bound.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from operator import add
 from typing import Iterable, Mapping, Sequence
 
 RationalLike = Fraction | int
+# A polynomial as {exponents: nonzero int numerator} over one positive denominator.
+_IntPoly = tuple[dict[tuple[int, ...], int], int]
 
 
 class BudgetExceeded(RuntimeError):
@@ -96,6 +99,11 @@ class SymPoly:
         res.nvars = nvars
         res.terms = terms
         return res
+
+    @classmethod
+    def _from_ints(cls, nvars: int, poly: _IntPoly) -> "SymPoly":
+        """One Fraction per term of int numerators over a denominator."""
+        return cls._wrap(nvars, {e: Fraction(n, poly[1]) for e, n in poly[0].items()})
 
     @classmethod
     def constant(cls, nvars: int, value: RationalLike) -> "SymPoly":
@@ -180,31 +188,15 @@ class SymPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        items1, den1 = _int_numerators(self.terms)
-        items2, den2 = _int_numerators(other.terms)
-        acc: dict[tuple[int, ...], int] = {}
-        get = acc.get
-        for e1, n1 in items1:
-            for e2, n2 in items2:
-                e = tuple(map(add, e1, e2))
-                acc[e] = get(e, 0) + n1 * n2
-        den = den1 * den2
-        return SymPoly._wrap(self.nvars, {e: Fraction(n, den) for e, n in acc.items() if n})
+        return SymPoly._from_ints(self.nvars, _int_product(_int_numerators(self.terms),
+                                                           _int_numerators(other.terms)))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "SymPoly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = SymPoly.constant(self.nvars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return SymPoly._from_ints(self.nvars, _int_power(_int_numerators(self.terms), n, self.nvars))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -229,7 +221,7 @@ class SymPoly:
         items, cden = _int_numerators(self.terms)
         top = max(map(sum, self.terms), default=0)
         total = 0
-        for exps, num in items:
+        for exps, num in items.items():
             term = num * den ** (top - sum(exps))
             for x, e in zip(xs, exps):
                 if e:
@@ -266,10 +258,33 @@ class SymPoly:
         return f"SymPoly({self.nvars}, {self.to_text()!r})"
 
 
-def _int_numerators(terms: Mapping[tuple[int, ...], Fraction]) -> tuple[list, int]:
-    """(exponents, integer numerator) pairs over the common denominator, and that denominator."""
+def _int_numerators(terms: Mapping[tuple[int, ...], Fraction]) -> _IntPoly:
+    """{exponents: integer numerator} over the common denominator, and that denominator."""
     den = lcm(*(c.denominator for c in terms.values()))
-    return [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()], den
+    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
+
+
+def _int_product(p: _IntPoly, q: _IntPoly) -> _IntPoly:
+    """p * q: int numerators pair by pair, over the product of the denominators."""
+    acc: dict[tuple[int, ...], int] = {}
+    get = acc.get
+    for e1, n1 in p[0].items():
+        for e2, n2 in q[0].items():
+            e = tuple(map(add, e1, e2))
+            acc[e] = get(e, 0) + n1 * n2
+    return {e: n for e, n in acc.items() if n}, p[1] * q[1]
+
+
+def _int_power(p: _IntPoly, n: int, nvars: int) -> _IntPoly:
+    """p ** n by binary powering."""
+    result: _IntPoly = ({(0,) * nvars: 1}, 1)
+    while n:
+        if n & 1:
+            result = _int_product(result, p)
+        n >>= 1
+        if n:
+            p = _int_product(p, p)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +304,9 @@ def _monomials(k: int, lo: int, hi: int) -> int:
     return comb(k + hi, k) - (comb(k + lo - 1, k) if lo else 0)
 
 
-def _degrees(p: SymPoly, n: int = 1) -> tuple[int, int]:
-    """The least and the greatest total degree of p ** n."""
-    return n * min(map(sum, p.terms), default=0), n * max(map(sum, p.terms), default=0)
+def _degrees(terms: Iterable[tuple[int, ...]], n: int = 1) -> tuple[int, int]:
+    """The least and the greatest total degree of p ** n, for p with these terms."""
+    return n * min(map(sum, terms), default=0), n * max(map(sum, terms), default=0)
 
 
 def _check_budget(terms: int, pairs: int) -> None:
@@ -300,100 +315,90 @@ def _check_budget(terms: int, pairs: int) -> None:
                              f"pairs (budget {_MAX_PARSE_TERMS} terms, {_MAX_PARSE_PAIRS} pairs)")
 
 
-def _checked_product(p: SymPoly, q: SymPoly) -> SymPoly:
-    pairs = len(p.terms) * len(q.terms)
-    if pairs > _MAX_PARSE_TERMS:   # fewer pairs fit both budgets
-        _check_budget(min(pairs, _monomials(p.nvars, *map(add, _degrees(p), _degrees(q)))), pairs)
-    return p * q
-
-
-def _checked_power(base: SymPoly, n: int) -> SymPoly:
-    """base ** n, after pre-counting the terms of the result and the pairs of its last squaring."""
-    def terms(j: int) -> int:
-        return min(len(base.terms) ** j, _monomials(base.nvars, *_degrees(base, j)))
-
-    _check_budget(terms(n), terms(n // 2) ** 2)
-    return base ** n
-
-
-def _power_sum(k: int, j: int) -> SymPoly:
-    """P_j = u1^j + ... + uk^j in the k-variable ring."""
-    out: dict[tuple[int, ...], Fraction] = {}
-    for i in range(k):
-        exps = tuple(j if t == i else 0 for t in range(k))
-        out[exps] = Fraction(1)
-    return SymPoly(k, out)
-
-
 def parse_poly(expression: str, k: int) -> SymPoly:
     """Parse an arithmetic expression into a k-variable SymPoly.
 
-    Names u1..uk denote the variables; names P1, P2, ... denote the power
-    sums u1^j + ... + uk^j.  Integer literals, + - * / ** and parentheses are
-    supported; division requires a nonzero constant divisor (this is how
-    rational coefficients like 917/500 are written).  A product or power
-    that could create more than _MAX_PARSE_TERMS terms, or multiply more
-    than _MAX_PARSE_PAIRS term pairs, raises BudgetExceeded before expanding.
-    An expression nested beyond the interpreter's recursion limit raises
-    ValueError.
+    The grammar: ASCII text of int literals (not bools), + - * / ** and
+    parentheses, u1..uk for the variables and P1..P50 for the power sums
+    u1^j + ... + uk^j (indices without a leading zero).  A divisor must be a
+    nonzero constant (so 917/500 writes a rational) and an exponent an int
+    literal from 0 to 64.  All else, and nesting past the recursion limit,
+    raises ValueError.  Subexpressions are int numerators over one
+    denominator; the result gets one Fraction per term.  A product or power
+    that could create more than _MAX_PARSE_TERMS terms, or multiply more than
+    _MAX_PARSE_PAIRS term pairs, raises BudgetExceeded before expanding.
     """
 
-    def build(node) -> SymPoly:
+    def build(node) -> _IntPoly:   # a dict no other subexpression holds, so a sum may update it
         if isinstance(node, ast.Expression):
             return build(node.body)
         if isinstance(node, ast.Constant):
-            if isinstance(node.value, int):
-                return SymPoly.constant(k, node.value)
+            if type(node.value) is int:
+                return {(0,) * k: node.value} if node.value else {}, 1
             raise ValueError(f"only integer literals allowed, got {node.value!r}")
         if isinstance(node, ast.Name):
-            name = node.id
-            if name.startswith("u") and name[1:].isdigit():
-                idx = int(name[1:])
-                if not 1 <= idx <= k:
-                    raise ValueError(f"variable {name} out of range for k={k}")
-                return SymPoly.variable(k, idx - 1)
-            if name.startswith("P") and name[1:].isdigit():
-                j = int(name[1:])
+            kind, digits = node.id[:1], node.id[1:]
+            if kind in ("u", "P") and digits.isdigit() and digits == str(int(digits)):
+                j = int(digits)
+                if kind == "u":
+                    if not 1 <= j <= k:
+                        raise ValueError(f"variable {node.id} out of range for k={k}")
+                    return {tuple(int(t == j - 1) for t in range(k)): 1}, 1
                 if not 1 <= j <= _MAX_POWER_SUM_INDEX:
                     raise ValueError(f"power-sum index {j} out of range")
-                return _power_sum(k, j)
-            raise ValueError(f"unknown name {name!r} (use u1..u{k} or P1, P2, ...)")
+                return {tuple(j * (t == i) for t in range(k)): 1 for i in range(k)}, 1
+            raise ValueError(f"unknown name {node.id!r} (use u1..u{k} or P1, P2, ...)")
         if isinstance(node, ast.UnaryOp):
-            operand = build(node.operand)
+            terms, den = build(node.operand)
             if isinstance(node.op, ast.USub):
-                return -operand
+                return {e: -n for e, n in terms.items()}, den
             if isinstance(node.op, ast.UAdd):
-                return operand
+                return terms, den
             raise ValueError("unsupported unary operator")
         if isinstance(node, ast.BinOp):
             if isinstance(node.op, ast.Pow):
                 base = build(node.left)
-                if not (isinstance(node.right, ast.Constant) and isinstance(node.right.value, int)):
+                if not (isinstance(node.right, ast.Constant) and type(node.right.value) is int):
                     raise ValueError("exponent must be an integer literal")
-                exp = node.right.value
-                if not 0 <= exp <= _MAX_PARSE_EXPONENT:
-                    raise ValueError(f"exponent {exp} out of range")
-                return _checked_power(base, exp)
-            left = build(node.left)
-            right = build(node.right)
-            if isinstance(node.op, ast.Add):
-                return left + right
-            if isinstance(node.op, ast.Sub):
-                return left - right
+                n = node.right.value
+                if not 0 <= n <= _MAX_PARSE_EXPONENT:
+                    raise ValueError(f"exponent {n} out of range")
+                # pre-count the terms of the result and the pairs of its last squaring
+                terms, half = (min(len(base[0]) ** j, _monomials(k, *_degrees(base[0], j)))
+                               for j in (n, n // 2))
+                _check_budget(terms, half ** 2)
+                return _int_power(base, n, k)
+            (left, lden), (right, rden) = build(node.left), build(node.right)
+            if isinstance(node.op, (ast.Add, ast.Sub)):
+                den = lcm(lden, rden)
+                left = left if den == lden else {e: n * (den // lden) for e, n in left.items()}
+                scale = den // rden if isinstance(node.op, ast.Add) else -(den // rden)
+                for e, n in right.items():
+                    if s := left.get(e, 0) + n * scale:
+                        left[e] = s
+                    else:
+                        del left[e]
+                return left, den
             if isinstance(node.op, ast.Mult):
-                return _checked_product(left, right)
+                pairs = len(left) * len(right)
+                if pairs > _MAX_PARSE_TERMS:   # fewer pairs fit both budgets
+                    _check_budget(min(pairs, _monomials(k, *map(add, _degrees(left), _degrees(right)))),
+                                  pairs)
+                return _int_product((left, lden), (right, rden))
             if isinstance(node.op, ast.Div):
-                if not right.is_constant():
+                if any(map(any, right)):   # a term of positive degree
                     raise ValueError("division only by nonzero constants")
-                val = right.constant_value()
-                if val == 0:
+                if not right:
                     raise ValueError("division by zero")
-                return left * Fraction(val.denominator, val.numerator)
+                num = right[(0,) * k]   # left / (num / rden)
+                return {e: n * (rden if num > 0 else -rden) for e, n in left.items()}, lden * abs(num)
             raise ValueError(f"unsupported operator {type(node.op).__name__}")
         raise ValueError(f"unsupported syntax element {type(node).__name__}")
 
+    if not expression.isascii():
+        raise ValueError("cannot parse expression: only ASCII text is allowed")
     try:
-        return build(ast.parse(expression, mode="eval"))
+        return SymPoly._from_ints(k, build(ast.parse(expression, mode="eval")))
     except SyntaxError as exc:
         raise ValueError(f"cannot parse expression: {exc}") from None
     except RecursionError:
@@ -445,10 +450,15 @@ class LogLinear:
             if q == 1 or r == 0:
                 continue
             merged[q] = merged.get(q, Fraction(0)) + r
-        self.terms = tuple(sorted(
-            ((q, r) for q, r in merged.items() if r != 0),
-            key=lambda t: (t[0].numerator, t[0].denominator),
-        ))
+        self.terms = _ordered({q: r for q, r in merged.items() if r != 0})
+
+    @classmethod
+    def _adopt(cls, const: Fraction, terms: dict[Fraction, Fraction]) -> "LogLinear":
+        """A value from clean parts: Fractions, each arg > 0 and != 1, each coefficient nonzero."""
+        res = cls.__new__(cls)
+        res.const = const
+        res.terms = _ordered(terms)
+        return res
 
     @classmethod
     def zero(cls) -> "LogLinear":
@@ -460,23 +470,33 @@ class LogLinear:
 
     # -- arithmetic (addition and rational scaling only) ----------------------
 
+    def _plus(self, const: Fraction, terms: Iterable[tuple[Fraction, Fraction]]) -> "LogLinear":
+        """const, and self's terms with clean (arg, coefficient) pairs added in."""
+        merged = dict(self.terms)
+        for q, r in terms:
+            if s := merged.get(q, 0) + r:
+                merged[q] = s
+            else:
+                del merged[q]
+        return LogLinear._adopt(const, merged)
+
     def __add__(self, other) -> "LogLinear":
         if isinstance(other, (int, Fraction)):
-            return LogLinear(self.const + other, self.terms)
+            return LogLinear._adopt(self.const + other, dict(self.terms))
         if isinstance(other, LogLinear):
-            return LogLinear(self.const + other.const, self.terms + other.terms)
+            return self._plus(self.const + other.const, other.terms)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self) -> "LogLinear":
-        return LogLinear(-self.const, [(q, -r) for q, r in self.terms])
+        return LogLinear._adopt(-self.const, {q: -r for q, r in self.terms})
 
     def __sub__(self, other) -> "LogLinear":
         if isinstance(other, (int, Fraction)):
-            return LogLinear(self.const - other, self.terms)
+            return LogLinear._adopt(self.const - other, dict(self.terms))
         if isinstance(other, LogLinear):
-            return self + (-other)
+            return self._plus(self.const - other.const, ((q, -r) for q, r in other.terms))
         return NotImplemented
 
     def __rsub__(self, other) -> "LogLinear":
@@ -485,8 +505,7 @@ class LogLinear:
     def __mul__(self, scalar) -> "LogLinear":
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        s = as_rational(scalar)
-        return LogLinear(self.const * s, [(q, r * s) for q, r in self.terms])
+        return LogLinear._adopt(self.const * scalar, {q: r * scalar for q, r in self.terms} if scalar else {})
 
     __rmul__ = __mul__
 
@@ -550,17 +569,7 @@ class LogLinear:
 
     def evaluate_decimal(self, digits: int, guard: int = 15) -> decimal.Decimal:
         """Correctly rounded Decimal with `digits` significant digits."""
-        if digits < 1:
-            raise ValueError("digits must be >= 1")
-        with decimal.localcontext() as ctx:
-            ctx.prec = digits + guard
-            total = _to_decimal(self.const)
-            for q, r in self.terms:
-                total += _to_decimal(r) * _to_decimal(q).ln()
-        with decimal.localcontext() as ctx:
-            ctx.prec = digits
-            ctx.rounding = decimal.ROUND_HALF_EVEN
-            return +total
+        return _evaluate([self], digits, guard)[0]
 
     def to_float(self) -> float:
         return float(self.evaluate_decimal(25))
@@ -577,6 +586,37 @@ class LogLinear:
         return f"LogLinear({self.to_text()!r})"
 
 
+def _ordered(terms: dict[Fraction, Fraction]) -> tuple[tuple[Fraction, Fraction], ...]:
+    """LogLinear.terms: the (arg, coefficient) pairs by the arg's (numerator, denominator)."""
+    return tuple(sorted(terms.items(), key=lambda t: (t[0].numerator, t[0].denominator)))
+
+
+def _evaluate(values: Sequence[LogLinear], digits: int, guard: int = 15) -> list[decimal.Decimal]:
+    """Each value correctly rounded to `digits` digits, from one ln per distinct arg in this call."""
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
+    logs: dict[Fraction, decimal.Decimal] = {}
+    totals = []
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits + guard
+        for value in values:
+            total = _to_decimal(value.const)
+            for q, r in value.terms:
+                if (ln := logs.get(q)) is None:
+                    ln = logs[q] = _to_decimal(q).ln()
+                total += _to_decimal(r) * ln
+            totals.append(total)
+        ctx.prec, ctx.rounding = digits, decimal.ROUND_HALF_EVEN
+        return [+total for total in totals]
+
+
+def _render(values: Sequence[LogLinear], digits: int) -> list[str]:
+    """loglinear_eval of each value, over one ln table."""
+    if digits < 15:
+        raise ValueError("digits must be >= 15")
+    return [str(dec) if dec else "0" for dec in _evaluate(values, digits)]
+
+
 def loglinear_eval(value: LogLinear, digits: int) -> str:
     """Render a LogLinear as a decimal string with `digits` significant digits.
 
@@ -584,12 +624,7 @@ def loglinear_eval(value: LogLinear, digits: int) -> str:
     digits+15 working precision, so the printed string is accurate to well
     under one unit in the last place (final rounding: round-half-even).
     """
-    if digits < 15:
-        raise ValueError("digits must be >= 15")
-    dec = value.evaluate_decimal(digits)
-    if dec == 0:
-        return "0"
-    return str(dec)
+    return _render([value], digits)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 
-from .algebra import _SIGN_DIGITS, LogLinear, TestFunction, loglinear_eval, parse_poly
+from .algebra import _SIGN_DIGITS, TestFunction, _evaluate, _render, parse_poly
 from .catalog import TARGETS, get_target
 from .functionals import (
     BudgetExceeded,
@@ -117,13 +117,14 @@ def cmd_verify(args: argparse.Namespace) -> Result:
     def ref(name: str) -> str:
         return "-" if overridden else target.reference[name]
 
+    L, M, log_term, coefficient = _render([lc.L_values[0], lc.M_values[0], log_const, lc.value], args.digits)
     rows = [
         ("I", _fraction_decimal(lc.I_value, args.digits), ref("I")),
         ("J", _fraction_decimal(lc.J_values[0], args.digits), ref("J")),
-        ("L", loglinear_eval(lc.L_values[0], args.digits), ref("L")),
-        ("M", loglinear_eval(lc.M_values[0], args.digits), ref("M")),
-        ("log_term", loglinear_eval(log_const, args.digits), "-"),
-        ("coefficient", loglinear_eval(lc.value, args.digits), ref("coefficient")),
+        ("L", L, ref("L")),
+        ("M", M, ref("M")),
+        ("log_term", log_term, "-"),
+        ("coefficient", coefficient, ref("coefficient")),
     ]
     sign = lc.value.sign()
     verdict = "positive" if sign > 0 else "not positive"
@@ -185,16 +186,18 @@ def _resolve_functional_inputs(args: argparse.Namespace) -> tuple[TestFunction, 
 def cmd_functional(args: argparse.Namespace) -> Result:
     F, params, variant = _resolve_functional_inputs(args)
     lc = leading_coefficient(F, params, variant)
+    k = params.k
 
     def frac_entry(fr: Fraction) -> dict:
         return {"exact": str(fr), "float": float(fr)}
 
-    def log_entry(v: LogLinear) -> dict:
-        return {"closed_form": v.to_text(), "float": v.to_float()}
+    # every closed form's float, as LogLinear.to_float gives it, over one ln table
+    logs = [*lc.L_values, *lc.M_values, lc.value, *lc.breakdown.values()]
+    entries = [{"closed_form": v.to_text(), "float": float(dec)} for v, dec in zip(logs, _evaluate(logs, 25))]
 
     payload = {
         "F": args.F,
-        "k": params.k,
+        "k": k,
         "rho": params.rho,
         "theta": str(params.theta),
         "delta": str(params.delta),
@@ -202,32 +205,28 @@ def cmd_functional(args: argparse.Namespace) -> Result:
         "variant": variant,
         "I": frac_entry(lc.I_value),
         "J": {f"m={m}": frac_entry(v) for m, v in enumerate(lc.J_values, 1)},
-        "L": {f"m={m}": log_entry(v) for m, v in enumerate(lc.L_values, 1)},
-        "M": {f"m={m}": log_entry(v) for m, v in enumerate(lc.M_values, 1)},
-        "leading_coefficient": {
-            "closed_form": lc.value.to_text(),
-            "float": lc.value.to_float(),
-            "addends": {name: log_entry(v) for name, v in lc.breakdown.items()},
-        },
+        "L": {f"m={m}": entry for m, entry in enumerate(entries[:k], 1)},
+        "M": {f"m={m}": entry for m, entry in enumerate(entries[k:2 * k], 1)},
+        "leading_coefficient": {**entries[2 * k], "addends": dict(zip(lc.breakdown, entries[2 * k + 1:]))},
     }
     rows: list[tuple] = [("quantity", "m", "exact_or_closed", "float")]
     rows.append(("I", "-", payload["I"]["exact"], payload["I"]["float"]))
-    for m in range(1, params.k + 1):
+    for m in range(1, k + 1):
         rows.append(("J", m, payload["J"][f"m={m}"]["exact"], payload["J"][f"m={m}"]["float"]))
     for name in ("L", "M"):
-        for m in range(1, params.k + 1):
+        for m in range(1, k + 1):
             entry = payload[name][f"m={m}"]
             rows.append((name, m, f"\"{entry['closed_form']}\"", entry["float"]))
     rows.append(("coefficient", "-", f"\"{payload['leading_coefficient']['closed_form']}\"",
                  payload["leading_coefficient"]["float"]))
-    lines = [f"k={params.k} rho={params.rho} theta={params.theta} "
+    lines = [f"k={k} rho={params.rho} theta={params.theta} "
              f"delta={params.delta} eta={params.eta} variant={variant}",
              f"I = {payload['I']['exact']} = {payload['I']['float']!r}"]
-    for m in range(1, params.k + 1):
+    for m in range(1, k + 1):
         e = payload["J"][f"m={m}"]
         lines.append(f"J(m={m}) = {e['exact']} = {e['float']!r}")
     for name in ("L", "M"):
-        for m in range(1, params.k + 1):
+        for m in range(1, k + 1):
             e = payload[name][f"m={m}"]
             lines.append(f"{name}(m={m}) = {e['float']!r}  [{e['closed_form']}]")
     lc_entry = payload["leading_coefficient"]

@@ -164,7 +164,7 @@ def _weight_poly(G: SymPoly, power: int, c: Fraction) -> tuple[list[int], int]:
     items, den = _int_numerators(G.terms)
     T = max(G.total_degree(), 0)
     num = [0] * (T + 1)
-    for (i,), n in items:
+    for (i,), n in items.items():
         num[i] = n * a ** (power + T - i) * b ** i
     return num, den * a ** T * b ** power
 
@@ -381,8 +381,7 @@ def leading_coefficient(F: TestFunction, params: SieveParams, variant: str = "Sp
     I_vals, J_vals, L_vals, M_vals = zip(*(values[r] for r in F.swaps))
     I_val = I_vals[0]
 
-    sum_L, sum_M = (LogLinear(sum(v.const for v in vals), [t for v in vals for t in v.terms])
-                    for vals in (L_vals, M_vals))
+    sum_L, sum_M = (sum(vals, LogLinear.zero()) for vals in (L_vals, M_vals))
     sum_J = sum(J_vals, Fraction(0))
 
     c_eta = lemma41_constant(params.eta)

@@ -142,8 +142,7 @@ class SieveContext:
                 self._factors[v] = primes
         self._y_table = {t: self._y_value(t) for t in self._enumerate_supported()}
         # lambda_d = _lambda_numerators[d] / _lambda_den, over one common denominator
-        items, self._lambda_den = _int_numerators(self._build_lambda())
-        self._lambda_numerators: dict[tuple[int, ...], int] = dict(items)
+        self._lambda_numerators, self._lambda_den = _int_numerators(self._build_lambda())
 
     # -- context structure ----------------------------------------------------
 

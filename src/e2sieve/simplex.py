@@ -41,6 +41,7 @@ the parent's ru_maxrss.
 
 from __future__ import annotations
 
+import gc
 import mmap
 import os
 import traceback
@@ -133,7 +134,7 @@ def _pair_sums(poly: SymPoly, m: int,
                              f"exceeds the {_MAX_PAIRS} pairs of the simplex kernel")
     items, den = _int_numerators(poly.terms)
     groups: dict[tuple[int, int], list] = {}
-    for exps, n in items:
+    for exps, n in items.items():
         rest = exps[:m] + exps[m + 1:]
         groups.setdefault((exps[m], sum(rest)), []).append((rest, n))
     fact = [_factorial(i) for i in range(2 * poly.total_degree() + 1)].__getitem__
@@ -350,7 +351,13 @@ def _squares(p: SymPoly, samples: int, rng: np.random.Generator) -> np.ndarray:
     if cut == samples:
         fill(0, samples)
         return sq
-    pid = os.fork()
+    gc.freeze()   # the child's collections skip the parent's objects and copy none of their pages
+    pid = -1
+    try:
+        pid = os.fork()
+    finally:
+        if pid:   # the parent, or a failed fork
+            gc.unfreeze()
     if pid == 0:
         code = 1
         try:

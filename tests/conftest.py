@@ -1,10 +1,12 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+import ast
 import math
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from operator import add
 from pathlib import Path
 
 import mpmath
@@ -12,7 +14,8 @@ import numpy as np
 import pytest
 
 from e2sieve import TARGETS, leading_coefficient
-from e2sieve.algebra import LogLinear, SymPoly, TestFunction
+from e2sieve.algebra import (_MAX_PARSE_EXPONENT, _MAX_PARSE_TERMS, _MAX_POWER_SUM_INDEX, LogLinear, SymPoly,
+                             TestFunction, _check_budget, _monomials)
 from e2sieve.numth import _prime_factors, beta_mask, factor_table, is_squarefree, primes_in_range
 from e2sieve.sieveweights import SieveContext, SSums, _divisors_below
 
@@ -93,6 +96,97 @@ def expanding_G(F: TestFunction, m: int, kind: str) -> SymPoly:
         total = total + (c * monomial_simplex_integral(u_part) * SymPoly.variable(1, 0) ** exps[k]
                          * one_minus_a ** sum(u_part))
     return total * one_minus_a ** (k - 1)
+
+
+# ---------------------------------------------------------------------------
+# The SymPoly-building parser: every subexpression a SymPoly of Fractions
+# ---------------------------------------------------------------------------
+
+
+def _sympoly_degrees(p: SymPoly, n: int = 1) -> tuple[int, int]:
+    """The least and the greatest total degree of p ** n."""
+    return n * min(map(sum, p.terms), default=0), n * max(map(sum, p.terms), default=0)
+
+
+def _checked_product(p: SymPoly, q: SymPoly) -> SymPoly:
+    pairs = len(p.terms) * len(q.terms)
+    if pairs > _MAX_PARSE_TERMS:   # fewer pairs fit both budgets
+        _check_budget(min(pairs, _monomials(p.nvars, *map(add, _sympoly_degrees(p), _sympoly_degrees(q)))),
+                      pairs)
+    return p * q
+
+
+def _checked_power(base: SymPoly, n: int) -> SymPoly:
+    """base ** n, after pre-counting the terms of the result and the pairs of its last squaring."""
+    def terms(j: int) -> int:
+        return min(len(base.terms) ** j, _monomials(base.nvars, *_sympoly_degrees(base, j)))
+
+    _check_budget(terms(n), terms(n // 2) ** 2)
+    return base ** n
+
+
+def sympoly_parse(expression: str, k: int) -> SymPoly:
+    """parse_poly as it was before it moved onto int numerators over one denominator.
+
+    Only its values and budget errors serve as an oracle: it still reads
+    bools as ints and u01 as u1, which parse_poly now rejects.
+    """
+
+    def build(node) -> SymPoly:
+        if isinstance(node, ast.Expression):
+            return build(node.body)
+        if isinstance(node, ast.Constant):
+            if isinstance(node.value, int):
+                return SymPoly.constant(k, node.value)
+            raise ValueError(f"only integer literals allowed, got {node.value!r}")
+        if isinstance(node, ast.Name):
+            name = node.id
+            if name.startswith("u") and name[1:].isdigit():
+                idx = int(name[1:])
+                if not 1 <= idx <= k:
+                    raise ValueError(f"variable {name} out of range for k={k}")
+                return SymPoly.variable(k, idx - 1)
+            if name.startswith("P") and name[1:].isdigit():
+                j = int(name[1:])
+                if not 1 <= j <= _MAX_POWER_SUM_INDEX:
+                    raise ValueError(f"power-sum index {j} out of range")
+                return sum((SymPoly.variable(k, i) ** j for i in range(k)), SymPoly.zero(k))
+            raise ValueError(f"unknown name {name!r} (use u1..u{k} or P1, P2, ...)")
+        if isinstance(node, ast.UnaryOp):
+            operand = build(node.operand)
+            if isinstance(node.op, ast.USub):
+                return -operand
+            if isinstance(node.op, ast.UAdd):
+                return operand
+            raise ValueError("unsupported unary operator")
+        if isinstance(node, ast.BinOp):
+            if isinstance(node.op, ast.Pow):
+                base = build(node.left)
+                if not (isinstance(node.right, ast.Constant) and isinstance(node.right.value, int)):
+                    raise ValueError("exponent must be an integer literal")
+                exp = node.right.value
+                if not 0 <= exp <= _MAX_PARSE_EXPONENT:
+                    raise ValueError(f"exponent {exp} out of range")
+                return _checked_power(base, exp)
+            left = build(node.left)
+            right = build(node.right)
+            if isinstance(node.op, ast.Add):
+                return left + right
+            if isinstance(node.op, ast.Sub):
+                return left - right
+            if isinstance(node.op, ast.Mult):
+                return _checked_product(left, right)
+            if isinstance(node.op, ast.Div):
+                if not right.is_constant():
+                    raise ValueError("division only by nonzero constants")
+                val = right.constant_value()
+                if val == 0:
+                    raise ValueError("division by zero")
+                return left * Fraction(val.denominator, val.numerator)
+            raise ValueError(f"unsupported operator {type(node.op).__name__}")
+        raise ValueError(f"unsupported syntax element {type(node).__name__}")
+
+    return build(ast.parse(expression, mode="eval"))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -20,8 +20,9 @@ from conftest import (
     permuted,
     run_with_src,
     substitute,
+    sympoly_parse,
 )
-from e2sieve import algebra
+from e2sieve import TARGETS, SieveParams, algebra, leading_coefficient, lemma41_constant
 from e2sieve.algebra import (
     BudgetExceeded,
     LogLinear,
@@ -31,6 +32,7 @@ from e2sieve.algebra import (
     loglinear_eval,
     parse_poly,
 )
+from e2sieve.cli import main
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -227,6 +229,13 @@ def test_parse_poly_basics():
     "P0",            # power-sum index starts at 1
     "u1 + (",        # syntax error
     "__import__('os')",
+    "u1*True",       # bools are not integer literals
+    "False + u2",
+    "u1**True",
+    "u01",           # no leading zero in an index
+    "P01",
+    "u\u0661",       # u and ARABIC-INDIC DIGIT ONE
+    "\uff551",       # FULLWIDTH u, which Python's parser would read as u1
 ])
 def test_parse_poly_rejects(bad):
     with pytest.raises(ValueError):
@@ -247,6 +256,58 @@ def test_parse_poly_over_the_budget_raises_before_expanding(expression, k):
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20, peak
+
+
+@pytest.mark.parametrize("expression, k", [
+    ("P1**30", 6),
+    ("(1+u1+u2+u3)**47", 3),
+    ("(1+P1)**4 * (1+P3)**4", 6),
+    ("((1 + P1 + P2)**4)**4", 4),
+    ("(1 + P1)**5 * (1 - P2)**5", 6),
+])
+def test_parse_poly_budget_messages_match_the_sympoly_parser(expression, k):
+    with pytest.raises(BudgetExceeded) as new:
+        parse_poly(expression, k)
+    with pytest.raises(BudgetExceeded) as old:
+        sympoly_parse(expression, k)
+    assert str(new.value) == str(old.value)
+
+
+def _outcome(parse, expression: str, k: int):
+    try:
+        return parse(expression, k).terms
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+@st.composite
+def expressions(draw, k: int):
+    """A fully parenthesised expression tree over u_i, P_j and int literals."""
+    leaf = st.one_of(st.integers(0, 12).map(str),
+                     st.integers(1, k).map(lambda i: f"u{i}"),
+                     st.integers(1, 4).map(lambda j: f"P{j}"))
+    divisor = st.builds(Fraction, st.integers(-12, 12).filter(bool), st.integers(1, 9))
+
+    def extend(sub):
+        return st.one_of(
+            st.tuples(sub, st.sampled_from("+-*"), sub).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+            st.tuples(sub, divisor).map(lambda t: f"({t[0]}) / ({t[1]})"),
+            st.tuples(sub, st.integers(0, 4)).map(lambda t: f"({t[0]})**{t[1]}"),
+            sub.map(lambda e: f"-({e})"))
+
+    return draw(st.recursive(leaf, extend, max_leaves=8))
+
+
+@given(st.integers(1, 4).flatmap(lambda k: st.tuples(st.just(k), expressions(k))))
+@example(case=(4, "((1 + P1 + P2)**4)**4"))                 # over the budget
+@example(case=(3, "-(u1 - P2)**3 / (-7/3) - (2*P1) / (4)"))
+@settings(max_examples=200, deadline=None)
+def test_parse_poly_matches_the_sympoly_parser(case):
+    k, expression = case
+    got, want = _outcome(parse_poly, expression, k), _outcome(sympoly_parse, expression, k)
+    assert got == want
+    if isinstance(got, dict):
+        assert all(type(c) is Fraction for c in got.values())
 
 
 def test_parse_poly_within_the_budget_matches_plain_powers():
@@ -426,6 +487,96 @@ def test_loglinear_arithmetic():
     assert (Fraction(2) * a).const == Fraction(2, 3)
     with pytest.raises(TypeError):
         a * a  # no log-log products
+
+
+def _exact_parts(value: LogLinear) -> tuple:
+    assert all(type(x) is Fraction for x in (value.const, *(x for t in value.terms for x in t)))
+    return value.const, value.terms
+
+
+few_args = st.sampled_from([Fraction(2), Fraction(3), Fraction(1, 2), Fraction(6), Fraction(5, 3)])
+few_terms = st.lists(st.tuples(few_args, st.sampled_from([Fraction(0), Fraction(1), Fraction(-1),
+                                                          Fraction(1, 2), Fraction(-3, 2)])), max_size=5)
+
+
+@given(rationals, few_terms, rationals, few_terms, rationals, st.integers(-3, 3))
+@settings(max_examples=200, deadline=None)
+def test_loglinear_arithmetic_equals_the_validating_constructor(ca, ta, cb, tb, s, n):
+    a, b = LogLinear(ca, ta), LogLinear(cb, tb)
+    negated = [(q, -r) for q, r in b.terms]
+    cases = [
+        (a + b, LogLinear(a.const + b.const, a.terms + b.terms)),
+        (a - b, LogLinear(a.const - b.const, a.terms + tuple(negated))),
+        (-b, LogLinear(-b.const, negated)),
+        (s * a, LogLinear(a.const * s, [(q, r * s) for q, r in a.terms])),
+        (a * n, LogLinear(a.const * n, [(q, r * n) for q, r in a.terms])),
+        (a + n, LogLinear(a.const + n, a.terms)),
+        (n + a, LogLinear(a.const + n, a.terms)),
+        (a - s, LogLinear(a.const - s, a.terms)),
+        (n - a, LogLinear(n - a.const, [(q, -r) for q, r in a.terms])),
+    ]
+    for got, want in cases:
+        assert _exact_parts(got) == _exact_parts(want)
+
+
+def _counting_lns(monkeypatch: pytest.MonkeyPatch) -> list:
+    """Record (argument, working precision) for each ln that LogLinear evaluation takes."""
+    calls = []
+
+    class Counted(decimal.Decimal):
+        def ln(self, context=None):
+            calls.append((decimal.Decimal(self), decimal.getcontext().prec))
+            return super().ln(context)
+
+    to_decimal = algebra._to_decimal
+    monkeypatch.setattr(algebra, "_to_decimal", lambda x: Counted(to_decimal(x)))
+    return calls
+
+
+K4 = "1 - 2*u1 + u2/3 - u3**2/5 + u1*u4 + (u2 - u3)**2/7 - u4**3"
+
+
+@pytest.mark.parametrize("command", ["functional", "verify"])
+def test_each_command_takes_one_ln_per_argument(monkeypatch, capsys, command):
+    if command == "functional":
+        argv = ["functional", "--F", K4, "--k", "4", "--rho", "2", "--theta", "1/2", "--eta", "1/100"]
+        params = SieveParams(k=4, rho=2, theta=Fraction(1, 2), eta=Fraction(1, 100))
+        lc = leading_coefficient(TestFunction.from_expression(4, K4), params, "Sprime")
+        values, digits = [*lc.L_values, *lc.M_values, lc.value, *lc.breakdown.values()], 25
+    else:
+        argv = ["verify", "--theorem", "thm1.3", "--digits", "40"]
+        target = TARGETS["thm1.3"]
+        lc = leading_coefficient(target.test_function(), target.params(), target.variant)
+        values, digits = [lc.L_values[0], lc.M_values[0], lemma41_constant(target.params().eta), lc.value], 40
+    with decimal.localcontext(decimal.Context(prec=digits + 15)):
+        args = {(algebra._to_decimal(q), digits + 15) for v in values for q, _ in v.terms}
+    calls = _counting_lns(monkeypatch)
+    for runs in (1, 2):   # a second command computes its own
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(calls) == runs * len(args)
+        assert set(calls) == args
+
+
+def _old_evaluate(value: LogLinear, digits: int) -> str:
+    """loglinear_eval as it was: one ln per term, no table."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits + 15
+        total = algebra._to_decimal(value.const)
+        for q, r in value.terms:
+            total += algebra._to_decimal(r) * algebra._to_decimal(q).ln()
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        ctx.rounding = decimal.ROUND_HALF_EVEN
+        total = +total
+    return "0" if total == 0 else str(total)
+
+
+@pytest.mark.parametrize("digits", [15, 40, 960])
+def test_loglinear_eval_strings_are_unchanged(target_coefficients, digits):
+    for lc in target_coefficients.values():
+        for value in (lc.value, lc.L_values[0], lc.M_values[0], LogLinear.zero(), LogLinear(Fraction(1, 3))):
+            assert loglinear_eval(value, digits) == _old_evaluate(value, digits)
 
 
 def test_loglinear_eval_goldens():

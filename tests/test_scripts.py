@@ -17,7 +17,9 @@ def test_script_output_is_deterministic(argv):
 
 
 # printed by the expanding implementation, before the pair kernel replaced it; the
-# last two lines by the Fraction-valued outer form, before the integer sums replaced it
+# delta and basis20 lines by the Fraction-valued outer form, before the integer sums
+# replaced it; the grammar line by the SymPoly-building parser, before parse_poly
+# moved onto int numerators
 EXACT_DIGESTS = (
     "thm1.2:S 85854687ee030495207642fe6f4f01b232548fa020d55ff23736ec2cc79d200f\n"
     "thm1.2:Sprime 20636beb43758d7210730a648339dd03448f2ce375dec9b9172f8189cff5ccc4\n"
@@ -32,6 +34,7 @@ EXACT_DIGESTS = (
     "sym12 09f2bcb8709f392c6fcfdee4ce6584eccba1d807a4702a79db31c39fcd2db753\n"
     "boxed f3d972c0837434905851f28826668934e92d3f541e7ae51f436a2287354c57d1\n"
     "delta 6b9aa197c590fd1379a48184134d963b714d963e7149e56231a7cf28d8961224\n"
+    "grammar c9ef0321aecb981630212e6bb78e9e88384af3d431bd233e289f0a29169f6013\n"
     "basis20 10281e9f670d355874df86f24dcc45003b128cd7cf4c333f4661d4d557ebd264\n"
 )
 

@@ -1,5 +1,6 @@
 """Simplex integrals: exact Dirichlet formula, I/J functionals, MC oracle."""
 
+import gc
 import itertools
 import os
 import tracemalloc
@@ -404,6 +405,29 @@ def test_no_child_process_is_left_after_a_call(monkeypatch, capfd, failing):
     assert forks == [1]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+@pytest.mark.parametrize("failing", [None, "child", "fork"])
+def test_no_object_stays_frozen_after_a_call(monkeypatch, capfd, failing):
+    F = TARGETS["thm1.2"].test_function()
+    forks = _on_cpus(monkeypatch, 2)
+
+    def failing_fork():
+        forks.append(1)
+        raise OSError("fork fails")
+
+    if failing is None:
+        mc_simplex_integral(F, "I", 40_000, 1)
+    else:
+        if failing == "child":
+            _evaluator_failing_in(monkeypatch, "child")
+        else:
+            monkeypatch.setattr(os, "fork", failing_fork)
+        with pytest.raises((RuntimeError, OSError), match="child process failed|fork fails"):
+            mc_simplex_integral(F, "I", 40_000, 1)
+    assert forks == [1]
+    assert gc.get_freeze_count() == 0
 
 
 def test_mc_agrees_with_exact_within_4_sigma():
