@@ -4,9 +4,10 @@ Everything downstream (simplex integrals, functionals, sieve weights) rests on
 three value types, closed under the operations it needs:
 
 * ``Fraction``    -- arbitrary-precision rationals, used as they are.
-* ``SymPoly``     -- multivariate polynomials with Fraction coefficients,
-  stored sparsely as {exponent tuple: coefficient}; products, powers and
-  ``parse_poly`` work on int numerators over one denominator.
+* ``SymPoly``     -- multivariate polynomials over Q, stored sparsely as
+  {exponent tuple: nonzero int numerator} over one positive denominator
+  coprime to all the numerators, a unique form.  One int implementation
+  of each ring operation serves both SymPoly and ``parse_poly``.
 * ``LogLinear``   -- exact values r0 + sum_i r_i * ln(q_i), r_i and q_i > 0
   rational: closed under addition and rational scaling, which is all the
   closed-form outer integrals produce.
@@ -59,57 +60,49 @@ def as_rational(x) -> Fraction:
 
 
 class SymPoly:
-    """Multivariate polynomial with Fraction coefficients.
+    """Multivariate polynomial over Q, as int numerators over one denominator.
 
-    Terms are held as a dict mapping exponent tuples (one entry per variable)
-    to nonzero Fraction coefficients.  The zero polynomial has an empty dict.
-    Instances are immutable by convention: all operations return new objects.
+    `numerators` maps exponent tuples (one entry per variable) to nonzero int
+    numerators over the positive int `denominator`, with gcd(denominator,
+    every numerator) = 1.  That form is unique, so equal polynomials have
+    equal parts; the zero polynomial is ({}, 1).  `terms` is a read-only
+    view {exponents: Fraction coefficient} for display and tests, built anew
+    on each access.  Instances are immutable by convention: all operations
+    return new objects.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "numerators", "denominator")
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], RationalLike] | None = None):
         if nvars < 0:
             raise ValueError("nvars must be >= 0")
+        merged: dict[tuple[int, ...], Fraction] = {}
+        for exps, coeff in (terms or {}).items():
+            exps = tuple(exps)
+            if len(exps) != nvars:
+                raise ValueError(f"exponent tuple {exps} does not match nvars={nvars}")
+            if any(e < 0 for e in exps):
+                raise ValueError(f"negative exponent in {exps}")
+            merged[exps] = merged.get(exps, 0) + as_rational(coeff)
         self.nvars = nvars
-        clean: dict[tuple[int, ...], Fraction] = {}
-        if terms:
-            for exps, coeff in terms.items():
-                exps = tuple(exps)
-                if len(exps) != nvars:
-                    raise ValueError(f"exponent tuple {exps} does not match nvars={nvars}")
-                if any(e < 0 for e in exps):
-                    raise ValueError(f"negative exponent in {exps}")
-                c = as_rational(coeff)
-                if c != 0:
-                    acc = clean.get(exps)
-                    c = c if acc is None else acc + c
-                    if c == 0:
-                        clean.pop(exps, None)
-                    else:
-                        clean[exps] = c
-        self.terms = clean
+        # lowest-terms Fractions over the lcm of their denominators are in the reduced form
+        self.numerators, self.denominator = _int_numerators({e: c for e, c in merged.items() if c})
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def _wrap(cls, nvars: int, terms: dict[tuple[int, ...], Fraction]) -> "SymPoly":
-        """Adopt an already clean terms dict (nonzero Fractions) without copying."""
+    def _make(cls, nvars: int, poly: _IntPoly) -> "SymPoly":
+        """Int numerators over a positive denominator, zeros dropped and reduced by their gcd."""
+        nums, den = poly
+        g = gcd(den, *nums.values())
         res = cls.__new__(cls)
         res.nvars = nvars
-        res.terms = terms
+        res.numerators = {e: n // g for e, n in nums.items() if n}
+        res.denominator = den // g
         return res
 
     @classmethod
-    def _from_ints(cls, nvars: int, poly: _IntPoly) -> "SymPoly":
-        """One Fraction per term of int numerators over a denominator."""
-        return cls._wrap(nvars, {e: Fraction(n, poly[1]) for e, n in poly[0].items()})
-
-    @classmethod
     def constant(cls, nvars: int, value: RationalLike) -> "SymPoly":
-        value = as_rational(value)
-        if value == 0:
-            return cls(nvars)
         return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
@@ -121,26 +114,29 @@ class SymPoly:
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range for nvars={nvars}")
         exps = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(nvars, {exps: Fraction(1)})
+        return cls(nvars, {exps: 1})
 
     # -- basic queries -------------------------------------------------------
 
+    @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        """{exponents: nonzero Fraction coefficient}, a new dict on each access."""
+        return {e: Fraction(n, self.denominator) for e, n in self.numerators.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.numerators
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return all(sum(e) == 0 for e in self.numerators)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+        return Fraction(self.numerators.get((0,) * self.nvars, 0), self.denominator)
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.numerators), default=-1)
 
     # -- ring operations -----------------------------------------------------
 
@@ -153,60 +149,56 @@ class SymPoly:
             return SymPoly.constant(self.nvars, other)
         return None
 
+    def _sum(self, *parts: tuple[int, "SymPoly"]) -> "SymPoly":
+        return SymPoly._make(self.nvars, _int_sum([(w, (p.numerators, p.denominator)) for w, p in parts]))
+
     def __add__(self, other) -> "SymPoly":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = out.get(exps, Fraction(0)) + c
-            if s == 0:
-                out.pop(exps, None)
-            else:
-                out[exps] = s
-        return SymPoly._wrap(self.nvars, out)
+        return self._sum((1, self), (1, other))
 
     __radd__ = __add__
 
     def __neg__(self) -> "SymPoly":
-        return SymPoly._wrap(self.nvars, {e: -c for e, c in self.terms.items()})
+        return self._sum((-1, self))
 
     def __sub__(self, other) -> "SymPoly":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._sum((1, self), (-1, other))
 
     def __rsub__(self, other) -> "SymPoly":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return self._sum((1, other), (-1, self))
 
     def __mul__(self, other) -> "SymPoly":
-        """Product over a common denominator: int numerators, one Fraction per term."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return SymPoly._from_ints(self.nvars, _int_product(_int_numerators(self.terms),
-                                                           _int_numerators(other.terms)))
+        return SymPoly._make(self.nvars, _int_product((self.numerators, self.denominator),
+                                                      (other.numerators, other.denominator)))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "SymPoly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        return SymPoly._from_ints(self.nvars, _int_power(_int_numerators(self.terms), n, self.nvars))
+        return SymPoly._make(self.nvars, _int_power((self.numerators, self.denominator), n, self.nvars))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = SymPoly.constant(self.nvars, other)
         if not isinstance(other, SymPoly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return (self.nvars, self.denominator, self.numerators) == (other.nvars, other.denominator,
+                                                                   other.numerators)
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self.denominator, frozenset(self.numerators.items())))
 
     # -- evaluation ------------------------------------------------------------
 
@@ -214,44 +206,31 @@ class SymPoly:
         if len(point) != self.nvars:
             raise ValueError(f"point has {len(point)} coordinates, expected {self.nvars}")
         pt = [as_rational(x) for x in point]
-        # ints over the common denominators: x_i = xs[i] / den, c = num / cden,
+        # ints over the common denominators: x_i = xs[i] / den, c = num / self.denominator,
         # and every term padded to the top degree with powers of den
         den = lcm(*(x.denominator for x in pt))
         xs = [x.numerator * (den // x.denominator) for x in pt]
-        items, cden = _int_numerators(self.terms)
-        top = max(map(sum, self.terms), default=0)
+        top = max(self.total_degree(), 0)
         total = 0
-        for exps, num in items.items():
+        for exps, num in self.numerators.items():
             term = num * den ** (top - sum(exps))
             for x, e in zip(xs, exps):
                 if e:
                     term *= x ** e
             total += term
-        return Fraction(total, cden * den ** top)
+        return Fraction(total, self.denominator * den ** top)
 
     # -- canonical text form ---------------------------------------------------
 
-    def to_text(self, names: Sequence[str] | None = None) -> str:
+    def to_text(self) -> str:
         """Canonical serialization: graded-lex sorted 'coeff * u1^a1*u2^a2' terms."""
         if self.is_zero():
             return "0"
-        if names is None:
-            names = [f"u{i + 1}" for i in range(self.nvars)]
-        elif len(names) != self.nvars:
-            raise ValueError("names length must equal nvars")
+        terms = self.terms
         parts = []
-        for exps in sorted(self.terms, key=lambda e: (sum(e), e)):
-            c = self.terms[exps]
-            factors = []
-            for name, e in zip(names, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            if factors:
-                parts.append(f"{c} * " + "*".join(factors))
-            else:
-                parts.append(f"{c}")
+        for exps in sorted(terms, key=lambda e: (sum(e), e)):
+            factors = "*".join(f"u{i}" if e == 1 else f"u{i}^{e}" for i, e in enumerate(exps, 1) if e)
+            parts.append(f"{terms[exps]} * {factors}" if factors else f"{terms[exps]}")
         return " + ".join(parts)
 
     def __repr__(self):
@@ -262,6 +241,21 @@ def _int_numerators(terms: Mapping[tuple[int, ...], Fraction]) -> _IntPoly:
     """{exponents: integer numerator} over the common denominator, and that denominator."""
     den = lcm(*(c.denominator for c in terms.values()))
     return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
+
+
+# The ring operations on (int numerators, positive denominator) pairs, shared by
+# SymPoly and parse_poly.  Each result drops zero numerators but is not reduced.
+
+def _int_sum(parts: Sequence[tuple[int, _IntPoly]]) -> _IntPoly:
+    """sum of w * p over the (int weight w, p) parts, over the lcm of the denominators."""
+    den = lcm(*(p[1] for _, p in parts))
+    acc: dict[tuple[int, ...], int] = {}
+    get = acc.get
+    for w, (nums, d) in parts:
+        w *= den // d
+        for e, n in nums.items():
+            acc[e] = get(e, 0) + w * n
+    return {e: n for e, n in acc.items() if n}, den
 
 
 def _int_product(p: _IntPoly, q: _IntPoly) -> _IntPoly:
@@ -323,13 +317,14 @@ def parse_poly(expression: str, k: int) -> SymPoly:
     u1^j + ... + uk^j (indices without a leading zero).  A divisor must be a
     nonzero constant (so 917/500 writes a rational) and an exponent an int
     literal from 0 to 64.  All else, and nesting past the recursion limit,
-    raises ValueError.  Subexpressions are int numerators over one
-    denominator; the result gets one Fraction per term.  A product or power
-    that could create more than _MAX_PARSE_TERMS terms, or multiply more than
-    _MAX_PARSE_PAIRS term pairs, raises BudgetExceeded before expanding.
+    raises ValueError; a chain of + and - is one sum, however long.
+    Subexpressions are (int numerators, denominator) pairs, and the
+    SymPoly is built at the root.  A product or power that could create
+    more than _MAX_PARSE_TERMS terms, or multiply more than _MAX_PARSE_PAIRS
+    term pairs, raises BudgetExceeded before expanding.
     """
 
-    def build(node) -> _IntPoly:   # a dict no other subexpression holds, so a sum may update it
+    def build(node) -> _IntPoly:
         if isinstance(node, ast.Expression):
             return build(node.body)
         if isinstance(node, ast.Constant):
@@ -349,13 +344,21 @@ def parse_poly(expression: str, k: int) -> SymPoly:
                 return {tuple(j * (t == i) for t in range(k)): 1 for i in range(k)}, 1
             raise ValueError(f"unknown name {node.id!r} (use u1..u{k} or P1, P2, ...)")
         if isinstance(node, ast.UnaryOp):
-            terms, den = build(node.operand)
+            operand = build(node.operand)
             if isinstance(node.op, ast.USub):
-                return {e: -n for e, n in terms.items()}, den
+                return _int_sum([(-1, operand)])
             if isinstance(node.op, ast.UAdd):
-                return terms, den
+                return operand
             raise ValueError("unsupported unary operator")
         if isinstance(node, ast.BinOp):
+            if isinstance(node.op, (ast.Add, ast.Sub)):
+                # walk the left spine of the chain in a loop, then build the summands left to right
+                summands = []
+                while isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+                    summands.append((1 if isinstance(node.op, ast.Add) else -1, node.right))
+                    node = node.left
+                summands.append((1, node))
+                return _int_sum([(w, build(term)) for w, term in reversed(summands)])
             if isinstance(node.op, ast.Pow):
                 base = build(node.left)
                 if not (isinstance(node.right, ast.Constant) and type(node.right.value) is int):
@@ -369,16 +372,6 @@ def parse_poly(expression: str, k: int) -> SymPoly:
                 _check_budget(terms, half ** 2)
                 return _int_power(base, n, k)
             (left, lden), (right, rden) = build(node.left), build(node.right)
-            if isinstance(node.op, (ast.Add, ast.Sub)):
-                den = lcm(lden, rden)
-                left = left if den == lden else {e: n * (den // lden) for e, n in left.items()}
-                scale = den // rden if isinstance(node.op, ast.Add) else -(den // rden)
-                for e, n in right.items():
-                    if s := left.get(e, 0) + n * scale:
-                        left[e] = s
-                    else:
-                        del left[e]
-                return left, den
             if isinstance(node.op, ast.Mult):
                 pairs = len(left) * len(right)
                 if pairs > _MAX_PARSE_TERMS:   # fewer pairs fit both budgets
@@ -390,18 +383,18 @@ def parse_poly(expression: str, k: int) -> SymPoly:
                     raise ValueError("division only by nonzero constants")
                 if not right:
                     raise ValueError("division by zero")
-                num = right[(0,) * k]   # left / (num / rden)
-                return {e: n * (rden if num > 0 else -rden) for e, n in left.items()}, lden * abs(num)
+                num = right[(0,) * k]   # left * (rden / num)
+                return _int_product((left, lden), ({(0,) * k: rden if num > 0 else -rden}, abs(num)))
             raise ValueError(f"unsupported operator {type(node.op).__name__}")
         raise ValueError(f"unsupported syntax element {type(node).__name__}")
 
     if not expression.isascii():
         raise ValueError("cannot parse expression: only ASCII text is allowed")
     try:
-        return SymPoly._from_ints(k, build(ast.parse(expression, mode="eval")))
+        return SymPoly._make(k, build(ast.parse(expression, mode="eval")))
     except SyntaxError as exc:
         raise ValueError(f"cannot parse expression: {exc}") from None
-    except RecursionError:
+    except (RecursionError, MemoryError):   # CPython's parser raises MemoryError past its stack limit
         raise ValueError("expression is nested too deeply") from None
 
 
@@ -411,6 +404,7 @@ def parse_poly(expression: str, k: int) -> SymPoly:
 
 
 _SIGN_DIGITS = 960   # sign()'s limit; Decimal.ln: 13 ms at 960 digits, 180 at 1,920 (2-CPU Xeon)
+_GUARD_DIGITS = 15   # working digits _evaluate carries beyond the digits it rounds to
 
 
 def _to_decimal(x: Fraction) -> decimal.Decimal:
@@ -567,9 +561,9 @@ class LogLinear:
 
     # -- numeric evaluation -----------------------------------------------------
 
-    def evaluate_decimal(self, digits: int, guard: int = 15) -> decimal.Decimal:
+    def evaluate_decimal(self, digits: int) -> decimal.Decimal:
         """Correctly rounded Decimal with `digits` significant digits."""
-        return _evaluate([self], digits, guard)[0]
+        return _evaluate([self], digits)[0]
 
     def to_float(self) -> float:
         return float(self.evaluate_decimal(25))
@@ -591,14 +585,14 @@ def _ordered(terms: dict[Fraction, Fraction]) -> tuple[tuple[Fraction, Fraction]
     return tuple(sorted(terms.items(), key=lambda t: (t[0].numerator, t[0].denominator)))
 
 
-def _evaluate(values: Sequence[LogLinear], digits: int, guard: int = 15) -> list[decimal.Decimal]:
+def _evaluate(values: Sequence[LogLinear], digits: int) -> list[decimal.Decimal]:
     """Each value correctly rounded to `digits` digits, from one ln per distinct arg in this call."""
     if digits < 1:
         raise ValueError("digits must be >= 1")
     logs: dict[Fraction, decimal.Decimal] = {}
     totals = []
     with decimal.localcontext() as ctx:
-        ctx.prec = digits + guard
+        ctx.prec = digits + _GUARD_DIGITS
         for value in values:
             total = _to_decimal(value.const)
             for q, r in value.terms:
@@ -645,8 +639,8 @@ def _swap_representatives(poly: SymPoly) -> list[int]:
         for r in reps:
             perm = list(range(poly.nvars))
             perm[r], perm[m] = m, r
-            if all(poly.terms.get(tuple(map(exps.__getitem__, perm))) == c
-                   for exps, c in poly.terms.items() if exps[r] != exps[m]):
+            if all(poly.numerators.get(tuple(map(exps.__getitem__, perm))) == n
+                   for exps, n in poly.numerators.items() if exps[r] != exps[m]):
                 out.append(r + 1)
                 break
         else:

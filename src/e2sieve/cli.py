@@ -321,11 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser, fmt: str) -> None:
         p.add_argument("--config", help="flat key = value file of this subcommand's flags; "
                                         "flags override it")
-        p.add_argument("--digits", type=int, default=15,
-                       help=f"significant digits for printed values (15 to {_SIGN_DIGITS})")
         p.add_argument("--format", choices=["text", "json", "csv"], default=fmt,
                        help=f"output format (default {fmt})")
-        p.add_argument("--seed", type=int, default=0, help="seed for sampled diagnostics")
 
     p_verify = add_parser("verify", help="recompute a bundled target and compare digits")
     p_verify.add_argument("--theorem", help="target name: thm1.2, thm1.3 or thm1.4")
@@ -334,6 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--variant", choices=["S", "Sprime"], help="override the weighted sum")
     p_verify.add_argument("--mc-samples", dest="mc_samples", type=int, default=0,
                           help="also print Monte Carlo estimates of I and J")
+    p_verify.add_argument("--digits", type=int, default=15,
+                          help=f"significant digits for printed values (15 to {_SIGN_DIGITS})")
+    p_verify.add_argument("--seed", type=int, default=0, help="seed for the Monte Carlo estimates")
     add_common(p_verify, "text")
 
     # --rho, --theta, --delta, --eta and --variant default to the builtin target's values,
@@ -388,10 +388,11 @@ def main(argv: list[str] | None = None) -> int:
             args, unknown = parser.parse_known_args(argv[:at] + _config_tokens(args.config) + argv[at:])
             if unknown:   # argv itself parsed above, so these came from the file
                 raise ValueError(f"unknown config key {unknown[0][2:].partition('=')[0]!r}")
-        if not 15 <= args.digits <= _SIGN_DIGITS:
-            raise ValueError(f"--digits must be between 15 and {_SIGN_DIGITS}")
-        if args.seed < 0 or getattr(args, "mc_samples", 0) < 0:
-            raise ValueError("--seed and --mc-samples must be non-negative")
+        if args.command == "verify":
+            if not 15 <= args.digits <= _SIGN_DIGITS:
+                raise ValueError(f"--digits must be between 15 and {_SIGN_DIGITS}")
+            if args.seed < 0 or args.mc_samples < 0:
+                raise ValueError("--seed and --mc-samples must be non-negative")
         code, payload, rows, text = _COMMANDS[args.command](args)
         if args.format == "json":
             text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)

@@ -67,7 +67,7 @@ from decimal import Decimal
 from fractions import Fraction
 from math import lcm
 
-from .algebra import BudgetExceeded, LogLinear, SymPoly, TestFunction, _int_numerators, as_rational
+from .algebra import BudgetExceeded, LogLinear, SymPoly, TestFunction, as_rational
 from .simplex import pair_pass
 
 # ---------------------------------------------------------------------------
@@ -161,12 +161,11 @@ def _weight_poly(G: SymPoly, power: int, c: Fraction) -> tuple[list[int], int]:
     With c = a/b, G's common denominator Dg and degree T, p_i = num[i] / (Dg a^T b^power).
     """
     a, b = c.as_integer_ratio()
-    items, den = _int_numerators(G.terms)
     T = max(G.total_degree(), 0)
     num = [0] * (T + 1)
-    for (i,), n in items.items():
+    for (i,), n in G.numerators.items():
         num[i] = n * a ** (power + T - i) * b ** i
-    return num, den * a ** T * b ** power
+    return num, G.denominator * a ** T * b ** power
 
 
 def _outer(G: SymPoly, power: int, params: SieveParams) -> LogLinear:
@@ -357,7 +356,7 @@ def _coordinate_values(F: TestFunction, m: int,
     """
     boxed_out = _box_vanishes(F, params.eta / params.r_exponent)
     I, G_L, G_M = pair_pass(F, m)
-    J = G_L.terms.get((0,), Fraction(0))
+    J = G_L.eval((0,))
     if boxed_out:
         return I, J, LogLinear.zero(), LogLinear.zero()
     return I, J, _outer(G_L, 1, params), _outer(G_M, 2, params)

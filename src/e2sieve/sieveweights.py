@@ -206,10 +206,10 @@ class SieveContext:
         Uses sup |dF/du_j| <= sum_terms |c| e_j (3/2)^(deg-1) on [0, 3/2]^k,
         comfortably containing both the true ratios and their surrogates.
         """
-        total = Fraction(0)
+        total, terms = Fraction(0), self.F.poly.terms   # the view is built once
         for j in range(self.k):
             bound_j = Fraction(0)
-            for exps, c in self.F.poly.terms.items():
+            for exps, c in terms.items():
                 if exps[j]:
                     deg = sum(exps)
                     bound_j += abs(c) * exps[j] * Fraction(3, 2) ** (deg - 1)

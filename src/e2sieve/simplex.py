@@ -54,7 +54,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import BudgetExceeded, SymPoly, TestFunction, _int_numerators
+from .algebra import BudgetExceeded, SymPoly, TestFunction
 
 # ---------------------------------------------------------------------------
 # Exact integrals
@@ -77,14 +77,13 @@ def integrate_out(p: SymPoly, var: int) -> SymPoly:
     The result is a polynomial in the other p.nvars - 1 coordinates, in order.
     """
     n = p.nvars - 1
-    groups: dict[int, dict[tuple[int, ...], Fraction]] = {}
-    for exps, c in p.terms.items():
-        e = exps[var]
-        groups.setdefault(e, {})[exps[:var] + exps[var + 1:]] = c / (e + 1)
+    groups: dict[int, dict[tuple[int, ...], int]] = {}
+    for exps, num in p.numerators.items():
+        groups.setdefault(exps[var], {})[exps[:var] + exps[var + 1:]] = num
     slack = 1 - sum((SymPoly.variable(n, i) for i in range(n)), SymPoly.zero(n))
     acc = SymPoly.zero(n)
     for e in range(max(groups, default=-1), -1, -1):
-        acc = acc * slack + SymPoly._wrap(n, groups.get(e, {}))
+        acc = acc * slack + SymPoly._make(n, (groups.get(e, {}), p.denominator * (e + 1)))
     return acc * slack
 
 
@@ -106,7 +105,7 @@ def _orbit_representatives(poly: SymPoly, m: int,
             classes.setdefault(r, []).append(i)
     classes = {r: idx for r, idx in classes.items() if len(idx) > 1}   # singletons fix every term
     out = []
-    for exps in poly.terms:
+    for exps in poly.numerators:
         size = 1
         for idx in classes.values():
             run = [exps[i] for i in idx]
@@ -129,20 +128,19 @@ def _pair_sums(poly: SymPoly, m: int,
     before the pair loop above _MAX_PAIRS pairs.
     """
     reps = _orbit_representatives(poly, m, swaps)
-    if len(reps) * len(poly.terms) > _MAX_PAIRS:
-        raise BudgetExceeded(f"{len(reps)} orbit representatives x {len(poly.terms)} terms "
+    items, den = poly.numerators, poly.denominator
+    if len(reps) * len(items) > _MAX_PAIRS:
+        raise BudgetExceeded(f"{len(reps)} orbit representatives x {len(items)} terms "
                              f"exceeds the {_MAX_PAIRS} pairs of the simplex kernel")
-    items, den = _int_numerators(poly.terms)
     groups: dict[tuple[int, int], list] = {}
     for exps, n in items.items():
         rest = exps[:m] + exps[m + 1:]
         groups.setdefault((exps[m], sum(rest)), []).append((rest, n))
     fact = [_factorial(i) for i in range(2 * poly.total_degree() + 1)].__getitem__
-    numerators = dict(items)
     # gamma! reads alpha only through its rest: one inner sum per rest and group
     uses: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for exps, size in reps:
-        uses.setdefault(exps[:m] + exps[m + 1:], []).append((exps[m], size * numerators[exps]))
+        uses.setdefault(exps[:m] + exps[m + 1:], []).append((exps[m], size * items[exps]))
     sums: dict[tuple[int, int, int], int] = {}
     for rest, shared in uses.items():
         g = sum(rest)
@@ -189,7 +187,7 @@ def pair_pass(F: TestFunction, m: int) -> tuple[Fraction, SymPoly, SymPoly]:
         coeffs = rows[top]
         for row in reversed(rows[:top]):   # Horner in (1 - a): coeffs (1 - a) + row
             coeffs = [x - y + z for x, y, z in zip(coeffs, [0] + coeffs, row)]
-        return SymPoly._wrap(1, {(i,): Fraction(c, common * den) for i, c in enumerate(coeffs) if c})
+        return SymPoly._make(1, ({(i,): c for i, c in enumerate(coeffs)}, common * den))
 
     return I, collapse(rows_L), collapse(rows_M)
 
@@ -201,7 +199,7 @@ def I_k(F: TestFunction) -> Fraction:
 
 def J_k_m(F: TestFunction, m: int) -> Fraction:
     """J_k^(m)(F) = G_L(0) exactly, m 1-based; for k = 1 it is (int_0^1 F)^2."""
-    return pair_pass(F, m)[1].terms.get((0,), Fraction(0))
+    return pair_pass(F, m)[1].eval((0,))
 
 
 # ---------------------------------------------------------------------------
@@ -271,14 +269,15 @@ def _term_evaluator(p: SymPoly, size: int) -> Callable[[Columns], np.ndarray]:
     """evaluate(cols) -> p at the points whose coordinates are cols (rows <= size).
 
     p has at least one coordinate.  Terms are planned once: the float
-    coefficient and the table rows of the nonzero powers.  x^e is
+    coefficient (numerator / denominator, correctly rounded, so the float of
+    the Fraction coefficient) and the table rows of the nonzero powers.  x^e is
     x^(e-1) x, and x^1 is the column itself.  Each term is formed as
     coefficient times its powers in coordinate order, and the terms are
     added in sorted-key order.  The result lives in the evaluator's buffer
     and is overwritten by its next call.
     """
     dim = p.nvars
-    keys = sorted(p.terms)
+    keys = sorted(p.numerators)
     degree = [max((e[j] for e in keys), default=0) for j in range(dim)]
     # table rows: the dim columns, then x_j^e for e = 2 .. degree[j], j ascending
     index: dict[tuple[int, int], int] = {(j, 1): j for j in range(dim)}
@@ -287,7 +286,8 @@ def _term_evaluator(p: SymPoly, size: int) -> Callable[[Columns], np.ndarray]:
         for e in range(2, degree[j] + 1):
             index[(j, e)] = dim + len(chains)
             chains.append((index[(j, e - 1)], j))
-    plan = [(float(p.terms[key]), [index[(j, e)] for j, e in enumerate(key) if e]) for key in keys]
+    plan = [(p.numerators[key] / p.denominator, [index[(j, e)] for j, e in enumerate(key) if e])
+            for key in keys]
     powers = np.empty((len(chains), size))
     buf, out = np.empty(size), np.empty(size)
 

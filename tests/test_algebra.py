@@ -1,6 +1,7 @@
 """Exact polynomial and log-linear arithmetic."""
 
 import decimal
+import itertools
 import math
 import time
 import tracemalloc
@@ -81,14 +82,37 @@ def test_zero_coefficients_are_dropped():
     assert q.terms == {}
 
 
-def _fraction_product(f: SymPoly, g: SymPoly) -> dict:
-    """Reference product: one Fraction multiply-add per pair of terms."""
+def _fraction_product(f: dict, g: dict) -> dict:
+    """Reference product of two {exponents: Fraction} dicts: one multiply-add per pair of terms."""
     out: dict = {}
-    for e1, c1 in f.terms.items():
-        for e2, c2 in g.terms.items():
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
             e = tuple(a + b for a, b in zip(e1, e2))
             out[e] = out.get(e, Fraction(0)) + c1 * c2
     return {e: c for e, c in out.items() if c != 0}
+
+
+def _fraction_sum(*parts: tuple[int, SymPoly]) -> dict:
+    """Reference sum of w * p over the (int w, p) parts, one Fraction add per term."""
+    out: dict = {}
+    for w, p in parts:
+        for e, c in p.terms.items():
+            out[e] = out.get(e, Fraction(0)) + w * c
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def _fraction_power(f: SymPoly, n: int) -> dict:
+    out = {(0,) * f.nvars: Fraction(1)}
+    for _ in range(n):
+        out = _fraction_product(out, f.terms)
+    return out
+
+
+def _assert_reduced(p: SymPoly) -> None:
+    """The stored form: nonzero int numerators over a positive int denominator coprime to them."""
+    assert all(type(n) is int and n != 0 for n in p.numerators.values())
+    assert type(p.denominator) is int and p.denominator > 0
+    assert math.gcd(p.denominator, *p.numerators.values()) == 1
 
 
 mixed_rationals = st.builds(
@@ -106,15 +130,19 @@ def sparse_pairs(draw):
     return SymPoly(nvars, draw(terms)), SymPoly(nvars, draw(terms))
 
 
-@given(sparse_pairs())
+@given(sparse_pairs(), st.integers(0, 3))
 @settings(max_examples=200)
-def test_product_matches_fraction_double_loop(pair):
+def test_product_matches_fraction_double_loop(pair, n):
     f, g = pair
     # (f + g)(f - g) = f^2 - g^2: the cross terms cancel inside the product
     for left, right in ((f, g), (f + g, f - g), (f, f), (f, -f)):
-        product = left * right
-        assert product.terms == _fraction_product(left, right)
-        assert all(isinstance(c, Fraction) and c != 0 for c in product.terms.values())
+        for result, want in ((left * right, _fraction_product(left.terms, right.terms)),
+                             (left + right, _fraction_sum((1, left), (1, right))),
+                             (left - right, _fraction_sum((1, left), (-1, right))),
+                             (-left, _fraction_sum((-1, left))),
+                             (left ** n, _fraction_power(left, n))):
+            assert result.terms == want
+            _assert_reduced(result)
     assert (f + g) * (f - g) == f * f - g * g
 
 
@@ -275,7 +303,7 @@ def test_parse_poly_budget_messages_match_the_sympoly_parser(expression, k):
 
 def _outcome(parse, expression: str, k: int):
     try:
-        return parse(expression, k).terms
+        return parse(expression, k)
     except BudgetExceeded as exc:
         return str(exc)
 
@@ -305,9 +333,25 @@ def expressions(draw, k: int):
 def test_parse_poly_matches_the_sympoly_parser(case):
     k, expression = case
     got, want = _outcome(parse_poly, expression, k), _outcome(sympoly_parse, expression, k)
-    assert got == want
-    if isinstance(got, dict):
-        assert all(type(c) is Fraction for c in got.values())
+    if isinstance(got, SymPoly):
+        _assert_reduced(got)
+        assert isinstance(want, SymPoly) and got.terms == want.terms
+    else:
+        assert got == want
+
+
+def test_parse_poly_sums_a_1716_term_chain():
+    # every monomial of degree <= 7 in 6 variables, as one flat + / - chain past
+    # the recursion limit of a walk down the chain
+    basis = [e for e in itertools.product(range(8), repeat=6) if sum(e) <= 7]
+    assert len(basis) == 1716
+    coeffs = {e: Fraction((-1) ** i * (i % 11 + 1), i % 7 + 1) for i, e in enumerate(basis)}
+    chain = "".join(("- " if c < 0 else "+ ") + f"{abs(c.numerator)}/{c.denominator}"
+                    + "".join(f"*u{j}**{x}" for j, x in enumerate(e, 1) if x) + " "
+                    for e, c in coeffs.items())
+    p = parse_poly(chain[2:], 6)
+    assert p == SymPoly(6, coeffs)
+    _assert_reduced(p)
 
 
 def test_parse_poly_within_the_budget_matches_plain_powers():

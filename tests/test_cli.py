@@ -123,9 +123,11 @@ def test_functional_parse_error_exits_2(capsys):
 
 
 @pytest.mark.parametrize("flag", [
-    "--F=" + "+".join(["u1"] * 990),     # too deep for the tree walk
-    "--F=" + "-" * 3000 + "u1",           # too deep for ast.parse itself
-], ids=["summands", "unary-signs"])
+    "--F=" + "+".join(["u1"] * 3000),               # too deep for ast.parse itself
+    "--F=" + "*".join(["u1"] * 1500),               # too deep for the tree walk
+    "--F=" + "-----(" * 190 + "u1" + ")" * 190,     # past the parser's own stack limit
+    "--F=" + "-" * 3000 + "u1",                     # too deep for ast.parse itself
+], ids=["summands", "factors", "parentheses", "unary-signs"])
 def test_functional_nested_too_deeply_exits_2(capsys, flag):
     code, _, err = run_cli(capsys, ["functional", "--k", "2", flag])
     assert code == 2 and "nested too deeply" in err
@@ -337,6 +339,16 @@ def test_missing_subcommand_is_a_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["functional", "--F", "thm1.3", "--seed", "3"],
+    ["scan", "--limit", "100", "--digits", "20"],
+], ids=["functional-seed", "scan-digits"])
+def test_only_verify_takes_digits_and_seed(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_bad_fraction_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["functional", "--F", "1", "--k", "2", "--theta", "half"])
@@ -429,6 +441,13 @@ def test_config_key_that_is_not_a_flag_of_the_subcommand_exits_2(tmp_path, capsy
     code, out, err = run_cli(capsys, ["verify", "--config", str(cfg)])
     key = line.split()[0]
     assert (code, out, err) == (2, "", f"error: unknown config key {key!r}\n")
+
+
+def test_a_digits_config_key_for_functional_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("F = thm1.3\ndigits = 20\n")
+    code, out, err = run_cli(capsys, ["functional", "--config", str(cfg)])
+    assert (code, out, err) == (2, "", "error: unknown config key 'digits'\n")
 
 
 def test_a_config_key_that_is_a_prefix_of_a_flag_exits_2(tmp_path, capsys):
