@@ -317,7 +317,8 @@ def parse_poly(expression: str, k: int) -> SymPoly:
     u1^j + ... + uk^j (indices without a leading zero).  A divisor must be a
     nonzero constant (so 917/500 writes a rational) and an exponent an int
     literal from 0 to 64.  All else, and nesting past the recursion limit,
-    raises ValueError; a chain of + and - is one sum, however long.
+    raises ValueError; a chain of + and - is one sum, and a chain of * and /
+    one product, however long.
     Subexpressions are (int numerators, denominator) pairs, and the
     SymPoly is built at the root.  A product or power that could create
     more than _MAX_PARSE_TERMS terms, or multiply more than _MAX_PARSE_PAIRS
@@ -371,20 +372,30 @@ def parse_poly(expression: str, k: int) -> SymPoly:
                                for j in (n, n // 2))
                 _check_budget(terms, half ** 2)
                 return _int_power(base, n, k)
-            (left, lden), (right, rden) = build(node.left), build(node.right)
-            if isinstance(node.op, ast.Mult):
-                pairs = len(left) * len(right)
-                if pairs > _MAX_PARSE_TERMS:   # fewer pairs fit both budgets
-                    _check_budget(min(pairs, _monomials(k, *map(add, _degrees(left), _degrees(right)))),
-                                  pairs)
-                return _int_product((left, lden), (right, rden))
-            if isinstance(node.op, ast.Div):
-                if any(map(any, right)):   # a term of positive degree
-                    raise ValueError("division only by nonzero constants")
-                if not right:
-                    raise ValueError("division by zero")
-                num = right[(0,) * k]   # left * (rden / num)
-                return _int_product((left, lden), ({(0,) * k: rden if num > 0 else -rden}, abs(num)))
+            if isinstance(node.op, (ast.Mult, ast.Div)):
+                # walk the left spine of the chain in a loop, then apply the factors left to right
+                factors = []
+                while isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div)):
+                    factors.append((isinstance(node.op, ast.Mult), node.right))
+                    node = node.left
+                left, lden = build(node)
+                for multiply, factor in reversed(factors):
+                    right, rden = build(factor)
+                    if multiply:
+                        pairs = len(left) * len(right)
+                        if pairs > _MAX_PARSE_TERMS:   # fewer pairs fit both budgets
+                            _check_budget(min(pairs, _monomials(k, *map(add, _degrees(left),
+                                                                         _degrees(right)))), pairs)
+                    else:
+                        if any(map(any, right)):   # a term of positive degree
+                            raise ValueError("division only by nonzero constants")
+                        if not right:
+                            raise ValueError("division by zero")
+                        num = right[(0,) * k]   # left * (rden / num)
+                        right, rden = {(0,) * k: rden if num > 0 else -rden}, abs(num)
+                    left, lden = _int_product((left, lden), (right, rden))
+                return left, lden
+            build(node.left), build(node.right)   # an operand's error comes first
             raise ValueError(f"unsupported operator {type(node.op).__name__}")
         raise ValueError(f"unsupported syntax element {type(node).__name__}")
 
@@ -564,9 +575,6 @@ class LogLinear:
     def evaluate_decimal(self, digits: int) -> decimal.Decimal:
         """Correctly rounded Decimal with `digits` significant digits."""
         return _evaluate([self], digits)[0]
-
-    def to_float(self) -> float:
-        return float(self.evaluate_decimal(25))
 
     def to_text(self) -> str:
         """Canonical serialization 'r0 + r1*ln(q1) + r2*ln(q2) + ...'."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import TestFunction, parse_poly
+from .algebra import TestFunction
 from .functionals import SieveParams
 
 ETA_DEFAULT = Fraction(1, 10 ** 10)
@@ -34,7 +34,7 @@ class VerificationTarget:
                            delta=Fraction(0), eta=self.eta)
 
     def test_function(self) -> TestFunction:
-        return TestFunction(k=self.k, poly=parse_poly(self.expression, self.k))
+        return TestFunction.from_expression(self.k, self.expression)
 
 
 TARGETS: dict[str, VerificationTarget] = {

@@ -26,14 +26,13 @@ or budget errors.
 from __future__ import annotations
 
 import argparse
-import decimal
 import functools
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 
-from .algebra import _SIGN_DIGITS, TestFunction, _evaluate, _render, parse_poly
+from .algebra import _SIGN_DIGITS, LogLinear, TestFunction, _evaluate, _render
 from .catalog import TARGETS, get_target
 from .functionals import (
     BudgetExceeded,
@@ -89,14 +88,6 @@ def _params(args: argparse.Namespace, base: SieveParams, variant: str) -> tuple[
     return replace(base, **given), args.variant or variant
 
 
-def _fraction_decimal(fr: Fraction, digits: int) -> str:
-    with decimal.localcontext() as ctx:
-        ctx.prec = digits
-        ctx.rounding = decimal.ROUND_HALF_EVEN
-        d = decimal.Decimal(fr.numerator) / decimal.Decimal(fr.denominator)
-    return "0" if d == 0 else str(d)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -117,10 +108,12 @@ def cmd_verify(args: argparse.Namespace) -> Result:
     def ref(name: str) -> str:
         return "-" if overridden else target.reference[name]
 
-    L, M, log_term, coefficient = _render([lc.L_values[0], lc.M_values[0], log_const, lc.value], args.digits)
+    I, J, L, M, log_term, coefficient = _render([LogLinear(lc.I_value), LogLinear(lc.J_values[0]),
+                                                 lc.L_values[0], lc.M_values[0], log_const, lc.value],
+                                                args.digits)
     rows = [
-        ("I", _fraction_decimal(lc.I_value, args.digits), ref("I")),
-        ("J", _fraction_decimal(lc.J_values[0], args.digits), ref("J")),
+        ("I", I, ref("I")),
+        ("J", J, ref("J")),
         ("L", L, ref("L")),
         ("M", M, ref("M")),
         ("log_term", log_term, "-"),
@@ -179,8 +172,7 @@ def _resolve_functional_inputs(args: argparse.Namespace) -> tuple[TestFunction, 
         # what a custom expression takes where a bundled target supplies its own values
         expression, base, variant = args.F, SieveParams(k=args.k, rho=1, theta=Fraction(1, 2)), "Sprime"
     params, variant = _params(args, base, variant)
-    F = TestFunction(k=params.k, poly=parse_poly(expression, params.k))
-    return F, params, variant
+    return TestFunction.from_expression(params.k, expression), params, variant
 
 
 def cmd_functional(args: argparse.Namespace) -> Result:
@@ -191,7 +183,7 @@ def cmd_functional(args: argparse.Namespace) -> Result:
     def frac_entry(fr: Fraction) -> dict:
         return {"exact": str(fr), "float": float(fr)}
 
-    # every closed form's float, as LogLinear.to_float gives it, over one ln table
+    # every closed form's float, from its 25-digit decimal, over one ln table
     logs = [*lc.L_values, *lc.M_values, lc.value, *lc.breakdown.values()]
     entries = [{"closed_form": v.to_text(), "float": float(dec)} for v, dec in zip(logs, _evaluate(logs, 25))]
 
@@ -279,20 +271,7 @@ def cmd_theorem11(args: argparse.Namespace) -> Result:
     if args.rho is None:
         raise ValueError("theorem11 needs --rho")
     plan = theorem11_plan(args.rho, args.theta, args.epsilon)
-    payload = {
-        "rho": plan.rho,
-        "theta": str(plan.theta),
-        "epsilon": str(plan.epsilon),
-        "k": plan.k,
-        "log2_k": plan.log2_k,
-        "A": plan.A,
-        "T": plan.T,
-        "eta": plan.eta,
-        "eta_ratio": None if plan.eta_ratio is None else str(plan.eta_ratio),
-        "rhs83": plan.rhs83,
-        "vanishing_ok": plan.vanishing_ok,
-        "rhs83_exceeds_rho": plan.rhs83_exceeds_rho,
-    }
+    payload = {key: str(v) if isinstance(v, Fraction) else v for key, v in asdict(plan).items()}
     fields = sorted(payload)
     return (0, payload, [("field", "value")] + [(key, payload[key]) for key in fields],
             "\n".join(f"{key} = {payload[key]}" for key in fields))

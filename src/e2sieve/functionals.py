@@ -328,15 +328,11 @@ def quad_outer(
 class LeadingCoefficient:
     """The leading coefficient with its four addends and raw ingredients.
 
-    variant "S"      uses the log-only second addend,
-    variant "Sprime" (the run that also counts plain primes) adds the +1.
     The sign of `value` decides the verdict: positive means the weighted sum
     forces at least rho + 1 hits infinitely often at this parameter choice.
     """
 
     value: LogLinear
-    variant: str
-    params: SieveParams
     breakdown: dict[str, LogLinear] = field(repr=False)
     I_value: Fraction = field(repr=False, default=Fraction(0))
     J_values: tuple[Fraction, ...] = field(repr=False, default=())
@@ -366,7 +362,8 @@ def leading_coefficient(F: TestFunction, params: SieveParams, variant: str = "Sp
     """Exact leading coefficient  -2c sum L + c^2 c_eta sum J + sum M - rho c I.
 
     Here c = theta/2 - delta and c_eta = ln((1-eta)/eta) for variant "S",
-    1 + ln((1-eta)/eta) for variant "Sprime".
+    the log-only second addend, and 1 + ln((1-eta)/eta) for variant "Sprime",
+    the run that also counts plain primes.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
@@ -401,8 +398,6 @@ def leading_coefficient(F: TestFunction, params: SieveParams, variant: str = "Sp
     }
     return LeadingCoefficient(
         value=value,
-        variant=variant,
-        params=params,
         breakdown=breakdown,
         I_value=I_val,
         J_values=J_vals,

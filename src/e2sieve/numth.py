@@ -14,9 +14,9 @@ Bulk questions take primality from one prime sieve, `_prime_mask` (the
 sequences, the gap and tuple scans), and factorisation from one factor
 table, `factor_table` (beta numbers, BV moduli, `sieveweights`), both under
 one 4*10^6-entry budget that raises ValueError before allocating.  The byte
-sieve `primes_up_to` supplies the base primes of both, and together with the
-single-value `beta`, `is_squarefree` and `euler_phi` (trial division) it is
-the independent oracle the tests compare against.
+sieve `primes_up_to` supplies the base primes of both.  The trial-division
+oracles that the tests compare these against (a single-value beta and
+Euler's phi) live in the tests' conftest.py.
 """
 
 from __future__ import annotations
@@ -124,23 +124,6 @@ def is_squarefree(n: int) -> bool:
     return True
 
 
-def euler_phi(n: int) -> int:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    result = n
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            result -= result // d
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
 def _integer_nth_root(x: int, n: int) -> int:
     """floor(x^(1/n)) for x >= 0, n >= 1, exactly."""
     if x < 0 or n < 1:
@@ -181,39 +164,8 @@ def floor_rational_power(N: int, exponent: Fraction) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Prime and semiprime counting functions
+# Beta numbers in a window
 # ---------------------------------------------------------------------------
-
-
-def _smallest_prime_factor(n: int, base: Sequence[int]) -> int | None:
-    for p in base:
-        if p * p > n:
-            return None  # n is prime
-        if n % p == 0:
-            return p
-    return None
-
-
-def beta(n: int, N: int, eta: Fraction) -> int:
-    """Indicator that n = p1 p2 with floor(N^eta) < p1 <= sqrt(N) < p2.
-
-    Trial division by the primes up to sqrt(n), for a single n of any size;
-    the window counts below read the same predicate off `factor_table`.
-    """
-    eta = as_rational(eta)
-    if n < 2:
-        return 0
-    Y = floor_rational_power(N, eta)
-    base = primes_up_to(math.isqrt(n))
-    p1 = _smallest_prime_factor(n, base)
-    if p1 is None:
-        return 0  # prime
-    if not (p1 > Y and p1 * p1 <= N):
-        return 0
-    m = n // p1
-    if m == p1 or m * m <= N:
-        return 0
-    return 1 if _smallest_prime_factor(m, base) is None else 0
 
 
 def _beta_numbers(N: int, eta: Fraction) -> np.ndarray:
@@ -221,11 +173,6 @@ def _beta_numbers(N: int, eta: Fraction) -> np.ndarray:
     spf = factor_table(2 * N + 1)
     values = np.arange(N + 1, 2 * N + 1, dtype=np.int64)
     return values[beta_mask(spf, values, N, floor_rational_power(N, as_rational(eta)))]
-
-
-def pi_beta(N: int, eta: Fraction) -> int:
-    """sum of beta(n) over N < n <= 2N."""
-    return len(_beta_numbers(N, eta))
 
 
 # ---------------------------------------------------------------------------

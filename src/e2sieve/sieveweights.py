@@ -24,10 +24,9 @@ Two deliberate implementation choices keep the whole pipeline exact:
 
 Factorizations come from `numth.factor_table`: one table below R for the
 moduli, and one over [0, 2N + max h) from which `s_sums` reads primality and
-beta.  Neither `s_sums` nor `weight_w` factors the shifted values n + h_i:
-an entry d of the lambda table reaches exactly the n with d_i | n + h_i,
-one residue class modulo prod d_i, so `s_sums` adds each entry along its
-progression and `weight_w` tests each entry's divisibility directly.
+beta.  `s_sums` does not factor the shifted values n + h_i: an entry d of
+the lambda table reaches exactly the n with d_i | n + h_i, one residue
+class modulo prod d_i, so `s_sums` adds each entry along its progression.
 """
 
 from __future__ import annotations
@@ -270,16 +269,6 @@ def y_from_lambda(ctx: SieveContext, r: Sequence[int]) -> Fraction:
 # ---------------------------------------------------------------------------
 # Weighted sums over the shifted tuple
 # ---------------------------------------------------------------------------
-
-
-def weight_w(ctx: SieveContext, n: int) -> Fraction:
-    """w_n = (sum of lambda_d over the entries with d_i | n + h_i for every i)^2."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    values = [n + h for h in ctx.shifts]
-    a = sum(num for d, num in ctx._lambda_numerators.items()
-            if all(v % di == 0 for v, di in zip(values, d)))
-    return Fraction(a * a, ctx._lambda_den ** 2)
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,7 @@ import traceback
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import comb, factorial, lcm, prod
 from operator import add
 from typing import Callable
 
@@ -59,15 +59,6 @@ from .algebra import BudgetExceeded, SymPoly, TestFunction
 # ---------------------------------------------------------------------------
 # Exact integrals
 # ---------------------------------------------------------------------------
-
-_FACTORIALS: list[int] = [1, 1]
-
-
-def _factorial(n: int) -> int:
-    while len(_FACTORIALS) <= n:
-        _FACTORIALS.append(_FACTORIALS[-1] * len(_FACTORIALS))
-    return _FACTORIALS[n]
-
 
 def integrate_out(p: SymPoly, var: int) -> SymPoly:
     """int_0^{1-s} p du_var with s the sum of the other coordinates, exactly.
@@ -90,6 +81,12 @@ def integrate_out(p: SymPoly, var: int) -> SymPoly:
 # Most pairs (orbit representatives x terms) one kernel call may sum, about
 # a second of work: (1 - P1)^7 at k = 6 needs 199,056 per coordinate.
 _MAX_PAIRS = 1_000_000
+# Highest degree top = k + 1 + 2 deg F of G that one kernel call may build.
+# Its L and M rows hold (top + 1)^2 ints each, collapsed by a big-int Horner
+# in (1 - a), whatever the number of terms: u1^254 at k = 2 (top 511) takes
+# 0.1 s and u1^512 (top 1,027) 0.75 s, and `functional` on u1^1024 ran 11.6 s
+# at 125 MiB (2-CPU Xeon).  A degree-4 F at k = 40 reaches top 49.
+_MAX_TOP = 512
 
 
 def _orbit_representatives(poly: SymPoly, m: int,
@@ -111,7 +108,7 @@ def _orbit_representatives(poly: SymPoly, m: int,
             run = [exps[i] for i in idx]
             if any(x < y for x, y in zip(run, run[1:])):
                 break
-            size *= _factorial(len(run)) // prod(map(_factorial, Counter(run).values()))
+            size *= factorial(len(run)) // prod(map(factorial, Counter(run).values()))
         else:
             out.append((exps, size))
     return out
@@ -136,7 +133,7 @@ def _pair_sums(poly: SymPoly, m: int,
     for exps, n in items.items():
         rest = exps[:m] + exps[m + 1:]
         groups.setdefault((exps[m], sum(rest)), []).append((rest, n))
-    fact = [_factorial(i) for i in range(2 * poly.total_degree() + 1)].__getitem__
+    fact = [factorial(i) for i in range(2 * poly.total_degree() + 1)].__getitem__
     # gamma! reads alpha only through its rest: one inner sum per rest and group
     uses: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for exps, size in reps:
@@ -157,14 +154,19 @@ def pair_pass(F: TestFunction, m: int) -> tuple[Fraction, SymPoly, SymPoly]:
 
     A pair's (alpha+beta)! is (e+f)! gamma!, so I is the sum of
     S[(e, f, |gamma|)] (e+f)! / (k+e+f+|gamma|)!, whatever the coordinate.
-    The L and M rows of G are filled in one pass over (key, n).
+    The L and M rows of G are filled in one pass over (key, n).  Raises
+    BudgetExceeded, before any pair sum, when G's degree exceeds _MAX_TOP,
+    and as _pair_sums does.
     """
     k = F.k
     if not 1 <= m <= k:
         raise ValueError(f"m must be in 1..{k}")
+    top = k + 1 + 2 * F.poly.total_degree()   # the degree of G, from the top-degree pair
+    if top > _MAX_TOP:
+        raise BudgetExceeded(f"F of degree {F.poly.total_degree()} at k = {k} gives G of degree {top}, "
+                             f"which exceeds the degree budget {_MAX_TOP} of the simplex kernel")
     sums, den = _pair_sums(F.poly, m - 1, F.swaps)
-    top = max((k + 1 + sum(key) for key in sums), default=0)   # the degree of G
-    fact = [_factorial(i) for i in range(top + 1)]
+    fact = [factorial(i) for i in range(top + 1)]
     whole = fact[max(top - 1, 0)]   # (k + |alpha+beta|)! for the largest pair
     I = Fraction(sum(s * fact[e + f] * (whole // fact[k + e + f + g])
                      for (e, f, g), s in sums.items()), whole * den)
@@ -212,9 +214,6 @@ class MCEstimate:
     value: float
     stderr: float
     samples: int
-    seed: int
-    kind: str
-    m: int | None = None
 
 
 # Samples are drawn and evaluated this many rows at a time, so the memory of a
@@ -427,9 +426,9 @@ def mc_simplex_integral(
         base = integrate_out(F.poly, m - 1)   # in the k - 1 other coordinates
         if k == 1:
             v = float(base.constant_value()) ** 2
-            return MCEstimate(value=v, stderr=0.0, samples=samples, seed=seed, kind="J", m=m)
+            return MCEstimate(value=v, stderr=0.0, samples=samples)
     sq = _squares(base, samples, rng)
-    vol = 1.0 / float(_factorial(base.nvars))
+    vol = 1.0 / float(factorial(base.nvars))
     # numpy's _var: the mean as add.reduce / n, the deviations squared in
     # place, their add.reduce / (n - 1), then sqrt; sq.std would copy sq
     mean = np.add.reduce(sq) / samples
@@ -438,4 +437,4 @@ def mc_simplex_integral(
     std = np.sqrt(np.add.reduce(sq) / (samples - 1))
     value = vol * float(mean)
     stderr = vol * float(std) / float(np.sqrt(samples))
-    return MCEstimate(value=value, stderr=stderr, samples=samples, seed=seed, kind=kind, m=m)
+    return MCEstimate(value=value, stderr=stderr, samples=samples)

@@ -16,7 +16,9 @@ import pytest
 from e2sieve import TARGETS, leading_coefficient
 from e2sieve.algebra import (_MAX_PARSE_EXPONENT, _MAX_PARSE_TERMS, _MAX_POWER_SUM_INDEX, LogLinear, SymPoly,
                              TestFunction, _check_budget, _monomials)
-from e2sieve.numth import _prime_factors, beta_mask, factor_table, is_squarefree, primes_in_range
+from e2sieve.algebra import as_rational
+from e2sieve.numth import (_beta_numbers, _prime_factors, beta_mask, factor_table, floor_rational_power,
+                           is_squarefree, primes_in_range, primes_up_to)
 from e2sieve.sieveweights import SieveContext, SSums, _divisors_below
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -440,6 +442,64 @@ def pi_flat(N: int) -> int:
     return len(primes_in_range(N, 2 * N))
 
 
+def pi_beta(N: int, eta: Fraction) -> int:
+    """Sum of beta(n) over N < n <= 2N, counted off `numth._beta_numbers`."""
+    return len(_beta_numbers(N, eta))
+
+
+# ---------------------------------------------------------------------------
+# Trial division: single-value beta and Euler's phi
+# ---------------------------------------------------------------------------
+
+
+def _smallest_prime_factor(n: int, base) -> int | None:
+    for p in base:
+        if p * p > n:
+            return None  # n is prime
+        if n % p == 0:
+            return p
+    return None
+
+
+def beta(n: int, N: int, eta: Fraction) -> int:
+    """Indicator that n = p1 p2 with floor(N^eta) < p1 <= sqrt(N) < p2.
+
+    Trial division by the primes up to sqrt(n), for a single n of any size;
+    `numth` reads the same predicate off `factor_table`.
+    """
+    eta = as_rational(eta)
+    if n < 2:
+        return 0
+    Y = floor_rational_power(N, eta)
+    base = primes_up_to(math.isqrt(n))
+    p1 = _smallest_prime_factor(n, base)
+    if p1 is None:
+        return 0  # prime
+    if not (p1 > Y and p1 * p1 <= N):
+        return 0
+    m = n // p1
+    if m == p1 or m * m <= N:
+        return 0
+    return 1 if _smallest_prime_factor(m, base) is None else 0
+
+
+def euler_phi(n: int) -> int:
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    result = n
+    m = n
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            result -= result // d
+            while m % d == 0:
+                m //= d
+        d += 1
+    if m > 1:
+        result -= result // m
+    return result
+
+
 # ---------------------------------------------------------------------------
 # The arithmetic support predicate of the sieve weights
 # ---------------------------------------------------------------------------
@@ -451,6 +511,19 @@ def supported_by_predicate(ctx: SieveContext, values) -> bool:
         return False
     prod = math.prod(values)
     return prod < ctx.R and math.gcd(prod, ctx.W) == 1 and is_squarefree(prod)
+
+
+def weight_w(ctx: SieveContext, n: int) -> Fraction:
+    """w_n = (sum of lambda_d over the entries with d_i | n + h_i for every i)^2.
+
+    Tests each entry's divisibility directly, for a single n.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    values = [n + h for h in ctx.shifts]
+    a = sum(num for d, num in ctx._lambda_numerators.items()
+            if all(v % di == 0 for v, di in zip(values, d)))
+    return Fraction(a * a, ctx._lambda_den ** 2)
 
 
 # ---------------------------------------------------------------------------

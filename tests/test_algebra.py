@@ -3,6 +3,8 @@
 import decimal
 import itertools
 import math
+import random
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -23,7 +25,7 @@ from conftest import (
     substitute,
     sympoly_parse,
 )
-from e2sieve import TARGETS, SieveParams, algebra, leading_coefficient, lemma41_constant
+from e2sieve import TARGETS, SieveParams, algebra, leading_coefficient
 from e2sieve.algebra import (
     BudgetExceeded,
     LogLinear,
@@ -34,6 +36,7 @@ from e2sieve.algebra import (
     parse_poly,
 )
 from e2sieve.cli import main
+from e2sieve.functionals import lemma41_constant
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -352,6 +355,49 @@ def test_parse_poly_sums_a_1716_term_chain():
     p = parse_poly(chain[2:], 6)
     assert p == SymPoly(6, coeffs)
     _assert_reduced(p)
+
+
+def test_parse_poly_multiplies_a_1500_factor_chain():
+    # past the recursion limit of a walk down the chain, though the product is one term
+    p = parse_poly("*".join(["u1"] * 1500), 2)
+    assert p == SymPoly.variable(2, 0) ** 1500
+    _assert_reduced(p)
+
+
+def _chain(seed: int, length: int, factors: list[tuple[str, int]], divisors: list[str]) -> str:
+    """A flat chain of `length` operands: weighted factors after *, divisors after / (one in four)."""
+    rng = random.Random(seed)
+    first, *rest = rng.choices(*zip(*factors), k=length)
+    return first + "".join(f"/{rng.choice(divisors)}" if rng.random() < 0.25 else f"*{factor}"
+                           for factor in rest)
+
+
+def _chain_outcome(parse, expression: str, k: int):
+    try:
+        return parse(expression, k).terms
+    except (BudgetExceeded, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("k, factors, divisors, outcome", [
+    (3, [("u1", 20), ("u2", 20), ("u3", 20), ("2", 10), ("(-3)", 10), ("(1 - u2)", 1), ("(u1 + 2*u3)", 1)],
+     ["3", "(-7/3)", "(5)", "2/9"], dict),
+    (6, [("u1", 20), ("(-2)", 10), ("(1 + P1)", 1), ("(1 + u2 - u3)", 1), ("(1 - P2)", 1)],
+     ["5", "(-3)"], "BudgetExceeded"),
+    (2, [("u1", 10), ("(1 - u2)", 1)], ["3"] * 60 + ["u1", "(u1 - u1)"], "ValueError"),
+], ids=["values", "budget", "non-constant-and-zero-divisors"])
+def test_parse_poly_folds_long_product_chains_like_the_sympoly_parser(k, factors, divisors, outcome):
+    limit = sys.getrecursionlimit()
+    for seed in range(3):
+        expression = _chain(seed, 1200, factors, divisors)
+        got = _chain_outcome(parse_poly, expression, k)
+        sys.setrecursionlimit(10_000)   # the oracle walks the 1,200-deep chain recursively
+        try:
+            want = _chain_outcome(sympoly_parse, expression, k)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == want
+        assert type(got) is outcome if outcome is dict else got[0] == outcome
 
 
 def test_parse_poly_within_the_budget_matches_plain_powers():

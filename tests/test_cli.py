@@ -1,11 +1,12 @@
 """Command line interface: exit codes, formats, config merging, determinism."""
 
 import json
+import time
 import tracemalloc
 
 import pytest
 
-from e2sieve import TARGETS, algebra, cli, numth
+from e2sieve import TARGETS, algebra, cli, numth, simplex
 from e2sieve.algebra import BudgetExceeded
 from e2sieve.cli import build_parser, main
 from e2sieve.simplex import mc_simplex_integral
@@ -124,13 +125,30 @@ def test_functional_parse_error_exits_2(capsys):
 
 @pytest.mark.parametrize("flag", [
     "--F=" + "+".join(["u1"] * 3000),               # too deep for ast.parse itself
-    "--F=" + "*".join(["u1"] * 1500),               # too deep for the tree walk
     "--F=" + "-----(" * 190 + "u1" + ")" * 190,     # past the parser's own stack limit
     "--F=" + "-" * 3000 + "u1",                     # too deep for ast.parse itself
-], ids=["summands", "factors", "parentheses", "unary-signs"])
+    "--F=" + "-" * 1500 + "u1",                     # too deep for the tree walk
+], ids=["summands", "parentheses", "unary-signs", "unary-signs-walk"])
 def test_functional_nested_too_deeply_exits_2(capsys, flag):
     code, _, err = run_cli(capsys, ["functional", "--k", "2", flag])
     assert code == 2 and "nested too deeply" in err
+
+
+def test_functional_a_1500_factor_product_exits_2_on_the_degree_budget(capsys):
+    # the chain parses (one term, u1^1500), and G's degree 3,003 is past the kernel's budget
+    code, _, err = run_cli(capsys, ["functional", "--k", "2", "--F=" + "*".join(["u1"] * 1500)])
+    assert code == 2 and "degree budget" in err
+
+
+def test_functional_past_the_degree_budget_exits_2_at_once(capsys):
+    # u1^2048 at k = 2: the L and M rows of G would hold 4,100^2 ints each
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["functional", "--F", "(u1**64)**32", "--k", "2"])
+    elapsed = time.perf_counter() - start
+    assert code == 2 and out == ""
+    assert err == (f"error: F of degree 2048 at k = 2 gives G of degree 4099, which exceeds the "
+                   f"degree budget {simplex._MAX_TOP} of the simplex kernel\n")
+    assert elapsed < 1.0, elapsed
 
 
 @pytest.mark.parametrize("fmt", ["json", "text", "csv"])

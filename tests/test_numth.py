@@ -11,18 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cofactor_members, pi_flat
+from conftest import beta, cofactor_members, euler_phi, pi_beta, pi_flat
 from e2sieve.numth import (
     _FACTOR_TABLE_BUDGET,
     UNIVERSES,
     _members,
     _prime_mask,
     AdmissibleSet,
-    beta,
     beta_mask,
     bv_table,
     e2_sequence,
-    euler_phi,
     factor_table,
     floor_rational_power,
     gap_scan,
@@ -30,7 +28,6 @@ from e2sieve.numth import (
     is_admissible,
     is_squarefree,
     p2_sequence,
-    pi_beta,
     primes_in_range,
     primes_up_to,
     tuple_hit_count,

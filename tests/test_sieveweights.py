@@ -14,15 +14,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import run_with_src, supported_by_predicate, trie_s_sums
+from conftest import euler_phi, run_with_src, supported_by_predicate, trie_s_sums, weight_w
 from e2sieve import sieveweights
 from e2sieve.algebra import SymPoly, TestFunction, parse_poly
-from e2sieve.numth import euler_phi, is_squarefree
+from e2sieve.numth import is_squarefree
 from e2sieve.sieveweights import (
     SieveContext,
     lambda_weight,
     s_sums,
-    weight_w,
     y_from_lambda,
 )
 

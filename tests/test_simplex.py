@@ -28,6 +28,7 @@ from e2sieve import TARGETS, simplex
 from e2sieve.algebra import BudgetExceeded, SymPoly, TestFunction, _swap_representatives, parse_poly
 from e2sieve.simplex import (
     _MAX_PAIRS,
+    _MAX_TOP,
     _MC_CHUNK,
     I_k,
     J_k_m,
@@ -170,6 +171,22 @@ def test_kernel_over_the_pair_budget_raises_before_its_pair_loop():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20, peak
+
+
+def test_kernel_builds_G_up_to_the_degree_budget_and_refuses_one_past_it():
+    d = (_MAX_TOP - 4) // 2   # top = k + 1 + 2 d = _MAX_TOP at k = 3
+    I, G_L, G_M = pair_pass(TestFunction(k=3, poly=SymPoly.variable(3, 0) ** d), 1)
+    assert I == monomial_simplex_integral((2 * d, 0, 0))
+    assert G_L.total_degree() <= _MAX_TOP and G_M.total_degree() <= _MAX_TOP
+    over = TestFunction(k=2, poly=SymPoly.variable(2, 0) ** (d + 1))   # top = _MAX_TOP + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match=f"G of degree {_MAX_TOP + 1}, .* degree budget"):
+            pair_pass(over, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16, peak
 
 
 def test_I_and_J_on_the_constant_function():
