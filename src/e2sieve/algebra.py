@@ -13,9 +13,9 @@ three value types, closed under the operations it needs:
   closed-form outer integrals produce.
 
 The only floating point here is stdlib ``decimal``, whose ln is correctly
-rounded: ``loglinear_eval`` renders a LogLinear to a correctly rounded string
-(one ln per distinct argument), and ``LogLinear.sign`` adds digits until the
-value clears a rounding bound.
+rounded.  ``_evaluate``, the one path from LogLinear to decimals, doubles its
+working digits until a rounding bound certifies the rounded result; the
+renderers and ``LogLinear.sign`` read it.
 """
 
 from __future__ import annotations
@@ -414,8 +414,8 @@ def parse_poly(expression: str, k: int) -> SymPoly:
 # ---------------------------------------------------------------------------
 
 
-_SIGN_DIGITS = 960   # sign()'s limit; Decimal.ln: 13 ms at 960 digits, 180 at 1,920 (2-CPU Xeon)
-_GUARD_DIGITS = 15   # working digits _evaluate carries beyond the digits it rounds to
+_SIGN_DIGITS = 960   # digits budget; Decimal.ln: 13 ms at 960 digits, 180 at 1,920 (2-CPU Xeon)
+_GUARD_DIGITS = 15   # working digits _evaluate's first pass carries beyond the digits it rounds to
 
 
 def _to_decimal(x: Fraction) -> decimal.Decimal:
@@ -546,29 +546,11 @@ class LogLinear:
     def __hash__(self):
         return hash(self.const)   # equal values have equal constants
 
-    def is_zero(self) -> bool:
-        return self.const == 0 and not self._log_vector()
-
     def sign(self) -> int:
-        """-1, 0 or 1: exact for zero, else a + sum c_g ln g at 30, 60, 120, ... digits.
-
-        Every decimal operation (ln too) is correctly rounded, so with u = 10^(1 - digits) the
-        sum is off by at most (n + 4) u (|a| + sum |c_g ln g|) for n basis terms, inside the
-        test's (6n + 2) u times the computed magnitudes.  BudgetExceeded past _SIGN_DIGITS.
-        """
-        if not (vec := self._log_vector()):
+        """-1, 0 or 1: exact for a rational value, else the sign of its certified 15-digit value."""
+        if not self._log_vector():
             return (self.const > 0) - (self.const < 0)
-        digits = 30
-        while digits <= _SIGN_DIGITS:
-            with decimal.localcontext(decimal.Context(prec=digits)):
-                parts = [_to_decimal(self.const)] + [_to_decimal(c) * decimal.Decimal(g).ln()
-                                                     for g, c in vec.items()]
-                total = sum(parts)
-                bound = (6 * len(vec) + 2) * sum(map(abs, parts)).scaleb(1 - digits)
-            if abs(total) > bound:
-                return 1 if total > 0 else -1
-            digits *= 2
-        raise BudgetExceeded(f"sign undecided at {_SIGN_DIGITS} digits")
+        return 1 if _evaluate([self], 15)[0] > 0 else -1
 
     # -- numeric evaluation -----------------------------------------------------
 
@@ -594,39 +576,55 @@ def _ordered(terms: dict[Fraction, Fraction]) -> tuple[tuple[Fraction, Fraction]
 
 
 def _evaluate(values: Sequence[LogLinear], digits: int) -> list[decimal.Decimal]:
-    """Each value correctly rounded to `digits` digits, from one ln per distinct arg in this call."""
+    """Each value correctly rounded to `digits` digits, certified by a rounding bound.
+
+    A rational value (no logs, or logs that cancel by `_log_vector`) is one correctly rounded
+    division.  Others: passes at p = digits + _GUARD_DIGITS, 2p, 4p, ... working digits take one ln
+    per distinct arg, all correctly rounded: with u = 10^(1 - p), a + sum c_i ln q_i over n logs is
+    off by at most (n + 4) u (|a| + sum |c_i ln q_i| + sum |c_i|), and a value is kept once that
+    bound leaves one rounding to `digits` digits.  BudgetExceeded past _SIGN_DIGITS + _GUARD_DIGITS.
+    """
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    logs: dict[Fraction, decimal.Decimal] = {}
-    totals = []
-    with decimal.localcontext() as ctx:
-        ctx.prec = digits + _GUARD_DIGITS
-        for value in values:
-            total = _to_decimal(value.const)
-            for q, r in value.terms:
-                if (ln := logs.get(q)) is None:
-                    ln = logs[q] = _to_decimal(q).ln()
-                total += _to_decimal(r) * ln
-            totals.append(total)
-        ctx.prec, ctx.rounding = digits, decimal.ROUND_HALF_EVEN
-        return [+total for total in totals]
+    rounding, out = decimal.Context(prec=digits), {}
+    pending, prec, undecided = list(enumerate(values)), digits + _GUARD_DIGITS, "sign"
+    while pending:
+        if prec > _SIGN_DIGITS + _GUARD_DIGITS:
+            raise BudgetExceeded(f"{undecided} undecided at {_SIGN_DIGITS} digits")
+        failed = []
+        with decimal.localcontext(decimal.Context(prec=prec)):
+            logs = {q: _to_decimal(q).ln() for q in {q for _, value in pending for q, _ in value.terms}}
+            for i, value in pending:
+                coeffs = [_to_decimal(r) for _, r in value.terms]
+                parts = [_to_decimal(value.const), *(c * logs[q] for c, (q, _) in zip(coeffs, value.terms))]
+                total = sum(parts)
+                err = (len(parts) + 3) * (sum(map(abs, parts)) + sum(map(abs, coeffs))).scaleb(1 - prec)
+                if value.terms and rounding.subtract(total, err) == rounding.add(total, err):
+                    out[i] = rounding.plus(total)
+                elif not value._log_vector():   # rational: no logs, or logs that cancel exactly
+                    out[i] = rounding.divide(value.const.numerator, value.const.denominator)
+                else:
+                    failed.append((i, value))
+                    undecided = "sign" if abs(total) <= err else f"{digits}-digit value"
+        pending, prec = failed, 2 * prec
+    return [out[i] for i in range(len(values))]
 
 
-def _render(values: Sequence[LogLinear], digits: int) -> list[str]:
-    """loglinear_eval of each value, over one ln table."""
-    if digits < 15:
-        raise ValueError("digits must be >= 15")
-    return [str(dec) if dec else "0" for dec in _evaluate(values, digits)]
+def _text(dec: decimal.Decimal) -> str:
+    """A rounded value as loglinear_eval prints it."""
+    return str(dec) if dec else "0"
 
 
 def loglinear_eval(value: LogLinear, digits: int) -> str:
     """Render a LogLinear as a decimal string with `digits` significant digits.
 
-    digits must be at least 15.  The ln calls are correctly rounded at
-    digits+15 working precision, so the printed string is accurate to well
-    under one unit in the last place (final rounding: round-half-even).
+    digits must be at least 15, and past _SIGN_DIGITS the budget raises.  The
+    string is the value correctly rounded (round-half-even), certified by
+    `_evaluate`'s bound.
     """
-    return _render([value], digits)[0]
+    if digits < 15:
+        raise ValueError("digits must be >= 15")
+    return _text(_evaluate([value], digits)[0])
 
 
 # ---------------------------------------------------------------------------

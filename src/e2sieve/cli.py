@@ -32,7 +32,7 @@ import sys
 from dataclasses import asdict, replace
 from fractions import Fraction
 
-from .algebra import _SIGN_DIGITS, LogLinear, TestFunction, _evaluate, _render
+from .algebra import _SIGN_DIGITS, LogLinear, TestFunction, _evaluate, _text
 from .catalog import TARGETS, get_target
 from .functionals import (
     BudgetExceeded,
@@ -108,9 +108,9 @@ def cmd_verify(args: argparse.Namespace) -> Result:
     def ref(name: str) -> str:
         return "-" if overridden else target.reference[name]
 
-    I, J, L, M, log_term, coefficient = _render([LogLinear(lc.I_value), LogLinear(lc.J_values[0]),
-                                                 lc.L_values[0], lc.M_values[0], log_const, lc.value],
-                                                args.digits)
+    decimals = _evaluate([LogLinear(lc.I_value), LogLinear(lc.J_values[0]), lc.L_values[0],
+                          lc.M_values[0], log_const, lc.value], args.digits)
+    I, J, L, M, log_term, coefficient = map(_text, decimals)
     rows = [
         ("I", I, ref("I")),
         ("J", J, ref("J")),
@@ -119,8 +119,8 @@ def cmd_verify(args: argparse.Namespace) -> Result:
         ("log_term", log_term, "-"),
         ("coefficient", coefficient, ref("coefficient")),
     ]
-    sign = lc.value.sign()
-    verdict = "positive" if sign > 0 else "not positive"
+    positive = decimals[-1] > 0   # the certified coefficient printed above; 0 when exactly zero
+    verdict = "positive" if positive else "not positive"
 
     mc_rows = []
     if args.mc_samples:
@@ -155,7 +155,7 @@ def cmd_verify(args: argparse.Namespace) -> Result:
     for name, v, s in mc_rows:
         lines.append(f"  {name:<{width}}  estimate {v:<26} stderr {s}")
     lines.append(f"leading coefficient is {verdict}")
-    return 0 if sign > 0 else 1, payload, csv_rows, "\n".join(lines)
+    return 0 if positive else 1, payload, csv_rows, "\n".join(lines)
 
 
 def _resolve_functional_inputs(args: argparse.Namespace) -> tuple[TestFunction, SieveParams, str]:

@@ -460,6 +460,7 @@ def bv_table(N: int, eta: Fraction | None, theta: Fraction, universe: str) -> BV
     else:
         values = primes_in_range(N, 2 * N)
     spf = factor_table(qmax + 1)
+    residues = values.astype(np.int32)   # below the table budget, so exact; % q runs faster than on int64
     rows: dict[int, Fraction] = {}
     for q in range(1, qmax + 1):
         primes = _prime_factors(spf, q)
@@ -468,7 +469,7 @@ def bv_table(N: int, eta: Fraction | None, theta: Fraction, universe: str) -> BV
         coprime = np.ones(q, dtype=bool)
         for p in primes:
             coprime[::p] = False
-        counts = np.bincount(values % q, minlength=q)[coprime]
+        counts = np.bincount(residues % q, minlength=q)[coprime]
         phi = math.prod(p - 1 for p in primes)
         total = int(counts.sum()) if universe == "beta" else len(values)
         # |c - total/phi| is largest at the least or the greatest count c

@@ -385,6 +385,14 @@ def canonical(value: LogLinear) -> tuple[Fraction, tuple[tuple[int, Fraction], .
     return value.const, tuple(sorted((p, c) for p, c in vec.items() if c != 0))
 
 
+def mp_value(value: LogLinear, dps: int):
+    """value as an mpf at dps digits: an oracle that shares no code with decimal."""
+    with mpmath.workdps(dps):
+        return mpmath.mpf(value.const.numerator) / value.const.denominator + mpmath.fsum(
+            mpmath.mpf(r.numerator) / r.denominator * mpmath.log(mpmath.mpf(q.numerator) / q.denominator)
+            for q, r in value.terms)
+
+
 # ---------------------------------------------------------------------------
 # The mpmath quadrature of the outer integrals
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from conftest import (
     definite_integral_one_var,
     derivative,
     fraction_eval,
+    mp_value,
     permuted,
     run_with_src,
     substitute,
@@ -469,12 +470,12 @@ def test_loglinear_equality_of_large_semiprime_logs_never_factors(monkeypatch):
     monkeypatch.setattr(sympy, "factorint", refuse)
     assert LogLinear.log(p * q) == LogLinear(0, [(p, 1), (q, 1)])
     assert LogLinear.log(p * q) != LogLinear(0, [(p, 1), (q, 2)])
-    assert (LogLinear.log(Fraction(p, q), 2) - LogLinear(0, [(p * p, 1), (q * q, -1)])).is_zero()
+    assert LogLinear.log(Fraction(p, q), 2) - LogLinear(0, [(p * p, 1), (q * q, -1)]) == 0
 
 
 def test_loglinear_equality_splits_off_high_powers_in_few_divisions():
     start = time.perf_counter()
-    assert (LogLinear.log(Fraction(1, 2 ** 100_000)) + LogLinear.log(2, 100_000)).is_zero()
+    assert LogLinear.log(Fraction(1, 2 ** 100_000)) + LogLinear.log(2, 100_000) == 0
     assert LogLinear.log(2 * 3 ** 50_000) == LogLinear(0, [(3, 50_000), (6, 1), (3, -1)])
     # one division per unit of exponent takes seconds here
     assert time.perf_counter() - start < 1
@@ -501,7 +502,7 @@ def test_loglinear_equality_agrees_with_factoring(split_terms, other_terms, x, s
     c = LogLinear(1, other_terms)
     for u, v in ((a, b), (a, c)):
         assert (u == v) == (canonical(u) == canonical(v))
-        assert (u - v).is_zero() == (canonical(u - v) == (0, ()))
+        assert (u - v == 0) == (canonical(u - v) == (0, ()))
 
 
 SYMPY_BLOCKED = """
@@ -560,12 +561,48 @@ def test_loglinear_sign_matches_a_200_digit_evaluation(const, terms):
     if canonical(value) == (0, ()):
         expected = 0
     else:
-        with mpmath.workdps(200):
-            exact = mpmath.mpf(const.numerator) / const.denominator + mpmath.fsum(
-                mpmath.mpf(r.numerator) / r.denominator * mpmath.log(mpmath.mpf(q.numerator) / q.denominator)
-                for q, r in value.terms)
-            expected = int(mpmath.sign(exact))
+        expected = int(mpmath.sign(mp_value(value, 200)))
     assert value.sign() == expected
+
+
+def cancelling(terms, m: int) -> LogLinear:
+    """The log terms minus their value rounded to m decimals: about m digits cancel."""
+    logs = LogLinear(0, terms)
+    with mpmath.workdps(m + 60):
+        const = -Fraction(int(mpmath.nint(mp_value(logs, m + 60) * mpmath.mpf(10) ** m)), 10 ** m)
+    return logs + const
+
+
+@given(st.lists(st.tuples(small_args, rationals), min_size=1, max_size=4), st.integers(0, 300),
+       st.integers(15, 60))
+@example([(Fraction(2), Fraction(1))], 300, 60)
+@example([(Fraction(4), Fraction(1)), (Fraction(2), Fraction(-2))], 5, 15)
+@settings(max_examples=80, deadline=None)
+def test_loglinear_eval_is_certified_through_cancellation(terms, m, digits):
+    value = cancelling(terms, m)
+    if canonical(value) == (0, ()):   # the logs cancel exactly
+        assert (loglinear_eval(value, digits), value.sign()) == ("0", 0)
+        return
+    exact = mp_value(value, digits + m + 50)
+    with mpmath.workdps(digits + m + 50):
+        reference = decimal.Context(prec=digits).plus(decimal.Decimal(mpmath.nstr(exact, digits + m + 45)))
+    assert loglinear_eval(value, digits) == str(reference)
+    assert value.sign() == int(mpmath.sign(exact))
+
+
+def test_loglinear_eval_past_960_digits_of_cancellation_raises():
+    value = cancelling([(2, 1), (Fraction(5, 3), Fraction(-2, 7))], 1000)
+    for evaluate in (lambda: loglinear_eval(value, 15), value.sign, lambda: value.evaluate_decimal(40)):
+        with pytest.raises(BudgetExceeded, match="sign undecided at 960 digits"):
+            evaluate()
+
+
+def test_loglinear_eval_of_exactly_cancelling_logs_is_their_constant():
+    # the logs sum to 0, so only the exact test, not a bound, can settle a tie or a zero
+    logs = LogLinear.log(4) - LogLinear.log(2, 2)
+    assert loglinear_eval(logs, 15) == "0"
+    assert (logs + Fraction(1, 8)).evaluate_decimal(2) == decimal.Decimal("0.12")
+    assert loglinear_eval(logs + Fraction(1, 3), 15) == "0.333333333333333"
 
 
 def test_loglinear_arithmetic():
@@ -573,7 +610,7 @@ def test_loglinear_arithmetic():
     b = LogLinear.log(3, -1) + 1
     s = a + b
     assert s.const == Fraction(4, 3)
-    assert (a - a).is_zero()
+    assert a - a == 0
     assert (Fraction(2) * a).const == Fraction(2, 3)
     with pytest.raises(TypeError):
         a * a  # no log-log products

@@ -3,10 +3,13 @@
 import json
 import time
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
-from e2sieve import TARGETS, algebra, cli, numth, simplex
+from conftest import mp_value
+from e2sieve import (TARGETS, SieveParams, TestFunction, algebra, cli, leading_coefficient, numth,
+                     simplex)
 from e2sieve.algebra import BudgetExceeded
 from e2sieve.cli import build_parser, main
 from e2sieve.simplex import mc_simplex_integral
@@ -149,6 +152,24 @@ def test_functional_past_the_degree_budget_exits_2_at_once(capsys):
     assert err == (f"error: F of degree 2048 at k = 2 gives G of degree 4099, which exceeds the "
                    f"degree budget {simplex._MAX_TOP} of the simplex kernel\n")
     assert elapsed < 1.0, elapsed
+
+
+CANCELLING = ["functional", "--F", "u1**64*u1**64*u1**64", "--k", "2", "--eta", "1/100"]
+
+
+def test_functional_prints_the_certified_value_of_a_cancelling_coefficient(capsys):
+    # the closed form's constant and log terms cancel over about 190 digits
+    F = TestFunction.from_expression(2, CANCELLING[2])
+    value = leading_coefficient(F, SieveParams(k=2, rho=1, theta=Fraction(1, 2), eta=Fraction(1, 100)),
+                                "Sprime").value
+    exact = mp_value(value, 400)
+    code, out, _ = run_cli(capsys, CANCELLING + ["--format", "text"])
+    assert code == 0
+    assert out.splitlines()[-1].startswith("leading coefficient = -1.6609660888066819e-06  [")
+    code, out, _ = run_cli(capsys, CANCELLING)
+    entry = json.loads(out)["leading_coefficient"]
+    assert code == 0 and entry["closed_form"] == value.to_text()
+    assert entry["float"] == float(exact) == -1.6609660888066819e-06
 
 
 @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
