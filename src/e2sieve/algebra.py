@@ -24,9 +24,10 @@ import ast
 import decimal
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import comb, gcd, lcm
-from operator import add
+from functools import cached_property, lru_cache
+from itertools import accumulate, pairwise
+from math import comb, gcd, lcm, perm, prod
+from operator import add, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 RationalLike = Fraction | int
@@ -291,6 +292,12 @@ _MAX_PARSE_EXPONENT = 64
 # term pairs one product may multiply.
 _MAX_PARSE_TERMS = 20_000
 _MAX_PARSE_PAIRS = 2_000_000
+# Highest degree top = k + 1 + 2 deg F of G that the simplex kernel may build,
+# so parse_poly refuses k >= _MAX_TOP.  G's L and M rows hold (top + 1)^2 ints
+# each, collapsed by a big-int Horner in (1 - a), whatever the number of terms:
+# u1^254 at k = 2 (top 511) takes 0.1 s and u1^512 (top 1,027) 0.75 s, and
+# `functional` on u1^1024 ran 11.6 s at 125 MiB (2-CPU Xeon).
+_MAX_TOP = 512
 
 
 def _monomials(k: int, lo: int, hi: int) -> int:
@@ -322,7 +329,8 @@ def parse_poly(expression: str, k: int) -> SymPoly:
     Subexpressions are (int numerators, denominator) pairs, and the
     SymPoly is built at the root.  A product or power that could create
     more than _MAX_PARSE_TERMS terms, or multiply more than _MAX_PARSE_PAIRS
-    term pairs, raises BudgetExceeded before expanding.
+    term pairs, raises BudgetExceeded before expanding; so does k >= _MAX_TOP
+    (a P leaf alone builds k tuples of k ints).
     """
 
     def build(node) -> _IntPoly:
@@ -401,6 +409,9 @@ def parse_poly(expression: str, k: int) -> SymPoly:
 
     if not expression.isascii():
         raise ValueError("cannot parse expression: only ASCII text is allowed")
+    if k + 1 > _MAX_TOP:
+        raise BudgetExceeded(f"k = {k} gives G of degree at least {k + 1}, which exceeds the "
+                             f"degree budget {_MAX_TOP} of the simplex kernel")
     try:
         return SymPoly._make(k, build(ast.parse(expression, mode="eval")))
     except SyntaxError as exc:
@@ -510,6 +521,8 @@ class LogLinear:
     def __mul__(self, scalar) -> "LogLinear":
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
+        if scalar == 1:   # LogLinear is immutable
+            return self
         return LogLinear._adopt(self.const * scalar, {q: r * scalar for q, r in self.terms} if scalar else {})
 
     __rmul__ = __mul__
@@ -632,6 +645,47 @@ def loglinear_eval(value: LogLinear, digits: int) -> str:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1 << 12)
+def _arrangements(size: int, part: tuple[int, ...]) -> int:
+    """The distinct placements of the sorted nonzero parts `part` on `size` coordinates."""
+    count, run = perm(size, len(part)), 1
+    for x, y in zip(part, part[1:]):   # divided by the place in each run of equal parts: by mult!
+        run = run + 1 if x == y else 1
+        count //= run
+    return count
+
+
+def _orbits(poly: SymPoly, swaps: Sequence[int]) -> tuple | None:
+    """(singles, classes, {key: numerator}): poly's terms in orbits of the permutations within classes.
+
+    `swaps` labels the classes.  singles are the coordinates alone in theirs,
+    classes the larger ones, and a term's key is its exponents at singles,
+    then its nonzero exponents on each class sorted descending.  One pass;
+    None unless every such permutation fixes poly, seen as an orbit with two
+    numerators or orbit sizes that do not add up to the number of terms.
+    """
+    members: dict[int, list[int]] = {}
+    for i, r in enumerate(swaps):
+        members.setdefault(r, []).append(i)
+    singles = tuple(c[0] for c in members.values() if len(c) == 1)
+    classes = [c for c in members.values() if len(c) > 1]
+    if not classes:
+        return singles, classes, poly.numerators
+    order = [*singles, *(i for c in classes for i in c)]   # singles first, then class by class
+    arrange = tuple if order == sorted(order) else itemgetter(*order)
+    sizes = [len(c) for c in classes]
+    cuts = list(pairwise(accumulate(sizes, initial=len(singles))))
+    numerators: dict[tuple, int] = {}
+    for exps, n in poly.numerators.items():
+        r = arrange(exps)
+        key = r[:len(singles)] + tuple([tuple(sorted(filter(None, r[lo:hi]), reverse=True)) for lo, hi in cuts])
+        if numerators.setdefault(key, n) != n:
+            return None
+    if sum(prod(map(_arrangements, sizes, key[len(singles):])) for key in numerators) != len(poly.numerators):
+        return None
+    return singles, classes, numerators
+
+
 def _swap_representatives(poly: SymPoly) -> list[int]:
     """For each coordinate m (1-based), the first r <= m whose swap with m fixes poly.
 
@@ -683,8 +737,12 @@ class TestFunction:
 
     @cached_property
     def swaps(self) -> list[int]:
-        """`_swap_representatives` of poly, found once: F is frozen and SymPoly immutable."""
-        return _swap_representatives(self.poly)
+        """For each coordinate m (1-based), the first r <= m whose swap with m fixes F, found once.
+
+        A symmetric F's are read off its grouping under all permutations.
+        """
+        everything = [1] * self.k
+        return everything if _orbits(self.poly, everything) else _swap_representatives(self.poly)
 
     @classmethod
     def from_expression(cls, k: int, expression: str,

@@ -42,9 +42,8 @@ It is summed in Python ints: with c = a/b, `_weight_poly` gives P's
 coefficients as ints over one denominator, and with eta = u/v the constant
 is an int over that times lcm(1..T) (bv)^T for P of degree T; only the
 constant, P(0) and P(1) become Fractions.  `leading_coefficient` runs one
-pair pass per swap class, reads I off any of them, and adds the k
-coordinates' L (and M) values into one LogLinear, their constants summed
-and their terms merged.
+pair pass per swap class, reads I off any of them, and adds each class's
+J, L and M, scaled by the class size, into one sum each.
 
 An independent check integrates the same polynomial numerically after the
 substitution xi = e^t, which turns the integrand into the smooth, bounded
@@ -62,6 +61,7 @@ from __future__ import annotations
 import decimal
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -372,13 +372,16 @@ def leading_coefficient(F: TestFunction, params: SieveParams, variant: str = "Sp
     c = params.r_exponent
 
     # coordinates whose swap leaves F unchanged share their J, L and M, and
-    # every coordinate's pass gives the same I: one pass per swap class
-    values = {r: _coordinate_values(F, r, params) for r in set(F.swaps)}
+    # every coordinate's pass gives the same I: one pass per swap class,
+    # weighted by the class size
+    sizes = Counter(F.swaps)
+    values = {r: _coordinate_values(F, r, params) for r in sizes}
     I_vals, J_vals, L_vals, M_vals = zip(*(values[r] for r in F.swaps))
     I_val = I_vals[0]
 
-    sum_L, sum_M = (sum(vals, LogLinear.zero()) for vals in (L_vals, M_vals))
-    sum_J = sum(J_vals, Fraction(0))
+    sum_J = sum(values[r][1] * size for r, size in sizes.items())
+    sum_L, sum_M = (sum((values[r][i] * size for r, size in sizes.items()), LogLinear.zero())
+                    for i in (2, 3))
 
     c_eta = lemma41_constant(params.eta)
     if variant == "Sprime":

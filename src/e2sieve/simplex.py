@@ -26,12 +26,19 @@ inner sum.  As (alpha+beta)! = (e+f)! gamma!, the same sums give
     I_k(F) = sum_{(e, f, |gamma|)} S (e+f)! / (k+e+f+|gamma|)!
 
 at every coordinate, so `pair_pass` returns I, G_L and G_M from one pass,
-the L and M rows of G filled in one loop over (key, n).  F and each pair's
-contribution are invariant under permutations within F's swap classes, so
-one side of the sum runs over orbit representatives weighted by orbit size
-(for an F fixed by no swap, the plain pair sum).  A spacings-based Monte Carlo estimator
-cross-checks I and J numerically; for J, `integrate_out` first integrates out
-u_m exactly by int_0^{1-s} u^e du = (1-s)^(e+1)/(e+1), the 1/(e+1) above.
+the L and M rows of G filled in one loop over (key, n).  F is invariant under
+the permutations within its swap classes, u_m taken out of its class, so its
+terms are grouped once into orbits and the sum runs over pairs of orbits:
+alpha's orbit size times one representative, and beta's whole orbit, whose
+sum of gamma! is a product over the classes.  A lone coordinate gives
+(a + b)!.  A class of s coordinates, where alpha has the nonzero parts a and
+beta's orbit the parts b, gives the sum over placements of b's parts on a's
+coordinates or on the s - len(a) free ones, counted there by the falling
+factorial (s - len(a))_r over the parts' multiplicities.  A symmetric F thus
+costs (orbits)^2 small sums whatever k is, and an F fixed by no swap the plain
+pair sum.  A spacings-based Monte Carlo estimator cross-checks I and J
+numerically; for J, `integrate_out` first integrates out u_m exactly by
+int_0^{1-s} u^e du = (1-s)^(e+1)/(e+1), the 1/(e+1) above.
 Where os.fork exists, the process may run on two CPUs and the samples span
 two chunks, a forked child draws and evaluates the second half of the
 samples from the same random stream, jumped ahead, so the estimate is the
@@ -45,8 +52,8 @@ import gc
 import mmap
 import os
 import traceback
-from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from math import comb, factorial, lcm, prod
 from operator import add
@@ -54,7 +61,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import BudgetExceeded, SymPoly, TestFunction
+from .algebra import _MAX_TOP, BudgetExceeded, SymPoly, TestFunction, _arrangements, _orbits
 
 # ---------------------------------------------------------------------------
 # Exact integrals
@@ -78,75 +85,74 @@ def integrate_out(p: SymPoly, var: int) -> SymPoly:
     return acc * slack
 
 
-# Most pairs (orbit representatives x terms) one kernel call may sum, about
-# a second of work: (1 - P1)^7 at k = 6 needs 199,056 per coordinate.
+# Most pairs (distinct rests of alpha x orbits of beta) one kernel call may
+# sum: 10^6 take 0.4 s at k = 6 and 0.85 s at k = 20 for an F fixed by no
+# swap (2-CPU Xeon).  (1 - P1)^7 at k = 6 needs 4,872 per coordinate.
 _MAX_PAIRS = 1_000_000
-# Highest degree top = k + 1 + 2 deg F of G that one kernel call may build.
-# Its L and M rows hold (top + 1)^2 ints each, collapsed by a big-int Horner
-# in (1 - a), whatever the number of terms: u1^254 at k = 2 (top 511) takes
-# 0.1 s and u1^512 (top 1,027) 0.75 s, and `functional` on u1^1024 ran 11.6 s
-# at 125 MiB (2-CPU Xeon).  A degree-4 F at k = 40 reaches top 49.
-_MAX_TOP = 512
 
 
-def _orbit_representatives(poly: SymPoly, m: int,
-                           swaps: list[int]) -> list[tuple[tuple[int, ...], int]]:
-    """(exponents, orbit size) of each term of poly sorted within every swap class.
+@lru_cache(maxsize=1 << 12)
+def _placements(size: int, a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """Sum of prod (a_i + b_i)! over the distinct placements of b's parts on a class of `size`.
 
-    The 0-based coordinate m is taken out of its class first.  `swaps` is
-    poly's swap classes, as `TestFunction.swaps` gives them.
+    a and b are sorted nonzero parts, a's on coordinates of their own.  Each
+    of a's parts in turn takes one of b's that is left, or none; the parts
+    left at the end go to the free coordinates in _arrangements ways.
     """
-    classes: dict[int, list[int]] = {}
-    for i, r in enumerate(swaps):
-        if i != m:
-            classes.setdefault(r, []).append(i)
-    classes = {r: idx for r, idx in classes.items() if len(idx) > 1}   # singletons fix every term
-    out = []
-    for exps in poly.numerators:
-        size = 1
-        for idx in classes.values():
-            run = [exps[i] for i in idx]
-            if any(x < y for x, y in zip(run, run[1:])):
-                break
-            size *= factorial(len(run)) // prod(map(factorial, Counter(run).values()))
-        else:
-            out.append((exps, size))
-    return out
+    left = {b: 1}
+    for x in a:
+        step: dict[tuple[int, ...], int] = {}
+        for rest, w in left.items():
+            step[rest] = step.get(rest, 0) + w * factorial(x)
+            for i, y in enumerate(rest):
+                if i == 0 or y != rest[i - 1]:
+                    r = rest[:i] + rest[i + 1:]
+                    step[r] = step.get(r, 0) + w * factorial(x + y)
+        left = step
+    return sum(w * _arrangements(size - len(a), rest) * prod(map(factorial, rest)) for rest, w in left.items())
 
 
 def _pair_sums(poly: SymPoly, m: int,
                swaps: list[int]) -> tuple[dict[tuple[int, int, int], int], int]:
     """The pair sums S[(e, f, |gamma|)] as ints, and their common denominator.
 
-    A term splits into its exponent e of the 0-based coordinate m and the
-    rest.  S sums |orbit| n_alpha n_beta gamma! over representatives alpha
-    and all terms beta, gamma = rest_alpha + rest_beta, n the coefficients'
-    int numerators.  `swaps` is poly's swap classes.  Raises BudgetExceeded
-    before the pair loop above _MAX_PAIRS pairs.
+    A term splits into its exponent e of the 0-based coordinate m and its
+    rest.  S sums n_alpha n_beta gamma!, gamma = rest_alpha + rest_beta, n
+    the int numerators, over the orbits of alpha, weighted by their size,
+    and of beta, both grouped once under poly's swap classes `swaps` with m
+    taken out of its class.  An orbit of beta sums to the product of (a + b)!
+    over the lone coordinates and of _placements over the classes.  Raises
+    BudgetExceeded before the pair loop above _MAX_PAIRS pairs.
     """
-    reps = _orbit_representatives(poly, m, swaps)
-    items, den = poly.numerators, poly.denominator
-    if len(reps) * len(items) > _MAX_PAIRS:
-        raise BudgetExceeded(f"{len(reps)} orbit representatives x {len(items)} terms "
+    labels = list(swaps)
+    labels[m] = 0   # m alone in its class
+    lone, classes, numerators = _orbits(poly, labels)
+    j, n1, sizes = lone.index(m), len(lone), [len(c) for c in classes]
+    uses: dict[tuple, list[tuple[int, int]]] = {}   # (e, n) per orbit, by rest (singles, parts)
+    for key, n in numerators.items():
+        uses.setdefault((key[:j] + key[j + 1:n1], key[n1:]), []).append((key[j], n))
+    count = sum(map(len, uses.values()))
+    if len(uses) * count > _MAX_PAIRS:
+        raise BudgetExceeded(f"{len(uses)} rests x {count} orbits "
                              f"exceeds the {_MAX_PAIRS} pairs of the simplex kernel")
-    groups: dict[tuple[int, int], list] = {}
-    for exps, n in items.items():
-        rest = exps[:m] + exps[m + 1:]
-        groups.setdefault((exps[m], sum(rest)), []).append((rest, n))
-    fact = [factorial(i) for i in range(2 * poly.total_degree() + 1)].__getitem__
-    # gamma! reads alpha only through its rest: one inner sum per rest and group
-    uses: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for exps, size in reps:
-        uses.setdefault(exps[:m] + exps[m + 1:], []).append((exps[m], size * items[exps]))
+    groups: dict[tuple, dict[tuple[int, int], list]] = {}   # beta's by parts, then (f, |rest|)
+    for (singles, parts), shared in uses.items():
+        for f, n in shared:
+            groups.setdefault(parts, {}).setdefault((f, sum(singles) + sum(map(sum, parts))), []).append((singles, n))
+    factorial_of = [factorial(i) for i in range(2 * poly.total_degree() + 1)].__getitem__
     sums: dict[tuple[int, int, int], int] = {}
-    for rest, shared in uses.items():
-        g = sum(rest)
-        for (f, g2), group in groups.items():
-            s = sum(n * prod(map(fact, map(add, rest, other))) for other, n in group)
-            for e, weight in shared:
-                key = (e, f, g + g2)
-                sums[key] = sums.get(key, 0) + weight * s
-    return sums, den * den
+    # gamma! reads alpha only through its rest: one inner sum per rest and group
+    for (singles, parts), shared in uses.items():
+        g = sum(singles) + sum(map(sum, parts))
+        size = prod(map(_arrangements, sizes, parts))
+        for other_parts, by_key in groups.items():
+            w = size * prod(map(_placements, sizes, parts, other_parts))
+            for (f, g2), group in by_key.items():
+                s = w * sum(n * prod(map(factorial_of, map(add, singles, other))) for other, n in group)
+                for e, n in shared:
+                    key = (e, f, g + g2)
+                    sums[key] = sums.get(key, 0) + n * s
+    return sums, poly.denominator ** 2
 
 
 def pair_pass(F: TestFunction, m: int) -> tuple[Fraction, SymPoly, SymPoly]:
@@ -176,14 +182,17 @@ def pair_pass(F: TestFunction, m: int) -> tuple[Fraction, SymPoly, SymPoly]:
     # rows[P][Q] is the numerator of (1-a)^P a^Q, for L then M; kappa^M_n is
     # kappa^L_n less C(e+1, n) - [n = 0], and kappa_0 = 0 for L and M
     rows_L, rows_M = ([[0] * (top + 1) for _ in range(top + 1)] for _ in "LM")
+    plans: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}   # per (e, f), once
     for (e, f, g), s in sums.items():
+        if (e, f) not in plans:   # (P - g, Q, kappa^L_n n!, kappa^M_n n!) per n
+            plans[e, f] = [(k - 1 + n, e + f + 2 - n, (comb(e + f + 2, n) - comb(f + 1, n)) * fact[n],
+                            (comb(e + f + 2, n) - comb(f + 1, n) - comb(e + 1, n)) * fact[n])
+                           for n in range(1, e + f + 3)]
         d = (e + 1) * (f + 1)
-        for n in range(1, e + f + 3):
-            kappa = comb(e + f + 2, n) - comb(f + 1, n)
-            P, Q = k - 1 + g + n, e + f + 2 - n
-            t = s * fact[n] * (scale[P] // d)
-            rows_L[P][Q] += kappa * t
-            rows_M[P][Q] += (kappa - comb(e + 1, n)) * t
+        for P, Q, kappa_L, kappa_M in plans[e, f]:
+            t = s * (scale[P + g] // d)
+            rows_L[P + g][Q] += kappa_L * t
+            rows_M[P + g][Q] += kappa_M * t
 
     def collapse(rows: list[list[int]]) -> SymPoly:
         coeffs = rows[top]

@@ -154,6 +154,24 @@ def test_functional_past_the_degree_budget_exits_2_at_once(capsys):
     assert elapsed < 1.0, elapsed
 
 
+def test_functional_past_the_degree_budget_in_k_exits_2_before_building_F(capsys):
+    # a P leaf builds k tuples of k ints, 80 GB at k = 100,000; even a constant
+    # F has G of degree k + 1
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, out, err = run_cli(capsys, ["functional", "--F", "1 - P1", "--k", "100000"])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err == (f"error: k = 100000 gives G of degree at least 100001, which exceeds the "
+                   f"degree budget {simplex._MAX_TOP} of the simplex kernel\n")
+    assert elapsed < 1.0, elapsed
+    assert peak < 2 ** 20, peak
+
+
 CANCELLING = ["functional", "--F", "u1**64*u1**64*u1**64", "--k", "2", "--eta", "1/100"]
 
 
@@ -190,7 +208,9 @@ def test_functional_validates_before_computing(capsys):
 
 @pytest.mark.parametrize("expression, budget", [
     ("P1**30", "terms"),     # up to 324,632 terms: refused by the parser
-    ("P1**12", "pairs"),     # 6188 terms, but 197 x 6188 pairs per coordinate
+    # distinct weights fix no swap: 1716 orbits of one term, 792 x 1716 pairs
+    # per coordinate (P1**12, 6188 terms, is 44 orbits of S_6 and fits)
+    pytest.param("(1 + u1 + 2*u2 + 3*u3 + 4*u4 + 5*u5 + 6*u6)**7", "pairs", id="weighted**7-pairs"),
 ])
 def test_functional_over_the_work_budget_exits_2(capsys, expression, budget):
     code, _, err = run_cli(capsys, ["functional", "--F", expression, "--k", "6"])

@@ -1,6 +1,7 @@
 """Outer weighted functionals, leading coefficients, and the large-k plan."""
 
 import ast
+import hashlib
 import random
 import sys
 from dataclasses import replace
@@ -152,6 +153,20 @@ def test_leading_coefficient_runs_one_pair_pass_per_swap_class(monkeypatch):
     assert len(calls) == 4 and set(calls) == {0, 1, 2, 3}
 
 
+def test_the_degree_3_basis_sum_at_k_40_keeps_its_exact_values():
+    # SHA-256 of I, J and the closed-form coefficient, recorded with the pair
+    # kernel that paired every term with each orbit representative; 12,341
+    # terms in 7 orbits of S_40, one swap class
+    F = TestFunction(k=40, poly=parse_poly("1 + P1 + P1**2 + P2 + P1**3 + P1*P2 + P3", 40))
+    lc = leading_coefficient(F, SieveParams(k=40, rho=6, theta=Fraction(1), eta=Fraction(1, 10 ** 10)), "S")
+    assert F.swaps == [1] * 40 and set(lc.J_values) == {lc.J_values[0]}
+    digests = [hashlib.sha256(text.encode()).hexdigest()
+               for text in (str(lc.I_value), str(lc.J_values[0]), lc.value.to_text())]
+    assert digests == ["3e542c0c06bafb111d69db047b59fc84eec5344239d6ad401f8ad1681afa5cc7",
+                       "92f21b7d98a158a6c35b829067e110962a1bcd624c465e820ba164047cde6deb",
+                       "106de2bc95825c404914597c630d0994eceeda28fb613aea3c3bbe3ced0a6c57"]
+
+
 # ---------------------------------------------------------------------------
 # closed form vs quadrature, symmetry, exact identities
 # ---------------------------------------------------------------------------
@@ -267,24 +282,30 @@ def test_leading_coefficient_values_match_direct_calls_per_coordinate(expr):
 
 @pytest.mark.parametrize("expr", [SYM12, ASYMMETRIC, "1 - P1 + P2"])
 def test_leading_coefficient_finds_the_swap_classes_once(monkeypatch, expr):
-    # I and every coordinate class reuse the classes F keeps once found
+    # I and every coordinate class reuse the classes F keeps once found.  A
+    # symmetric F's come from its grouping into orbits under all permutations;
+    # any other F's from the swap search after that grouping fails
     calls = []
 
-    def spy(poly):
-        calls.append(poly)
-        return _swap_representatives(poly)
+    def spying(name, find):
+        def spy(poly, *args):
+            calls.append(name)
+            return find(poly, *args)
+        return spy
 
-    monkeypatch.setattr(algebra, "_swap_representatives", spy)
+    monkeypatch.setattr(algebra, "_swap_representatives", spying("swaps", _swap_representatives))
+    monkeypatch.setattr(algebra, "_orbits", spying("orbits", algebra._orbits))
+    once = ["orbits"] if expr == "1 - P1 + P2" else ["orbits", "swaps"]
     params = SieveParams(k=4, rho=2, theta=Fraction(1), eta=Fraction(1, 100))
     F = TestFunction(k=4, poly=parse_poly(expr, 4))
     leading_coefficient(F, params)
-    assert len(calls) == 1
+    assert calls == once
     leading_coefficient(F, params)
-    assert len(calls) == 1
+    assert calls == once
     F = TestFunction(k=4, poly=parse_poly(expr, 4))
     quad_outer(F, 1, params, "L")
     quad_outer(F, 1, params, "M")
-    assert len(calls) == 2
+    assert calls == once * 2
 
 
 def test_rho_monotonicity_is_exactly_minus_cI(target_coefficients):

@@ -3,6 +3,7 @@
 import gc
 import itertools
 import os
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from conftest import (
     sample_solid_simplex,
 )
 from e2sieve import TARGETS, simplex
-from e2sieve.algebra import BudgetExceeded, SymPoly, TestFunction, _swap_representatives, parse_poly
+from e2sieve.algebra import BudgetExceeded, SymPoly, TestFunction, _orbits, _swap_representatives, parse_poly
 from e2sieve.simplex import (
     _MAX_PAIRS,
     _MAX_TOP,
@@ -33,7 +34,6 @@ from e2sieve.simplex import (
     I_k,
     J_k_m,
     _column_sampler,
-    _orbit_representatives,
     _term_evaluator,
     integrate_out,
     mc_simplex_integral,
@@ -69,32 +69,46 @@ def test_integrate_poly_simplex_is_linear():
 
 def _partially_symmetric(k, classes, monomials):
     """The sum of c * (orbit of alpha) over the group permuting coordinates with equal labels."""
+    members = [[i for i in range(k) if classes[i] == label] for label in sorted(set(classes))]
     terms = {}
     for alpha, c in monomials.items():
-        for perm in itertools.permutations(range(k)):
-            if all(classes[i] == classes[perm[i]] for i in range(k)):
-                terms[tuple(alpha[perm[i]] for i in range(k))] = c
+        # each class's nonzero exponents, placed on its coordinates in every distinct way
+        placings = [{tuple(zip(spots, [alpha[i] for i in idx if alpha[i]]))
+                     for spots in itertools.permutations(idx, sum(1 for i in idx if alpha[i]))}
+                    for idx in members]
+        for choice in itertools.product(*placings):
+            exps = [0] * k
+            for spots in choice:
+                for i, e in spots:
+                    exps[i] = e
+            terms[tuple(exps)] = c
     return SymPoly(k, terms)
 
 
 @st.composite
 def partially_symmetric_functions(draw):
-    k = draw(st.integers(2, 4))
-    classes = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
+    k = draw(st.integers(2, 8))
+    classes = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))
     exponents = st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(lambda e: sum(e) <= 3)
     monomials = draw(st.dictionaries(exponents.map(tuple), st.builds(
-        Fraction, st.integers(-9, 9), st.integers(1, 9)), max_size=6))
+        Fraction, st.integers(-9, 9), st.integers(1, 9)), max_size=6 if k <= 4 else 3))
     return TestFunction(k=k, poly=_partially_symmetric(k, classes, monomials))
 
 
 @given(F=partially_symmetric_functions())
-@settings(max_examples=40, deadline=None)
+@example(F=TestFunction.from_expression(8, "1 - P1**2 + P3/3"))   # one class of 8
+@example(F=TestFunction.from_expression(   # classes {u1, u2, u3} and {u4, u5}
+    5, "1 - (u1+u2+u3)*(u4+u5) + u1*u2*u3 - 2*(u4**2+u5**2) + 3*(u1**2+u2**2+u3**2)*u4*u5"))
+@settings(max_examples=100, deadline=None)   # about as many k <= 4 draws as the 40 of k in 2..4
 def test_pair_kernel_equals_the_expanding_oracle(F):
+    # G at every coordinate up to k = 4 and past it at one per swap class (the
+    # oracle takes about 0.5 s a G at k = 8); J at every coordinate
     assert I_k(F) == expanding_I(F)
-    for m in range(1, F.k + 1):
+    for m in range(1, F.k + 1) if F.k <= 4 else set(F.swaps):
         _, G_L, G_M = pair_pass(F, m)
         assert G_L == expanding_G(F, m, "L")
         assert G_M == expanding_G(F, m, "M")
+    for m in range(1, F.k + 1):
         assert J_k_m(F, m) == expanding_J(F, m)
 
 
@@ -151,18 +165,34 @@ def test_every_coordinate_pass_gives_the_same_I(poly):
     assert {pair_pass(F, m)[0] for m in range(1, F.k + 1)} == {expanding_I(F)}
 
 
-def test_orbit_pairs_of_a_symmetric_degree_7_function():
-    # (1 - P1)^7 at k = 6 has 1716 terms; the pass at one coordinate sums
-    # over 116 orbit representatives of S_5
+def _kernel_counts(F, m, monkeypatch):
+    """(rests, orbits) of the kernel's pass at the 0-based coordinate m, read off its budget check."""
+    monkeypatch.setattr(simplex, "_MAX_PAIRS", -1)
+    with pytest.raises(BudgetExceeded) as raised:
+        simplex._pair_sums(F.poly, m, F.swaps)
+    monkeypatch.undo()
+    rests, orbits = re.match(r"(\d+) rests x (\d+) orbits", str(raised.value)).groups()
+    return int(rests), int(orbits)
+
+
+def test_orbit_pairs_of_a_symmetric_degree_7_function(monkeypatch):
+    # (1 - P1)^7 at k = 6 has 1716 terms in 44 orbits of S_6, the partitions
+    # with at most 6 parts of each n <= 7.  The pass at one coordinate groups
+    # them into 116 orbits of S_5 with 42 distinct rests: 4,872 pairs
     F = TestFunction.from_expression(6, "(1-P1)**7")
     assert len(F.poly.terms) == 1716
-    assert len(_orbit_representatives(F.poly, 0, F.swaps)) * 1716 == 199_056
-    assert all(len(_orbit_representatives(F.poly, m, F.swaps)) == 116 for m in range(6))
+    assert F.swaps == [1] * 6 and len(_orbits(F.poly, F.swaps)[2]) == 44
+    for m in range(6):
+        assert len(_orbits(F.poly, [0 if i == m else 1 for i in range(6)])[2]) == 116
+        assert _kernel_counts(F, m, monkeypatch) == (42, 116)
 
 
-def test_kernel_over_the_pair_budget_raises_before_its_pair_loop():
-    F = TestFunction.from_expression(6, "P1**12")   # 6188 terms
-    assert len(_orbit_representatives(F.poly, 0, F.swaps)) * len(F.poly.terms) > _MAX_PAIRS
+def test_kernel_over_the_pair_budget_raises_before_its_pair_loop(monkeypatch):
+    # distinct weights fix no swap: 1716 orbits of one term each, 792 rests
+    F = TestFunction.from_expression(6, "(1 + u1 + 2*u2 + 3*u3 + 4*u4 + 5*u5 + 6*u6)**7")
+    assert F.swaps == [1, 2, 3, 4, 5, 6]
+    rests, orbits = _kernel_counts(F, 0, monkeypatch)
+    assert (rests, orbits) == (792, 1716) and rests * orbits > _MAX_PAIRS
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceeded, match="pairs"):
