@@ -1,6 +1,6 @@
 """Bundled verification targets.
 
-Each target is a concrete (F, k, rho, theta, eta, variant) choice whose
+Each target is a concrete (F, k, rho, theta, variant) choice whose
 leading coefficient is positive, together with the published reference
 digits it should reproduce.  The keys double as the --theorem vocabulary of
 the command line interface.
@@ -14,8 +14,6 @@ from fractions import Fraction
 from .algebra import TestFunction
 from .functionals import SieveParams
 
-ETA_DEFAULT = Fraction(1, 10 ** 10)
-
 
 @dataclass(frozen=True)
 class VerificationTarget:
@@ -25,13 +23,11 @@ class VerificationTarget:
     rho: int
     theta: Fraction
     variant: str              # "S" counts only almost-prime components, "Sprime" adds primes
-    eta: Fraction
-    shifts: tuple[int, ...] | None   # an admissible shift set quoted with the target
-    reference: dict[str, str]        # printed digits to reproduce, per quantity
+    reference: dict[str, str]  # printed digits to reproduce, per quantity
 
     def params(self) -> SieveParams:
-        return SieveParams(k=self.k, rho=self.rho, theta=self.theta,
-                           delta=Fraction(0), eta=self.eta)
+        """k, rho and theta, at SieveParams' own delta = 0 and eta = 10^-10."""
+        return SieveParams(k=self.k, rho=self.rho, theta=self.theta)
 
     def test_function(self) -> TestFunction:
         return TestFunction.from_expression(self.k, self.expression)
@@ -48,8 +44,6 @@ TARGETS: dict[str, VerificationTarget] = {
         rho=2,
         theta=Fraction(1, 2),
         variant="Sprime",
-        eta=ETA_DEFAULT,
-        shifts=None,
         reference={
             "I": "5.30806e-6",
             "J": "1.88915e-6",
@@ -65,8 +59,6 @@ TARGETS: dict[str, VerificationTarget] = {
         rho=2,
         theta=Fraction(1),
         variant="Sprime",
-        eta=ETA_DEFAULT,
-        shifts=None,
         reference={
             "I": "0.0287919",
             "J": "0.0154828",
@@ -84,9 +76,7 @@ TARGETS: dict[str, VerificationTarget] = {
         k=5,
         rho=2,
         theta=Fraction(1),
-        variant="S",
-        eta=ETA_DEFAULT,
-        shifts=(0, 2, 6, 8, 12),
+        variant="S",   # quoted with the admissible shifts (0, 2, 6, 8, 12)
         reference={
             "I": "1735763/1732500000",
             "J": "722755717/1871100000000",

@@ -15,12 +15,13 @@ Four subcommands:
 argparse is the only parser, and every default sits on its argument.  A flat
 key = value file given by --config becomes --key=value tokens right after the
 subcommand, so each key must be a flag of that subcommand and the flags on
-the command line win.  Each subcommand returns its exit code with its result
-as a JSON payload, CSV rows and text, and `main` writes the one --format asks
-for.  Outputs are deterministic byte-for-byte for a fixed configuration and
-seed: no timestamps, sorted JSON keys, fixed float repr.  Exit codes: 0
-success (and positive verdict for verify), 1 negative verdict, 2 usage, parse
-or budget errors.
+the command line win.  Each subcommand checks its own flags and returns its
+exit code with its result as a JSON payload (a record's by one field walk,
+_plain), CSV rows and text; `main` only parses, dispatches and writes the one
+--format asks for.  Outputs are deterministic byte-for-byte for a fixed
+configuration and seed: no timestamps, sorted JSON keys, fixed float repr.
+Exit codes: 0 success (and positive verdict for verify), 1 negative verdict,
+2 usage, parse or budget errors.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 from .algebra import _SIGN_DIGITS, LogLinear, TestFunction, _evaluate, _text
@@ -88,12 +89,31 @@ def _params(args: argparse.Namespace, base: SieveParams, variant: str) -> tuple[
     return replace(base, **given), args.variant or variant
 
 
+def _plain(record) -> dict:
+    """A dataclass record's fields for json.dumps: Fractions and dict keys become strings.
+
+    sort_keys=True would sort int keys as numbers.  Only Fractions and dicts
+    are rebuilt: unlike asdict, the walk deep-copies no field.
+    """
+    def plain(value):
+        if isinstance(value, Fraction):
+            return str(value)
+        if isinstance(value, dict):
+            return {str(key): plain(v) for key, v in value.items()}
+        return value
+    return {f.name: plain(getattr(record, f.name)) for f in fields(record)}
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
 def cmd_verify(args: argparse.Namespace) -> Result:
+    if not 15 <= args.digits <= _SIGN_DIGITS:
+        raise ValueError(f"--digits must be between 15 and {_SIGN_DIGITS}")
+    if args.seed < 0 or args.mc_samples < 0:
+        raise ValueError("--seed and --mc-samples must be non-negative")
     if not args.theorem:
         raise ValueError("verify needs --theorem")
     target = get_target(args.theorem)
@@ -179,13 +199,20 @@ def cmd_functional(args: argparse.Namespace) -> Result:
     F, params, variant = _resolve_functional_inputs(args)
     lc = leading_coefficient(F, params, variant)
     k = params.k
-
-    def frac_entry(fr: Fraction) -> dict:
-        return {"exact": str(fr), "float": float(fr)}
-
+    ms = range(1, k + 1)
+    exact = [{"exact": str(v), "float": float(v)} for v in (lc.I_value, *lc.J_values)]
     # every closed form's float, from its 25-digit decimal, over one ln table
     logs = [*lc.L_values, *lc.M_values, lc.value, *lc.breakdown.values()]
-    entries = [{"closed_form": v.to_text(), "float": float(dec)} for v, dec in zip(logs, _evaluate(logs, 25))]
+    closed = [{"closed_form": v.to_text(), "float": float(dec)} for v, dec in zip(logs, _evaluate(logs, 25))]
+    # (quantity, m, entry), read by the payload, the CSV rows and the text alike
+    table = [("I", "-", exact[0]),
+             *(("J", m, entry) for m, entry in zip(ms, exact[1:])),
+             *(("L", m, entry) for m, entry in zip(ms, closed)),
+             *(("M", m, entry) for m, entry in zip(ms, closed[k:])),
+             ("coefficient", "-", closed[2 * k])]
+
+    def per_m(quantity: str) -> dict:
+        return {f"m={m}": entry for name, m, entry in table if name == quantity}
 
     payload = {
         "F": args.F,
@@ -195,34 +222,23 @@ def cmd_functional(args: argparse.Namespace) -> Result:
         "delta": str(params.delta),
         "eta": str(params.eta),
         "variant": variant,
-        "I": frac_entry(lc.I_value),
-        "J": {f"m={m}": frac_entry(v) for m, v in enumerate(lc.J_values, 1)},
-        "L": {f"m={m}": entry for m, entry in enumerate(entries[:k], 1)},
-        "M": {f"m={m}": entry for m, entry in enumerate(entries[k:2 * k], 1)},
-        "leading_coefficient": {**entries[2 * k], "addends": dict(zip(lc.breakdown, entries[2 * k + 1:]))},
+        "I": exact[0],
+        "J": per_m("J"),
+        "L": per_m("L"),
+        "M": per_m("M"),
+        "leading_coefficient": {**closed[2 * k], "addends": dict(zip(lc.breakdown, closed[2 * k + 1:]))},
     }
     rows: list[tuple] = [("quantity", "m", "exact_or_closed", "float")]
-    rows.append(("I", "-", payload["I"]["exact"], payload["I"]["float"]))
-    for m in range(1, k + 1):
-        rows.append(("J", m, payload["J"][f"m={m}"]["exact"], payload["J"][f"m={m}"]["float"]))
-    for name in ("L", "M"):
-        for m in range(1, k + 1):
-            entry = payload[name][f"m={m}"]
-            rows.append((name, m, f"\"{entry['closed_form']}\"", entry["float"]))
-    rows.append(("coefficient", "-", f"\"{payload['leading_coefficient']['closed_form']}\"",
-                 payload["leading_coefficient"]["float"]))
     lines = [f"k={k} rho={params.rho} theta={params.theta} "
-             f"delta={params.delta} eta={params.eta} variant={variant}",
-             f"I = {payload['I']['exact']} = {payload['I']['float']!r}"]
-    for m in range(1, k + 1):
-        e = payload["J"][f"m={m}"]
-        lines.append(f"J(m={m}) = {e['exact']} = {e['float']!r}")
-    for name in ("L", "M"):
-        for m in range(1, k + 1):
-            e = payload[name][f"m={m}"]
-            lines.append(f"{name}(m={m}) = {e['float']!r}  [{e['closed_form']}]")
-    lc_entry = payload["leading_coefficient"]
-    lines.append(f"leading coefficient = {lc_entry['float']!r}  [{lc_entry['closed_form']}]")
+             f"delta={params.delta} eta={params.eta} variant={variant}"]
+    for name, m, entry in table:
+        label = {"I": "I", "coefficient": "leading coefficient"}.get(name, f"{name}(m={m})")
+        if "exact" in entry:
+            rows.append((name, m, entry["exact"], entry["float"]))
+            lines.append(f"{label} = {entry['exact']} = {entry['float']!r}")
+        else:
+            rows.append((name, m, f"\"{entry['closed_form']}\"", entry["float"]))
+            lines.append(f"{label} = {entry['float']!r}  [{entry['closed_form']}]")
     return 0, payload, rows, "\n".join(lines)
 
 
@@ -231,7 +247,6 @@ def cmd_scan(args: argparse.Namespace) -> Result:
         raise ValueError("scan needs --limit")
     if args.mode == "gaps":
         report = gap_scan(args.limit, args.rho, args.universe)
-        payload = report.to_dict()
         csv_rows = [("universe", "limit", "rho", "min_gap", "argmin"),
                     (report.universe, report.limit, report.rho, report.min_gap,
                      " ".join(map(str, report.argmin))),
@@ -245,7 +260,6 @@ def cmd_scan(args: argparse.Namespace) -> Result:
             raise ValueError("scan --mode hits needs --H")
         threshold = args.threshold if args.threshold is not None else len(set(args.H))
         report = tuple_hit_count(args.H, args.limit, args.universe, threshold)
-        payload = report.to_dict()
         csv_rows = [("shifts", "universe", "limit", "threshold", "count", "witnesses"),
                     (" ".join(map(str, report.shifts)), report.universe, report.limit,
                      report.threshold, report.count, " ".join(map(str, report.witnesses)))]
@@ -256,25 +270,23 @@ def cmd_scan(args: argparse.Namespace) -> Result:
         if args.universe not in ("primes", "beta"):
             raise ValueError("scan --mode bv needs --universe primes or beta")
         eta = args.eta if args.universe == "beta" else None
-        table = bv_table(args.limit, eta, args.theta, args.universe)
-        payload = table.to_dict()
+        report = bv_table(args.limit, eta, args.theta, args.universe)
         csv_rows = [("q", "max_discrepancy")]
-        csv_rows += [(q, str(v)) for q, v in sorted(table.rows.items())]
-        csv_rows.append(("weighted_sum", str(table.weighted_sum)))
-        text = (f"universe {table.universe}, N {table.N}, theta {table.theta}\n"
-                + "\n".join(f"q={q}: {v}" for q, v in sorted(table.rows.items()))
-                + f"\nweighted sum {table.weighted_sum}")
-    return 0, payload, csv_rows, text
+        csv_rows += [(q, str(v)) for q, v in sorted(report.rows.items())]
+        csv_rows.append(("weighted_sum", str(report.weighted_sum)))
+        text = (f"universe {report.universe}, N {report.N}, theta {report.theta}\n"
+                + "\n".join(f"q={q}: {v}" for q, v in sorted(report.rows.items()))
+                + f"\nweighted sum {report.weighted_sum}")
+    return 0, _plain(report), csv_rows, text
 
 
 def cmd_theorem11(args: argparse.Namespace) -> Result:
     if args.rho is None:
         raise ValueError("theorem11 needs --rho")
-    plan = theorem11_plan(args.rho, args.theta, args.epsilon)
-    payload = {key: str(v) if isinstance(v, Fraction) else v for key, v in asdict(plan).items()}
-    fields = sorted(payload)
-    return (0, payload, [("field", "value")] + [(key, payload[key]) for key in fields],
-            "\n".join(f"{key} = {payload[key]}" for key in fields))
+    payload = _plain(theorem11_plan(args.rho, args.theta, args.epsilon))
+    keys = sorted(payload)
+    return (0, payload, [("field", "value")] + [(key, payload[key]) for key in keys],
+            "\n".join(f"{key} = {payload[key]}" for key in keys))
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +379,6 @@ def main(argv: list[str] | None = None) -> int:
             args, unknown = parser.parse_known_args(argv[:at] + _config_tokens(args.config) + argv[at:])
             if unknown:   # argv itself parsed above, so these came from the file
                 raise ValueError(f"unknown config key {unknown[0][2:].partition('=')[0]!r}")
-        if args.command == "verify":
-            if not 15 <= args.digits <= _SIGN_DIGITS:
-                raise ValueError(f"--digits must be between 15 and {_SIGN_DIGITS}")
-            if args.seed < 0 or args.mc_samples < 0:
-                raise ValueError("--seed and --mc-samples must be non-negative")
         code, payload, rows, text = _COMMANDS[args.command](args)
         if args.format == "json":
             text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)

@@ -216,6 +216,10 @@ _HALF_PI = Decimal("1.5707963267948966192313216916397514420985846996875529104874
 # two successive levels must agree to tol * _LEVEL_AGREEMENT; the later sum's
 # error is then about the square of that difference, far below tol
 _LEVEL_AGREEMENT = 1e-7
+# quad_outer's absolute tolerance, which the 50 working digits make meaningful,
+# and its evaluation budget, which covers levels 0 to 10 (9,080 evaluations)
+_QUAD_TOL = 1e-13
+_QUAD_MAX_EVALS = 10_000
 _TS_NODES: list[list[tuple[Decimal, Decimal]]] = []
 
 
@@ -287,36 +291,25 @@ def _tanh_sinh(num: list[int], den: int, eta: Fraction, c: Fraction,
         return value
 
 
-def quad_outer(
-    F: TestFunction,
-    m: int,
-    params: SieveParams,
-    kind: str,
-    tol: float = 1e-13,
-    max_evals: int = 10_000,
-) -> float:
+def quad_outer(F: TestFunction, m: int, params: SieveParams, kind: str) -> float:
     """Quadrature check of outer_L / outer_M (kind 'L' or 'M').
 
     Substitutes xi = e^t, so the outer integral becomes
     int_{ln eta}^{ln c} P(e^t) / (1 - e^t) dt with a smooth, bounded
     integrand (c <= 1/2), and integrates it by tanh-sinh quadrature in
-    `decimal` at 50 working digits, which makes the absolute tolerance
-    (>= 1e-13) meaningful.  The step halves until two successive levels
-    agree far inside tol, or until the next level would need more than
-    max_evals integrand evaluations; the default budget allows levels 0 to 10
-    (9,080 evaluations).  Nothing of the closed form is used.
-    Deterministic; raises BudgetExceeded if max_evals does not cover levels
-    0 and 1, or if the last error estimate exceeds tol.
+    `decimal` at 50 working digits to the absolute tolerance _QUAD_TOL.
+    The step halves until two successive levels agree far inside it, or
+    until the next level would pass _QUAD_MAX_EVALS integrand evaluations.
+    Nothing of the closed form is used.  Deterministic; raises
+    BudgetExceeded if the last error estimate exceeds _QUAD_TOL.
     """
     if kind not in ("L", "M"):
         raise ValueError("kind must be 'L' or 'M'")
-    if tol < 1e-13:
-        raise ValueError("tol must be >= 1e-13")
     c = params.r_exponent
     eta = params.eta
     inner, power = (inner_L, 1) if kind == "L" else (inner_M, 2)
     num, den = _weight_poly(inner(F, m, a_min=eta / c), power, c)
-    return float(_tanh_sinh(num, den, eta, c, tol, max_evals))
+    return float(_tanh_sinh(num, den, eta, c, _QUAD_TOL, _QUAD_MAX_EVALS))
 
 
 # ---------------------------------------------------------------------------

@@ -301,18 +301,7 @@ class GapReport:
     min_gap: int
     argmin: tuple[int, ...]          # the rho+1 consecutive members realizing it
     histogram: dict[int, int] = field(repr=False)
-    scanned: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "universe": self.universe,
-            "limit": self.limit,
-            "rho": self.rho,
-            "min_gap": self.min_gap,
-            "argmin": list(self.argmin),
-            "histogram": {str(g): c for g, c in sorted(self.histogram.items())},
-            "scanned": self.scanned,
-        }
+    scanned: int
 
 
 def gap_scan(limit: int, rho: int, universe: str) -> GapReport:
@@ -348,16 +337,6 @@ class TupleHitReport:
     threshold: int
     count: int
     witnesses: tuple[int, ...]  # first 10 qualifying n
-
-    def to_dict(self) -> dict:
-        return {
-            "shifts": list(self.shifts),
-            "universe": self.universe,
-            "limit": self.limit,
-            "threshold": self.threshold,
-            "count": self.count,
-            "witnesses": list(self.witnesses),
-        }
 
 
 def tuple_hit_count(shifts: Sequence[int], limit: int, universe: str, threshold: int) -> TupleHitReport:
@@ -424,17 +403,7 @@ class BVTable:
     eta: Fraction | None
     universe: str
     rows: dict[int, Fraction] = field(repr=False)
-    weighted_sum: Fraction = Fraction(0)
-
-    def to_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "theta": str(self.theta),
-            "eta": None if self.eta is None else str(self.eta),
-            "universe": self.universe,
-            "rows": {str(q): str(v) for q, v in sorted(self.rows.items())},
-            "weighted_sum": str(self.weighted_sum),
-        }
+    weighted_sum: Fraction
 
 
 def bv_table(N: int, eta: Fraction | None, theta: Fraction, universe: str) -> BVTable:

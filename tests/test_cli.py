@@ -3,13 +3,14 @@
 import json
 import time
 import tracemalloc
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
-from conftest import mp_value
-from e2sieve import (TARGETS, SieveParams, TestFunction, algebra, cli, leading_coefficient, numth,
-                     simplex)
+from conftest import mp_value, run_with_src
+from e2sieve import (TARGETS, SieveParams, TestFunction, algebra, cli, functionals, leading_coefficient,
+                     numth, simplex)
 from e2sieve.algebra import BudgetExceeded
 from e2sieve.cli import build_parser, main
 from e2sieve.simplex import mc_simplex_integral
@@ -360,6 +361,7 @@ def test_theorem11_reports_log2_k_when_k_is_too_long_to_print(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["k"] is None and payload["eta_ratio"] is None
+    assert '  "k": null,' in out.splitlines()
     assert payload["log2_k"] == pytest.approx(17543.5, rel=1e-5)
 
 
@@ -385,6 +387,25 @@ def test_theorem11_needs_rho(capsys):
 def test_theorem11_rejects_small_rho(capsys):
     code, _, err = run_cli(capsys, ["theorem11", "--rho", "2"])
     assert code == 2 and "error" in err
+
+
+# ---------------------------------------------------------------------------
+# records as JSON
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, record", [
+    (["scan", "--mode", "gaps", "--limit", "2000"], numth.GapReport),
+    (["scan", "--mode", "hits", "--limit", "2000", "--universe", "P2", "--H", "0,2,6"],
+     numth.TupleHitReport),
+    (["scan", "--mode", "bv", "--limit", "2000", "--universe", "primes"], numth.BVTable),
+    (["scan", "--mode", "bv", "--limit", "2000", "--universe", "beta"], numth.BVTable),
+    (["theorem11", "--rho", "5"], functionals.Theorem11Plan),
+], ids=["gaps", "hits", "bv-primes", "bv-beta", "theorem11"])
+def test_the_json_keys_are_the_record_fields(capsys, argv, record):
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert sorted(json.loads(out)) == sorted(f.name for f in fields(record))
 
 
 # ---------------------------------------------------------------------------
@@ -560,3 +581,18 @@ def test_repeat_runs_are_byte_identical(capsys):
     _, first, _ = run_cli(capsys, argv)
     _, second, _ = run_cli(capsys, argv)
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# the module run as a program: sys.exit(main())
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("flags, code, err", [
+    ([], 0, ""),
+    (["--rho", "3"], 1, ""),
+    (["--digits", "5"], 2, "error: --digits must be between 15 and 960\n"),
+], ids=["positive", "not-positive", "usage"])
+def test_the_module_exits_with_the_code_main_returns(flags, code, err):
+    run = run_with_src(["-m", "e2sieve.cli", "verify", "--theorem", "thm1.3", *flags])
+    assert (run.returncode, run.stderr) == (code, err)
