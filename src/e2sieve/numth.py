@@ -13,8 +13,9 @@ Conventions (kept exactly as in the analytic setup this package models):
 Bulk questions take primality from one prime sieve, `_prime_mask` (the
 sequences, the gap and tuple scans), and factorisation from one factor
 table, `factor_table` (beta numbers, BV moduli, `sieveweights`), both under
-one 4*10^6-entry budget that raises ValueError before allocating.  The byte
-sieve `primes_up_to` supplies the base primes of both.  The trial-division
+one 4*10^6-entry budget that raises ValueError before allocating.  Both
+strike the even entries once, then odd multiples of odd primes only, and the
+byte sieve `primes_up_to` supplies their base primes.  The trial-division
 oracles that the tests compare these against (a single-value beta and
 Euler's phi) live in the tests' conftest.py.
 """
@@ -64,12 +65,16 @@ def _check_table_budget(limit: int) -> None:
 
 
 def _prime_mask(limit: int) -> np.ndarray:
-    """Bool mask over [0, limit): which v are prime, under factor_table's budget."""
+    """Bool mask over [0, limit): which v are prime, under factor_table's budget.
+
+    One strike clears the even v > 2; an odd prime p then strikes only p*p, p*p + 2p, ...
+    """
     _check_table_budget(limit)
     prime = np.ones(limit, dtype=bool)
     prime[:2] = False
-    for p in primes_up_to(math.isqrt(max(limit - 1, 0))):
-        prime[p * p:: p] = False
+    prime[4::2] = False
+    for p in primes_up_to(math.isqrt(max(limit - 1, 0)))[1:]:
+        prime[p * p:: 2 * p] = False
     return prime
 
 
@@ -79,12 +84,14 @@ def factor_table(limit: int) -> np.ndarray:
     spf[v] == v exactly when v is prime (spf[0] = 0, spf[1] = 1), so any
     v < limit factors by repeated lookup, and so does every cofactor v // p.
     Raises ValueError above _FACTOR_TABLE_BUDGET entries, before allocating.
+    An odd prime p writes only p*p, p*p + 2p, ...; the even v >= 4 get 2 last.
     """
     _check_table_budget(limit)
     spf = np.arange(limit, dtype=np.int32)
     # largest prime first, so the smallest prime factor is written last
-    for p in reversed(primes_up_to(math.isqrt(max(limit - 1, 0)))):
-        spf[p * p:: p] = p
+    for p in reversed(primes_up_to(math.isqrt(max(limit - 1, 0)))[1:]):
+        spf[p * p:: 2 * p] = p
+    spf[4::2] = 2
     return spf
 
 
@@ -187,20 +194,20 @@ def _members(universe: str, limit: int) -> np.ndarray:
     """Bool mask over [0, limit]: which v lie in the universe.
 
     The primes come from the prime sieve _prime_mask(limit + 1).  E2 is
-    marked product by product: for each prime p <= sqrt(limit), p * q for
-    every prime q with p < q <= limit // p.
+    copied off it by strides: for each prime p <= sqrt(limit), one slice copy
+    sets e2[p * q] = prime[q] for the odd q with p < q <= limit // p.  A
+    composite q writes False, as p * q then has three prime factors, and an
+    E2 number p * q with p < q is written from p alone.
     """
     if universe not in UNIVERSES:
         raise ValueError(f"universe must be one of {UNIVERSES}")
     prime = _prime_mask(limit + 1)
     if universe == "primes":
         return prime
-    ps = np.flatnonzero(prime)
     e2 = np.zeros(limit + 1, dtype=bool)
-    small = ps[:np.searchsorted(ps, math.isqrt(limit), "right")]
-    ends = np.searchsorted(ps, limit // small, "right")   # q <= limit // p
-    for i, (p, end) in enumerate(zip(small.tolist(), ends.tolist())):
-        e2[p * ps[i + 1:end]] = True
+    for p in primes_up_to(math.isqrt(limit)):
+        lo, hi = (p + 1) | 1, limit // p   # lo: the least odd q > p
+        e2[p * lo: p * hi + 1: 2 * p] = prime[lo: hi + 1: 2]
     if universe == "P2":
         e2 |= prime
     return e2
@@ -374,17 +381,17 @@ def tuple_hit_count(shifts: Sequence[int], limit: int, universe: str, threshold:
 # Distribution-in-progressions table
 # ---------------------------------------------------------------------------
 
-# Most moduli q <= floor(N^theta) that bv_table takes.  Each costs one residue
-# pass over the values and one bincount of q entries: 2*10^4 moduli at N = 2*10^4,
-# theta = 1 take about 1 s, with a 1,521-digit weighted-sum denominator (5*10^4
-# take 5.7 s and 3,720 digits; 10^5 pass Python's 4,300-digit str() limit).
+# Most moduli q <= floor(N^theta) that bv_table takes.  An odd q and 2q share a residue
+# pass over the values: 2*10^4 moduli at N = 2*10^4, theta = 1 take about 0.7 s, with a
+# 1,521-digit weighted-sum denominator (5*10^4 took 5.7 s and 3,720 digits before q and
+# 2q shared a pass; 10^5 pass Python's 4,300-digit str() limit).
 _BV_MODULI = 20_000
 # Most moduli times values that bv_table takes, counted before it sieves as
 # floor(N^theta) * N, N bounding the primes in [N, 2N) or the beta numbers in
-# (N, 2N].  A modulus's residue pass costs one step a value, so this bounds the
-# time: at 10^9, N = 10^6 and theta = 1/2 take 0.6 s for beta numbers, and
-# N = 5*10^4 with 19,932 moduli 1.1 s, where N = 1,999,999 at theta = 2/3
-# (3.2*10^10) took 22 s (2-CPU Xeon).
+# (N, 2N].  A residue pass costs one step a value, so this bounds the time: at
+# 10^9, N = 10^6 and theta = 1/2 take 0.3 s for beta numbers, and N = 5*10^4 at
+# theta = 32/35 (19,778 moduli) 0.9 s, where N = 1,999,999 at theta = 2/3
+# (3.2*10^10) takes 10 s (2-CPU Xeon, Python 3.11.7).
 _BV_WORK = 10 ** 9
 
 
@@ -407,7 +414,10 @@ class BVTable:
 
 
 def bv_table(N: int, eta: Fraction | None, theta: Fraction, universe: str) -> BVTable:
-    """Discrepancy diagnostics for primes or beta numbers in progressions."""
+    """Discrepancy diagnostics for primes or beta numbers in progressions.
+
+    When 2q <= qmax, one residue pass mod 2q gives the rows of 2q and, folded, of q.
+    """
     theta = as_rational(theta)
     if universe not in ("primes", "beta"):
         raise ValueError("universe must be 'primes' or 'beta'")
@@ -431,19 +441,23 @@ def bv_table(N: int, eta: Fraction | None, theta: Fraction, universe: str) -> BV
     spf = factor_table(qmax + 1)
     residues = values.astype(np.int32)   # below the table budget, so exact; % q runs faster than on int64
     rows: dict[int, Fraction] = {}
-    for q in range(1, qmax + 1):
+    for q in range(1, qmax + 1, 2):   # every even squarefree q is 2 * (odd q)
         primes = _prime_factors(spf, q)
         if len(set(primes)) < len(primes):
             continue  # mu^2(q) = 0
-        coprime = np.ones(q, dtype=bool)
-        for p in primes:
-            coprime[::p] = False
-        counts = np.bincount(residues % q, minlength=q)[coprime]
-        phi = math.prod(p - 1 for p in primes)
-        total = int(counts.sum()) if universe == "beta" else len(values)
-        # |c - total/phi| is largest at the least or the greatest count c
-        worst = max(abs(int(counts.min()) * phi - total), abs(int(counts.max()) * phi - total))
-        rows[q] = Fraction(worst, phi)
+        moduli = [(2 * q, [2] + primes), (q, primes)] if 2 * q <= qmax else [(q, primes)]
+        counts = np.bincount(residues % moduli[0][0], minlength=moduli[0][0])
+        for m, ps in moduli:
+            if len(counts) > m:   # fold the counts mod 2q onto q: one residue pass for both
+                counts = counts[:m] + counts[m:]
+            coprime = np.ones(m, dtype=bool)
+            for p in ps:
+                coprime[::p] = False
+            c = counts[coprime]
+            phi = math.prod(p - 1 for p in ps)
+            total = int(c.sum()) if universe == "beta" else len(values)
+            # |c - total/phi| is largest at the least or the greatest count c
+            rows[m] = Fraction(max(abs(int(c.min()) * phi - total), abs(int(c.max()) * phi - total)), phi)
     # the weighted sum of mu^2(q) * rows[q]; mu^2(q) = 1 on every q kept
-    return BVTable(N=N, theta=theta, eta=eta, universe=universe, rows=rows,
+    return BVTable(N=N, theta=theta, eta=eta, universe=universe, rows=dict(sorted(rows.items())),
                    weighted_sum=sum(rows.values(), Fraction(0)))

@@ -14,10 +14,11 @@ Two deliberate implementation choices keep the whole pipeline exact:
 * The irrational inputs log r / log R are replaced *once* by rational
   surrogates rounded to `_LOG_DIGITS` = 48 decimal digits; the surrogate
   error is at most 10^-48 per coordinate and is tracked (`log_eps`,
-  `y_error_bound`).  Everything downstream is Fraction
-  arithmetic, so the partition of the almost-prime sums into their four
-  parts, the linear-combination identities, the symmetry and the c^2
-  scaling all hold exactly, not just to rounding.
+  `y_error_bound`).  Everything downstream is exact: lambda is summed in
+  ints over one denominator, the lcm of the y denominators times the lcm of
+  the prod phi(r_i), and reduced by one gcd, so the partition of the
+  almost-prime sums into their four parts, the linear-combination
+  identities, the symmetry and the c^2 scaling all hold exactly.
 * `y_from_lambda` applies the exact Mobius inversion of the lambda
   transform (weights mu(r_i) phi(r_i) and 1/prod d_i), so a roundtrip
   through lambda reproduces the y table identically.
@@ -40,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import TestFunction, _int_numerators, as_rational
+from .algebra import TestFunction, as_rational
 from .numth import (
     _prime_factors,
     beta_mask,
@@ -141,7 +142,7 @@ class SieveContext:
                 self._factors[v] = primes
         self._y_table = {t: self._y_value(t) for t in self._enumerate_supported()}
         # lambda_d = _lambda_numerators[d] / _lambda_den, over one common denominator
-        self._lambda_numerators, self._lambda_den = _int_numerators(self._build_lambda())
+        self._lambda_numerators, self._lambda_den = self._build_lambda()
 
     # -- context structure ----------------------------------------------------
 
@@ -217,21 +218,20 @@ class SieveContext:
 
     # -- tables -------------------------------------------------------------------
 
-    def _build_lambda(self) -> dict[tuple[int, ...], Fraction]:
-        acc: dict[tuple[int, ...], Fraction] = {}
+    def _build_lambda(self) -> tuple[dict[tuple[int, ...], int], int]:
+        """The nonzero lambda_d as int numerators over their least common denominator."""
+        phis = {r: math.prod(p - 1 for v in r for p in self._factors[v]) for r in self._y_table}
+        y_den, phi_den = math.lcm(*(y.denominator for y in self._y_table.values())), math.lcm(*phis.values())
+        acc: dict[tuple[int, ...], int] = {}
         for r, y in self._y_table.items():
-            factors = [self._factors[v] for v in r]
-            contrib = y / math.prod(p - 1 for primes in factors for p in primes)
-            if contrib == 0:
+            if y == 0:
                 continue
-            for d in iter_product(*(_divisors_below(primes, self.R) for primes in factors)):
-                acc[d] = acc.get(d, Fraction(0)) + contrib
-        table: dict[tuple[int, ...], Fraction] = {}
-        for d, s in acc.items():
-            val = math.prod((-1) ** len(self._factors[v]) * v for v in d) * s
-            if val != 0:
-                table[d] = val
-        return table
+            contrib = y.numerator * (y_den // y.denominator) * (phi_den // phis[r])
+            for d in iter_product(*(_divisors_below(self._factors[v], self.R) for v in r)):
+                acc[d] = acc.get(d, 0) + contrib
+        table = {d: math.prod((-1) ** len(self._factors[v]) * v for v in d) * s for d, s in acc.items() if s}
+        g = math.gcd(y_den * phi_den, *table.values())
+        return {d: val // g for d, val in table.items()}, y_den * phi_den // g
 
     def supported_tuples(self) -> list[tuple[int, ...]]:
         return list(self._y_table)

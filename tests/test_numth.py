@@ -189,11 +189,12 @@ def _traced(call, *args):
 
 
 def test_members_peak_memory_at_a_million():
-    # the prime sieve and the E2 mask take 1 byte a value and the primes 8 an
-    # entry; reading the primes off the int32 factor table and an int32 index
-    # peaked at 8.6 MiB, the cofactor version at 14.3 MiB
-    peak = _traced(_members, "E2", 10 ** 6)[1]
-    assert peak < 4 * 2 ** 20, peak
+    # the prime sieve and the E2 mask take 1 byte a value each, and the strided
+    # copies hold no primes array or index arrays; holding the primes at 8
+    # bytes an entry with their products as indices peaked at 2.84 MiB
+    limit = 10 ** 6
+    peak = _traced(_members, "E2", limit)[1]
+    assert peak < 2 * (limit + 1) + 2 ** 16, peak
 
 
 @pytest.mark.parametrize("call, args", [
@@ -351,6 +352,22 @@ def test_factor_table_matches_primes_and_beta_on_a_window():
     assert factor_table(0).tolist() == [] and factor_table(3).tolist() == [0, 1, 2]
 
 
+def _spf_by_trial_division(v: int) -> int:
+    """The least prime factor of v >= 2 by trial division, and v itself for v < 2."""
+    return next((d for d in range(2, math.isqrt(v) + 1) if v % d == 0), v)
+
+
+def test_factor_table_equals_trial_division():
+    # the odd strides start at p^2 and step 2p, so their edges are the limits
+    # p^2 and p^2 + 2p and one past each
+    edges = {v + e for p in primes_up_to(97)[1:] for v in (p * p, p * p + 2 * p) for e in (0, 1)}
+    limits = sorted(set(range(601)) | edges)
+    want = [_spf_by_trial_division(v) for v in range(max(limits))]
+    for limit in limits:
+        spf = factor_table(limit)
+        assert spf.dtype == np.int32 and spf.tolist() == want[:limit], limit
+
+
 def test_factor_table_budget():
     with pytest.raises(ValueError, match="budget"):
         factor_table(_FACTOR_TABLE_BUDGET + 1)
@@ -416,6 +433,8 @@ def _bv_rows_by_brute_count(N, eta, theta, universe):
     (1000, Fraction(1, 2), "beta", Fraction(1, 10)),
     (2500, Fraction(1, 3), "beta", Fraction(1, 20)),
     (1500, Fraction(3, 5), "beta", Fraction(1, 10)),
+    (300, Fraction(1), "primes", None),
+    (240, Fraction(1), "beta", Fraction(1, 10)),
 ])
 def test_bv_table_matches_a_brute_count(N, theta, universe, eta):
     rows = _bv_rows_by_brute_count(N, eta, theta, universe)

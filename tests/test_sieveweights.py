@@ -54,6 +54,18 @@ def make_ctx_k2(**overrides) -> SieveContext:
     return SieveContext(**kwargs)
 
 
+def make_ctx_desk_k3() -> SieveContext:
+    """The benchmark's desk context at k = 3: N = 10^4, theta = 1, W from N."""
+    F = TestFunction(k=3, poly=parse_poly("(1-u1)*(1-u2)*(1-u3)", 3))
+    return SieveContext(N=10 ** 4, shifts=(0, 2, 6), F=F, theta=Fraction(1), delta=Fraction(149, 2000),
+                        eta=Fraction(1, 10))
+
+
+def make_ctx_vanishing_at_r1_one() -> SieveContext:
+    """F = u1 * (1 - u2) is 0 at r1 = 1, so those y_r add nothing to lambda."""
+    return make_ctx_k2(F=TestFunction(k=2, poly=parse_poly("u1*(1-u2)", 2)))
+
+
 # ---------------------------------------------------------------------------
 # construction and support
 # ---------------------------------------------------------------------------
@@ -173,7 +185,7 @@ def brute_force_lambda(ctx: SieveContext, d: tuple[int, ...]) -> Fraction:
     return sign * total
 
 
-@pytest.mark.parametrize("ctx_maker", [make_ctx_k1, make_ctx_k2])
+@pytest.mark.parametrize("ctx_maker", [make_ctx_k1, make_ctx_k2, make_ctx_desk_k3, make_ctx_vanishing_at_r1_one])
 def test_lambda_matches_brute_force(ctx_maker):
     ctx = ctx_maker()
     for d in ctx.supported_tuples():
