@@ -11,7 +11,9 @@ in their own tree with PYTHONDONTWRITEBYTECODE=1, and the side that runs
 first alternates from pair to pair.  The run length S, the workloads, the
 end-to-end metrics and their bounds come from BENCHMARK.json.  Per metric the file records each side's
 median and inclusive quartiles over the pairs, the number of pairs in which
-the change is better, and the change median relative to the parent's.  With
+the change is better, and the change median relative to the parent's; per
+call group (the `  quad_s 0.0138 s` lines that run.py prints before its JSON
+line) it records each side's median, which shows the group a metric moved by.  With
 `--claim`, each side also makes one traced run (`--trace 1`, half the run
 length) of the claimed workload on the seed after the last pair's, so the
 file shows which layers the difference comes from.  Uses only the standard
@@ -25,6 +27,7 @@ import io
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -47,14 +50,24 @@ def export(rev: str, dest: Path) -> None:
         archive.extractall(dest)
 
 
+def call_groups(stdout: str, metrics: dict) -> dict[str, float]:
+    """The per-call seconds of each group that a run printed, the metric lines left out."""
+    lines = stdout.strip().splitlines()[:-1]
+    found = (re.fullmatch(r"  (\w+) +(\d+\.\d+) s", line) for line in lines)
+    return {m[1]: float(m[2]) for m in found if m and m[1] not in metrics}
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
-    """One perfbench run; its last stdout line is {"correct", "attempted", "failed", "metrics"}."""
+    """One perfbench run: its last stdout line, {"correct", "attempted", "failed",
+    "metrics"}, and under "groups" the seconds per call of each group."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONPATH", None)   # run.py puts its own tree's src on the path
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
                           cwd=tree, env=env, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    record = json.loads(proc.stdout.strip().splitlines()[-1])
+    record["groups"] = call_groups(proc.stdout, record["metrics"])
+    return record
 
 
 def side_stats(runs: list[float]) -> dict:
@@ -81,6 +94,9 @@ def summarize_workload(records: dict[str, list[dict]], seeds: list[int], first_s
     for name, better in metrics.items():
         out[name] = compare(*([r["metrics"][name]["value"] for r in records[side]] for side in SIDES),
                             better)
+    out["groups"] = {group: {side: round(statistics.median(r["groups"][group] for r in records[side]), 4)
+                             for side in SIDES}
+                     for group in records["parent"][0].get("groups", ())}
     out["failed"] = {side: sum(r["failed"] for r in records[side]) for side in SIDES}
     out["attempted"] = {side: sum(r["attempted"] for r in records[side]) for side in SIDES}
     out["correct"] = {side: all(r["correct"] for r in records[side]) for side in SIDES}

@@ -49,8 +49,9 @@ An independent check integrates the same polynomial numerically after the
 substitution xi = e^t, which turns the integrand into the smooth, bounded
 P(e^t) / (1 - e^t) on [ln eta, ln c], and evaluates it by tanh-sinh
 quadrature without the partial fractions, from the same int coefficients
-of P: stdlib `decimal` at 50 digits, the step halving until two successive
-levels agree, over a per-level node table that is built once per process.
+of P: in fixed-point ints at scale 2^210, one int exp kernel for the node
+table and each node's e^z, the step halving until two levels agree.  As
+c <= 1/2, the integrand is bounded by 2 sum |p_i|: absolute error suffices.
 `theorem11_plan` is the only user of mpmath (exp and log at thousands of
 digits), and it imports it itself, so importing the package does not load
 mpmath.
@@ -202,47 +203,70 @@ def outer_M(F: TestFunction, m: int, params: SieveParams) -> LogLinear:
     return _outer(inner_M(F, m, a_min=params.eta / params.r_exponent), 2, params)
 
 
-# tanh-sinh in t = ln xi, in decimal at _QUAD_DIGITS working digits.  Level j
-# has the step h = 2^-j; its new nodes are the odd multiples of h (every
-# multiple at level 0).  A node s > 0 stands for the pair x = +-tanh(pi/2 sinh s)
-# and is stored as (delta, w): delta = 1 - |x| = 2/(e^(pi sinh s) + 1), which
-# keeps its digits near the ends, and w = (pi/2) cosh s / cosh^2(pi/2 sinh s).
-# The node s = 0 is stored as the pair (1, pi/4), which sums to its weight pi/2
-# at x = 0.  Nodes stop where w < 10^-(_QUAD_DIGITS + 5).  The table depends
-# only on the level and the precision, never on an input.
-_QUAD_DIGITS = 50
-_QUAD_CONTEXT = decimal.Context(prec=_QUAD_DIGITS)
-_HALF_PI = Decimal("1.57079632679489661923132169163975144209858469968755291048747")
+# tanh-sinh in t = ln xi, in fixed point: an int n stands for n / 2^_P.
+# Level j has the step h = 2^-j; its new nodes are the odd multiples of h
+# (every multiple at level 0).  A node s > 0 stands for the pair
+# x = +-tanh(pi/2 sinh s) and is stored as (delta, w): delta = 1 - |x| =
+# 2/(e^(pi sinh s) + 1), which keeps its digits near the ends, and
+# w = (pi/2) cosh s / cosh^2(pi/2 sinh s).  The node s = 0 is stored as the
+# pair (1, pi/4), which sums to its weight pi/2 at x = 0.  Nodes stop where
+# w < 10^-55.  The table depends only on the level, never on an input.
+_P = 210
+_LN2 = 1140576844505734880815366298723888441685270828594268928755509300       # ln 2 * 2^_P
+_HALF_PI = 2584752514364412862450385992316127660141897431802195441426108510   # pi/2 * 2^_P
 # two successive levels must agree to tol * _LEVEL_AGREEMENT; the later sum's
 # error is then about the square of that difference, far below tol
 _LEVEL_AGREEMENT = 1e-7
-# quad_outer's absolute tolerance, which the 50 working digits make meaningful,
+# quad_outer's absolute tolerance, which the 2^-_P resolution makes meaningful,
 # and its evaluation budget, which covers levels 0 to 10 (9,080 evaluations)
 _QUAD_TOL = 1e-13
 _QUAD_MAX_EVALS = 10_000
-_TS_NODES: list[list[tuple[Decimal, Decimal]]] = []
+_ONE = 1 << _P
+_TS_NODES: list[list[tuple[int, int]]] = []
 
 
-def _ts_nodes(level: int) -> list[tuple[Decimal, Decimal]]:
+def _exp(x: int) -> int:
+    """e^(x / 2^_P) at scale 2^_P, within 2^-199 relative for 0 <= x / 2^_P <= 2,000.
+
+    x = k ln 2 + r with 0 <= r < ln 2; e^r is the Taylor sum at r / 2^10,
+    squared ten times, in 10 guard bits.
+    """
+    k, r = divmod(x, _LN2)
+    s = _P + 10                    # r at scale 2^s is r / 2^10
+    term = total = 1 << s
+    for n in range(1, 18):         # (ln 2 / 2^10)^17 / 17! < 2^-s
+        term = (term * r >> s) // n
+        total += term
+    for _ in range(10):
+        total = total * total >> s
+    return total << (k - 10) if k >= 10 else total >> (10 - k)
+
+
+def _ts_nodes(level: int) -> list[tuple[int, int]]:
     """The (delta, w) nodes that tanh-sinh level `level` adds to the earlier levels."""
-    with decimal.localcontext(_QUAD_CONTEXT):
-        while len(_TS_NODES) <= level:
-            j = len(_TS_NODES)
-            h, step = Decimal(2) ** -j, 1 if j == 0 else 2
-            nodes = [(Decimal(1), _HALF_PI / 2)] if j == 0 else []
-            cutoff = Decimal(10) ** -(_QUAD_DIGITS + 5)
-            # s = h, h + step h, ...: e^s is stepped by one product per node
-            es, factor = h.exp(), (step * h).exp()
-            while True:
-                eu = (_HALF_PI * (es - 1 / es) / 2).exp()
-                cosh_u = (eu + 1 / eu) / 2
-                w = _HALF_PI * (es + 1 / es) / 2 / (cosh_u * cosh_u)
-                if w < cutoff:
-                    break
-                nodes.append((2 / (eu * eu + 1), w))
-                es *= factor
-            _TS_NODES.append(nodes)
+    while len(_TS_NODES) <= level:
+        j = len(_TS_NODES)
+        h, step = _ONE >> j, 1 if j == 0 else 2
+        nodes = [(_ONE, _HALF_PI // 2)] if j == 0 else []
+        # s = h, h + step h, ...: e^s is stepped by one product per node
+        es, factor = _exp(h), _exp(step * h)
+        while True:
+            e_s = (_ONE << _P) // es
+            E = _exp(_HALF_PI * (es - e_s) >> _P)   # e^(pi sinh s)
+            # sech^2(pi/2 sinh s) = 4E / (E + 1)^2
+            w = _HALF_PI * (es + e_s) * 2 * E // (E + _ONE) ** 2
+            if w * 10 ** 55 < _ONE:
+                break
+            nodes.append(((2 << 2 * _P) // (E + _ONE), w))
+            es = es * factor >> _P
+        _TS_NODES.append(nodes)
     return _TS_NODES[level]
+
+
+def _decimal(n: int) -> Decimal:
+    """n / 2^_P to 80 digits."""
+    with decimal.localcontext(prec=80):
+        return Decimal(n) / (1 << _P)
 
 
 def _tanh_sinh(num: list[int], den: int, eta: Fraction, c: Fraction,
@@ -250,45 +274,45 @@ def _tanh_sinh(num: list[int], den: int, eta: Fraction, c: Fraction,
     """int_{ln eta}^{ln c} P(e^t) / (1 - e^t) dt by tanh-sinh, P's coefficients num[i] / den.
 
     A node pair at t = ln c - z and t = ln eta + z, z = delta ln(c/eta)/2,
-    needs the one exponential ez = e^z: xi = c/ez and xi = eta ez.  Levels are
-    added until two successive sums agree to tol * _LEVEL_AGREEMENT or the
-    next level would take the evaluation count past max_evals.  Raises
-    BudgetExceeded if max_evals does not cover levels 0 and 1, and if the last
-    difference reached exceeds tol.
+    needs the one exponential ez = e^z: with c = a/b and eta = u/v, xi = a/(b ez)
+    and xi = u ez / v are int divisions at scale 2^_P, exact but for the last
+    unit, so a tiny eta keeps its digits.  Levels are added until two successive sums
+    agree to tol * _LEVEL_AGREEMENT or the next level would take the
+    evaluation count past max_evals.  Raises BudgetExceeded if max_evals does
+    not cover levels 0 and 1, and if the last difference reached exceeds tol.
     """
-    with decimal.localcontext(_QUAD_CONTEXT):
-        coeffs = [Decimal(n) / den for n in reversed(num)]
-        eta_d = Decimal(eta.numerator) / eta.denominator
-        c_d = Decimal(c.numerator) / c.denominator
-        half = (c_d / eta_d).ln() / 2   # half the length of [ln eta, ln c]
+    (a, b), (u, v) = c.as_integer_ratio(), eta.as_integer_ratio()
+    with decimal.localcontext(prec=80):   # half the length of [ln eta, ln c]
+        half = int((Decimal(a * v) / (b * u)).ln() * (1 << (_P - 1)))
+    coeffs = [n << _P for n in reversed(num)]
 
-        def integrand(xi: Decimal) -> Decimal:
-            acc = Decimal(0)
-            for coeff in coeffs:
-                acc = acc * xi + coeff
-            return acc / (1 - xi)
+    def integrand(xi: int) -> int:   # den P(xi) / (1 - xi)
+        acc = 0
+        for coeff in coeffs:
+            acc = (acc * xi >> _P) + coeff
+        return (acc << _P) // (_ONE - xi)
 
-        total = previous = Decimal(0)
-        evals = level = 0
-        while True:
-            nodes = _ts_nodes(level)
-            evals += 2 * len(nodes)
-            if evals > max_evals:
-                break
-            for delta, w in nodes:
-                ez = (half * delta).exp()
-                total += w * (integrand(c_d / ez) + integrand(eta_d * ez))
-            value = total * half / 2 ** level
-            err = abs(value - previous)
-            if level and err <= tol * _LEVEL_AGREEMENT:
-                return value
-            previous = value
-            level += 1
-        if level < 2:
-            raise BudgetExceeded(f"quadrature exceeded {max_evals} evaluations")
-        if err > tol:
-            raise BudgetExceeded(f"quadrature error estimate {err:.3g} exceeds {tol}")
-        return value
+    total = previous = 0
+    evals = level = 0
+    while True:
+        nodes = _ts_nodes(level)
+        evals += 2 * len(nodes)
+        if evals > max_evals:
+            break
+        for delta, w in nodes:
+            ez = _exp(half * delta >> _P)
+            total += w * (integrand((a << 2 * _P) // (b * ez)) + integrand(u * ez // v))
+        value = total * half // (den << 2 * _P + level)
+        err = abs(value - previous)
+        if level and err <= math.ldexp(tol * _LEVEL_AGREEMENT, _P):
+            return _decimal(value)
+        previous = value
+        level += 1
+    if level < 2:
+        raise BudgetExceeded(f"quadrature exceeded {max_evals} evaluations")
+    if err > math.ldexp(tol, _P):
+        raise BudgetExceeded(f"quadrature error estimate {_decimal(err):.3g} exceeds {tol}")
+    return _decimal(value)
 
 
 def quad_outer(F: TestFunction, m: int, params: SieveParams, kind: str) -> float:
@@ -297,7 +321,7 @@ def quad_outer(F: TestFunction, m: int, params: SieveParams, kind: str) -> float
     Substitutes xi = e^t, so the outer integral becomes
     int_{ln eta}^{ln c} P(e^t) / (1 - e^t) dt with a smooth, bounded
     integrand (c <= 1/2), and integrates it by tanh-sinh quadrature in
-    `decimal` at 50 working digits to the absolute tolerance _QUAD_TOL.
+    fixed-point ints at scale 2^_P to the absolute tolerance _QUAD_TOL.
     The step halves until two successive levels agree far inside it, or
     until the next level would pass _QUAD_MAX_EVALS integrand evaluations.
     Nothing of the closed form is used.  Deterministic; raises

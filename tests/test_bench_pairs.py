@@ -58,3 +58,26 @@ def test_summarize_workload_and_claim():
     records["change"][3] = _record(0.70, 49.0)
     out = bench_pairs.summarize_workload(records, [101, 102, 103, 104], first, {"pass_s": "lower"})
     assert bench_pairs.claim({"exact": out}, "exact", "pass_s", "lower")["reading"].startswith("met:")
+
+
+def test_call_groups_are_read_from_the_run_output_and_summarized():
+    stdout = "\n".join([
+        "workload crosscheck, seed 101: 5 untraced and 0 traced passes; timings are means over the untraced passes",
+        "  quad_s                       0.0138 s",
+        "  mc_s                         0.1020 s",
+        "  setup_s                      0.2100 s",
+        "  pass_s                       0.5000 s",
+        "  peak_rss_mib                49.1000 MiB",
+        "  pass_s of each untraced pass: 0.500 0.510",
+        "  operations attempted 40, failed 0",
+        '{"correct": true, "attempted": 40, "failed": 0, "metrics": {}}',
+    ])
+    metrics = {"setup_s": {}, "pass_s": {}, "peak_rss_mib": {}}
+    groups = bench_pairs.call_groups(stdout, metrics)
+    assert groups == {"quad_s": 0.0138, "mc_s": 0.102}
+    records = {side: [dict(_record(1.0, 50.0), groups={"quad_s": q, "mc_s": 0.1}) for q in qs]
+               for side, qs in (("parent", (0.014, 0.013, 0.015)), ("change", (0.008, 0.007, 0.009)))}
+    out = bench_pairs.summarize_workload(records, [101, 102, 103], ["parent", "change", "parent"],
+                                         {"pass_s": "lower"})
+    assert out["groups"] == {"quad_s": {"parent": 0.014, "change": 0.008},
+                             "mc_s": {"parent": 0.1, "change": 0.1}}

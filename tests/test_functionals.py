@@ -21,8 +21,12 @@ from e2sieve.algebra import (LogLinear, SymPoly, TestFunction, _swap_representat
                              parse_poly)
 from e2sieve.functionals import (
     BudgetExceeded,
+    _HALF_PI,
+    _LN2,
     _MAX_K_DIGITS,
+    _P,
     SieveParams,
+    _exp,
     _outer,
     _tanh_sinh,
     _ts_nodes,
@@ -402,9 +406,84 @@ def test_tanh_sinh_weights_integrate_one():
     total = mpmath.mpf(0)
     with mpmath.workdps(60):
         for level in range(7):
-            total += sum(2 * mpmath.mpf(str(w)) for _, w in _ts_nodes(level))
+            total += sum(2 * mpmath.mpf(w) / 2 ** _P for _, w in _ts_nodes(level))
             if level >= 4:
                 assert abs(total / 2 ** level - 2) < mpmath.mpf("1e-45"), level
+
+
+def test_fixed_point_constants_are_rounded_at_scale():
+    with mpmath.workdps(100):
+        assert _LN2 == int(mpmath.nint(mpmath.log(2) * 2 ** _P))
+        assert _HALF_PI == int(mpmath.nint(mpmath.pi / 2 * 2 ** _P))
+
+
+def test_exp_kernel_matches_mpmath():
+    # z = delta ln(c/eta)/2 reaches 1,151 at eta = 10^-1000, the node table's
+    # arguments pi sinh s stay near 140
+    rng = random.Random(27)
+    one = 1 << _P
+    xs = [0, 1, one - 1, one, _LN2 - 1, _LN2, 1731 * _LN2, 1200 * one]
+    xs += [rng.randrange(2 * one) for _ in range(100)] + [rng.randrange(1200 * one) for _ in range(300)]
+    with mpmath.workdps(80):
+        for x in xs:
+            want = mpmath.exp(mpmath.mpf(x) / 2 ** _P)
+            assert abs(mpmath.mpf(_exp(x)) / 2 ** _P / want - 1) <= mpmath.mpf(2) ** -190, x
+
+
+def test_tanh_sinh_nodes_match_mpmath():
+    # the same nodes per level as a 60-digit recomputation, each (delta, w)
+    # within 10^-55, the cutoff included: nodes stop where w < 10^-55
+    with mpmath.workdps(60):
+        for level in range(7):
+            h = mpmath.mpf(2) ** -level
+            want = [(mpmath.mpf(1), mpmath.pi / 4)] if level == 0 else []
+            s = h
+            while True:
+                u = mpmath.pi / 2 * mpmath.sinh(s)
+                w = mpmath.pi / 2 * mpmath.cosh(s) / mpmath.cosh(u) ** 2
+                if w < mpmath.mpf(10) ** -55:
+                    break
+                want.append((2 / (mpmath.exp(2 * u) + 1), w))
+                s += h if level == 0 else 2 * h
+            got = _ts_nodes(level)
+            assert len(got) == len(want), level
+            for (delta, w), (want_delta, want_w) in zip(got, want):
+                assert abs(mpmath.mpf(delta) / 2 ** _P - want_delta) <= mpmath.mpf(10) ** -55
+                assert abs(mpmath.mpf(w) / 2 ** _P - want_w) <= mpmath.mpf(10) ** -55
+
+
+# quad_outer's floats as the 50-digit decimal rule returned them; the
+# fixed-point rule must round to the same doubles
+QUAD_PINS = [
+    ("thm1.2", 10, "L", 9.207434722187591e-06),
+    ("thm1.2", 10, "M", 2.2226491054751057e-06),
+    ("thm1.3", 10, "L", 0.16063311312894546),
+    ("thm1.3", 10, "M", 0.07791631406198321),
+    ("thm1.4", 10, "L", 0.003923684332501602),
+    ("thm1.4", 10, "M", 0.0019009200990146473),
+    ("thm1.3", 30, "L", 0.5171378553678817),
+    ("thm1.3", 30, "M", 0.2561686851795317),
+    ("thm1.3", 300, "L", 5.3299518756349),
+    ("thm1.3", 300, "M", 2.662575695313041),
+    ("thm1.3", 1000, "L", 17.807617854104947),
+    ("thm1.3", 1000, "M", 8.901408684548064),
+]
+
+
+@pytest.mark.parametrize("name, digits, kind, expected", QUAD_PINS)
+def test_quad_outer_floats_are_pinned(name, digits, kind, expected):
+    target = TARGETS[name]
+    params = replace(target.params(), eta=Fraction(1, 10 ** digits))
+    assert repr(quad_outer(target.test_function(), 1, params, kind)) == repr(expected)
+
+
+def test_quad_budget_messages_are_pinned():
+    F = TestFunction(k=2, poly=parse_poly("(1-u1)*(1-u2)", 2))
+    for budget, message in ((17, "quadrature exceeded 17 evaluations"),
+                            (18, "quadrature error estimate 0.00315 exceeds 1e-13")):
+        with pytest.raises(BudgetExceeded) as caught:
+            _tanh_sinh_outer(F, 1, PARAMS_K2, "L", 1e-13, budget)
+        assert str(caught.value) == message
 
 
 @st.composite
