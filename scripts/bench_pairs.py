@@ -16,8 +16,9 @@ call group (the `  quad_s 0.0138 s` lines that run.py prints before its JSON
 line) it records each side's median, which shows the group a metric moved by.  With
 `--claim`, each side also makes one traced run (`--trace 1`, half the run
 length) of the claimed workload on the seed after the last pair's, so the
-file shows which layers the difference comes from.  Uses only the standard
-library and git.
+file shows which layers the difference comes from.  `src_lines` records the
+lines of src/e2sieve/*.py in each tree.  Uses only the standard library and
+git.
 """
 
 from __future__ import annotations
@@ -48,6 +49,11 @@ def export(rev: str, dest: Path) -> None:
                          capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(dest)
+
+
+def src_lines(tree: Path) -> int:
+    """The newline count of src/e2sieve/*.py in `tree`, as `wc -l` gives it."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "e2sieve").glob("*.py"))
 
 
 def call_groups(stdout: str, metrics: dict) -> dict[str, float]:
@@ -160,6 +166,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"parent": Path(tmp) / "parent", "change": ROOT}
         export(args.parent, trees["parent"])
+        lines = {side: src_lines(trees[side]) for side in SIDES}
         summary = {}
         for workload in workloads:
             records: dict[str, list[dict]] = {side: [] for side in SIDES}
@@ -190,6 +197,7 @@ def main() -> int:
                      f"the order {', '.join(workloads)}. Written by scripts/bench_pairs.py."),
         "machine": machine(),
         "bounds": {m["name"]: m["bound"] for m in bench["end_to_end"]},
+        "src_lines": lines,
     }
     if args.claim:
         workload, metric = args.claim.split()

@@ -207,10 +207,12 @@ class SymPoly:
         if len(point) != self.nvars:
             raise ValueError(f"point has {len(point)} coordinates, expected {self.nvars}")
         pt = [as_rational(x) for x in point]
-        # ints over the common denominators: x_i = xs[i] / den, c = num / self.denominator,
-        # and every term padded to the top degree with powers of den
         den = lcm(*(x.denominator for x in pt))
         xs = [x.numerator * (den // x.denominator) for x in pt]
+        return Fraction(self.eval_numerator(xs, den), self.denominator * den ** max(self.total_degree(), 0))
+
+    def eval_numerator(self, xs: Sequence[int], den: int) -> int:
+        """The value at (x_i / den) times self.denominator * den^max(deg, 0): terms padded by den."""
         top = max(self.total_degree(), 0)
         total = 0
         for exps, num in self.numerators.items():
@@ -219,7 +221,7 @@ class SymPoly:
                 if e:
                     term *= x ** e
             total += term
-        return Fraction(total, self.denominator * den ** top)
+        return total
 
     # -- canonical text form ---------------------------------------------------
 

@@ -14,10 +14,10 @@ Bulk questions take primality from one prime sieve, `_prime_mask` (the
 sequences, the gap and tuple scans), and factorisation from one factor
 table, `factor_table` (beta numbers, BV moduli, `sieveweights`), both under
 one 4*10^6-entry budget that raises ValueError before allocating.  Both
-strike the even entries once, then odd multiples of odd primes only, and the
-byte sieve `primes_up_to` supplies their base primes.  The trial-division
-oracles that the tests compare these against (a single-value beta and
-Euler's phi) live in the tests' conftest.py.
+strike the even entries once, then odd multiples of odd primes only.  The
+mask seeds itself, and `primes_up_to`, read off it, gives `factor_table` its
+base primes.  The trial-division oracles that the tests compare these against
+(a single-value beta and Euler's phi) live in the tests' conftest.py.
 """
 
 from __future__ import annotations
@@ -37,15 +37,8 @@ from .algebra import BudgetExceeded, as_rational
 
 
 def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit by a plain byte sieve."""
-    if limit < 2:
-        return []
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p:: p] = bytearray(len(sieve[p * p:: p]))
-    return [i for i, flag in enumerate(sieve) if flag]
+    """All primes <= limit, read off the prime sieve _prime_mask(limit + 1) and under its budget."""
+    return primes_in_range(2, limit + 1).tolist()
 
 
 def primes_in_range(lo: int, hi: int) -> np.ndarray:
@@ -67,14 +60,16 @@ def _check_table_budget(limit: int) -> None:
 def _prime_mask(limit: int) -> np.ndarray:
     """Bool mask over [0, limit): which v are prime, under factor_table's budget.
 
-    One strike clears the even v > 2; an odd prime p then strikes only p*p, p*p + 2p, ...
+    One strike clears the even v > 2; each odd p <= sqrt(limit - 1) still unstruck, so prime,
+    then strikes only p*p, p*p + 2p, ...
     """
     _check_table_budget(limit)
     prime = np.ones(limit, dtype=bool)
     prime[:2] = False
     prime[4::2] = False
-    for p in primes_up_to(math.isqrt(max(limit - 1, 0)))[1:]:
-        prime[p * p:: 2 * p] = False
+    for p in range(3, math.isqrt(max(limit - 1, 0)) + 1, 2):
+        if prime[p]:
+            prime[p * p:: 2 * p] = False
     return prime
 
 

@@ -14,11 +14,11 @@ Two deliberate implementation choices keep the whole pipeline exact:
 * The irrational inputs log r / log R are replaced *once* by rational
   surrogates rounded to `_LOG_DIGITS` = 48 decimal digits; the surrogate
   error is at most 10^-48 per coordinate and is tracked (`log_eps`,
-  `y_error_bound`).  Everything downstream is exact: lambda is summed in
-  ints over one denominator, the lcm of the y denominators times the lcm of
-  the prod phi(r_i), and reduced by one gcd, so the partition of the
-  almost-prime sums into their four parts, the linear-combination
-  identities, the symmetry and the c^2 scaling all hold exactly.
+  `y_error_bound`).  Everything downstream is exact: the y table holds ints
+  over F's denominator times 10^(48 deg F), lambda is summed in ints over
+  that times the lcm of the prod phi(r_i) and reduced by one gcd, so the
+  partition of the almost-prime sums into their four parts, the linear-
+  combination identities, the symmetry and the c^2 scaling all hold exactly.
 * `y_from_lambda` applies the exact Mobius inversion of the lambda
   transform (weights mu(r_i) phi(r_i) and 1/prod d_i), so a roundtrip
   through lambda reproduces the y table identically.
@@ -129,18 +129,21 @@ class SieveContext:
 
         self.nu0 = self._find_nu0()
 
-        self._log_cache: dict[int, Fraction] = {1: Fraction(0)}
         # the logs behind the surrogates, at _LOG_DIGITS + 22 working digits
         self._log_context = decimal.Context(prec=_LOG_DIGITS + 22)
         self._ln_R = decimal.Decimal(self.R).ln(self._log_context)
-        # prime factors of every squarefree v < R coprime to W
+        # prime factors and surrogate-log numerators of every squarefree v < R coprime to W
         spf = factor_table(self.R)
         self._factors: dict[int, list[int]] = {}
+        logs: dict[int, int] = {}
         for v in range(1, self.R):
             primes = _prime_factors(spf, v)
             if len(set(primes)) == len(primes) and math.gcd(v, self.W) == 1:
-                self._factors[v] = primes
-        self._y_table = {t: self._y_value(t) for t in self._enumerate_supported()}
+                self._factors[v], logs[v] = primes, self._log_numerator(v)
+        # y_r = _y_table[r] / _y_den: F at the surrogates, as ints over one denominator
+        self._y_den = F.poly.denominator * 10 ** (_LOG_DIGITS * max(F.poly.total_degree(), 0))
+        self._y_table = {r: F.poly.eval_numerator([logs[v] for v in r], 10 ** _LOG_DIGITS)
+                         for r in self._enumerate_supported()}
         # lambda_d = _lambda_numerators[d] / _lambda_den, over one common denominator
         self._lambda_numerators, self._lambda_den = self._build_lambda()
 
@@ -157,23 +160,18 @@ class SieveContext:
         return tuple(values) in self._y_table
 
     def _enumerate_supported(self) -> list[tuple[int, ...]]:
-        out: list[tuple[int, ...]] = []
-
-        def rec(pos: int, prefix: tuple[int, ...], prod: int):
-            if pos == self.k:
-                out.append(prefix)
-                if len(out) > _TUPLE_BUDGET:
-                    raise ValueError("supported-tuple enumeration exceeds budget")
-                return
-            for v in self._factors:
-                newprod = prod * v
-                if newprod >= self.R:
-                    continue
-                if math.gcd(v, prod) == 1:
-                    rec(pos + 1, prefix + (v,), newprod)
-
-        rec(0, (), 1)
-        return out
+        """The supported r, ascending: r_i multiplies the primes of a v in _factors placed in slot i,
+        so there are sum_v k^omega(v) of them, held to _TUPLE_BUDGET before any is built."""
+        if sum(self.k ** len(primes) for primes in self._factors.values()) > _TUPLE_BUDGET:
+            raise ValueError("supported-tuple enumeration exceeds budget")
+        out = []
+        for primes in self._factors.values():
+            for slots in iter_product(range(self.k), repeat=len(primes)):
+                r = [1] * self.k
+                for p, i in zip(primes, slots):
+                    r[i] *= p
+                out.append(tuple(r))
+        return sorted(out)
 
     # -- surrogate logs ---------------------------------------------------------
 
@@ -182,23 +180,17 @@ class SieveContext:
         """Certified bound on |surrogate - log(r)/log(R)| per coordinate."""
         return Fraction(1, 10 ** _LOG_DIGITS)
 
+    def _log_numerator(self, r: int) -> int:
+        """log(r)/log(R) rounded once to _LOG_DIGITS decimal digits, times 10^_LOG_DIGITS."""
+        with decimal.localcontext(self._log_context):
+            ratio = decimal.Decimal(r).ln() / self._ln_R
+            return int((ratio * 10 ** _LOG_DIGITS).to_integral_value(rounding=decimal.ROUND_HALF_EVEN))
+
     def surrogate_log(self, r: int) -> Fraction:
         """log(r)/log(R) rounded once to _LOG_DIGITS decimal digits, as a Fraction."""
         if r < 1:
             raise ValueError("r must be >= 1")
-        cached = self._log_cache.get(r)
-        if cached is not None:
-            return cached
-        with decimal.localcontext(self._log_context):
-            ratio = decimal.Decimal(r).ln() / self._ln_R
-            scaled = int((ratio * 10 ** _LOG_DIGITS)
-                         .to_integral_value(rounding=decimal.ROUND_HALF_EVEN))
-        val = Fraction(scaled, 10 ** _LOG_DIGITS)
-        self._log_cache[r] = val
-        return val
-
-    def _y_value(self, t: tuple[int, ...]) -> Fraction:
-        return self.F.poly.eval(tuple(self.surrogate_log(v) for v in t))
+        return Fraction(self._log_numerator(r), 10 ** _LOG_DIGITS)
 
     def y_error_bound(self) -> Fraction:
         """Lipschitz bound on |y_r - F(true logs)| from the surrogate rounding.
@@ -221,24 +213,24 @@ class SieveContext:
     def _build_lambda(self) -> tuple[dict[tuple[int, ...], int], int]:
         """The nonzero lambda_d as int numerators over their least common denominator."""
         phis = {r: math.prod(p - 1 for v in r for p in self._factors[v]) for r in self._y_table}
-        y_den, phi_den = math.lcm(*(y.denominator for y in self._y_table.values())), math.lcm(*phis.values())
+        phi_den = math.lcm(*phis.values())
         acc: dict[tuple[int, ...], int] = {}
         for r, y in self._y_table.items():
             if y == 0:
                 continue
-            contrib = y.numerator * (y_den // y.denominator) * (phi_den // phis[r])
+            contrib = y * (phi_den // phis[r])
             for d in iter_product(*(_divisors_below(self._factors[v], self.R) for v in r)):
                 acc[d] = acc.get(d, 0) + contrib
         table = {d: math.prod((-1) ** len(self._factors[v]) * v for v in d) * s for d, s in acc.items() if s}
-        g = math.gcd(y_den * phi_den, *table.values())
-        return {d: val // g for d, val in table.items()}, y_den * phi_den // g
+        g = math.gcd(self._y_den * phi_den, *table.values())
+        return {d: val // g for d, val in table.items()}, self._y_den * phi_den // g
 
     def supported_tuples(self) -> list[tuple[int, ...]]:
         return list(self._y_table)
 
     def y_table_value(self, values: Sequence[int]) -> Fraction:
         """The defining y value: F at the surrogate log ratios (0 off support)."""
-        return self._y_table.get(tuple(int(v) for v in values), Fraction(0))
+        return Fraction(self._y_table.get(tuple(int(v) for v in values), 0), self._y_den)
 
 
 def lambda_weight(ctx: SieveContext, t: Sequence[int]) -> Fraction:

@@ -18,7 +18,7 @@ from e2sieve.algebra import (_MAX_PARSE_EXPONENT, _MAX_PARSE_TERMS, _MAX_POWER_S
                              TestFunction, _check_budget, _monomials)
 from e2sieve.algebra import as_rational
 from e2sieve.numth import (_beta_numbers, _prime_factors, beta_mask, factor_table, floor_rational_power,
-                           is_squarefree, primes_in_range, primes_up_to)
+                           is_squarefree, primes_in_range)
 from e2sieve.sieveweights import SieveContext, SSums, _divisors_below
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -456,8 +456,26 @@ def pi_beta(N: int, eta: Fraction) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Trial division: single-value beta and Euler's phi
+# Trial division: a primes list, single-value beta and Euler's phi
 # ---------------------------------------------------------------------------
+
+
+def trial_division_primes(limit: int) -> list[int]:
+    """All primes <= limit, each v tried against the primes found below it up to sqrt(v).
+
+    Shares no code with `numth`'s sieve, so the tests can compare that sieve against it.
+    """
+    primes: list[int] = []
+    for v in range(2, limit + 1):
+        for p in primes:
+            if p * p > v:
+                primes.append(v)
+                break
+            if v % p == 0:
+                break
+        else:
+            primes.append(v)
+    return primes
 
 
 def _smallest_prime_factor(n: int, base) -> int | None:
@@ -479,7 +497,7 @@ def beta(n: int, N: int, eta: Fraction) -> int:
     if n < 2:
         return 0
     Y = floor_rational_power(N, eta)
-    base = primes_up_to(math.isqrt(n))
+    base = trial_division_primes(math.isqrt(n))
     p1 = _smallest_prime_factor(n, base)
     if p1 is None:
         return 0  # prime

@@ -81,3 +81,16 @@ def test_call_groups_are_read_from_the_run_output_and_summarized():
                                          {"pass_s": "lower"})
     assert out["groups"] == {"quad_s": {"parent": 0.014, "change": 0.008},
                              "mc_s": {"parent": 0.1, "change": 0.1}}
+
+
+def test_src_lines_counts_the_package_lines_of_each_tree(tmp_path):
+    trees = {"parent": {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3\n"}, "change": {"a.py": "x = 1\n"}}
+    for side, files in trees.items():
+        package = tmp_path / side / "src" / "e2sieve"
+        package.mkdir(parents=True)
+        for name, text in files.items():
+            (package / name).write_text(text)
+    (tmp_path / "parent" / "src" / "e2sieve" / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "parent" / "scripts").mkdir()
+    (tmp_path / "parent" / "scripts" / "c.py").write_text("not = 'counted'\n")
+    assert {side: bench_pairs.src_lines(tmp_path / side) for side in trees} == {"parent": 3, "change": 1}

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import beta, cofactor_members, euler_phi, pi_beta, pi_flat
+from conftest import beta, cofactor_members, euler_phi, pi_beta, pi_flat, trial_division_primes
 from e2sieve.numth import (
     _FACTOR_TABLE_BUDGET,
     UNIVERSES,
@@ -40,8 +40,24 @@ def test_primes_up_to_basics():
     assert len(primes_up_to(10 ** 6)) == 78498
 
 
+def _odd_stride_edges():
+    """p^2, p^2 +- 1 and p^2 + 2p for every odd prime p <= 97: where an odd stride starts or steps."""
+    return {p * p + e for p in trial_division_primes(97)[1:] for e in (-1, 0, 1, 2 * p)}
+
+
+def test_primes_up_to_equals_trial_division():
+    limits = sorted(set(range(-3, 601)) | _odd_stride_edges())
+    want = trial_division_primes(max(limits))
+    for limit in limits:
+        assert primes_up_to(limit) == want[:bisect.bisect_right(want, limit)], limit
+
+
+def test_primes_up_to_over_the_table_budget_raises_before_allocating():
+    _assert_raises_before_allocating(primes_up_to, 4 * 10 ** 6)   # a mask of 4*10^6 + 1 entries
+
+
 def test_primes_in_range_matches_plain_sieve():
-    full = primes_up_to(5000)
+    full = trial_division_primes(5000)
     for lo, hi in [(0, 100), (100, 1000), (997, 998), (4000, 5001), (1, 2)]:
         expected = [p for p in full if lo <= p < hi]
         primes = primes_in_range(lo, hi)
@@ -107,10 +123,10 @@ def test_beta_matches_trial_division_oracle():
     for n in range(N + 1, 2 * N + 1):
         # oracle: factor n as p1 * p2 and check the integer inequalities
         hits = 0
-        for p in primes_up_to(int(math.isqrt(n)) + 1):
+        for p in trial_division_primes(int(math.isqrt(n)) + 1):
             if n % p == 0:
                 q = n // p
-                ok = (q != p and all(q % r for r in primes_up_to(int(math.isqrt(q)) + 1) if r < q)
+                ok = (q != p and all(q % r for r in trial_division_primes(int(math.isqrt(q)) + 1) if r < q)
                       and p > Y and p * p <= N and q * q > N)
                 hits = 1 if ok else 0
                 break
@@ -133,7 +149,7 @@ def test_e2_sequence_prefix():
 
 def _prime_pairs(limit):
     """Products p * q <= limit of two distinct primes, by a double loop."""
-    primes = primes_up_to(limit // 2)
+    primes = trial_division_primes(limit // 2)
     return sorted(p * q for i, p in enumerate(primes) for q in primes[i + 1:] if p * q <= limit)
 
 
@@ -144,17 +160,17 @@ def test_e2_sequence_matches_prime_pair_oracle():
 
 def test_p2_sequence_is_the_union():
     limit = 20_000
-    expected = sorted(set(primes_up_to(limit)) | set(e2_sequence(limit)))
+    expected = sorted(set(trial_division_primes(limit)) | set(e2_sequence(limit)))
     assert p2_sequence(limit) == expected
     assert p2_sequence(40)[:10] == [2, 3, 5, 6, 7, 10, 11, 13, 14, 15]
     for limit in range(61):
-        assert p2_sequence(limit) == sorted(primes_up_to(limit) + _prime_pairs(limit)), limit
+        assert p2_sequence(limit) == sorted(trial_division_primes(limit) + _prime_pairs(limit)), limit
 
 
 def _member_limits():
     """Every limit to 300, random ones to 2*10^5, p^2 and p*q and one below, and +max H."""
     rng = random.Random(20261018)
-    primes = primes_up_to(320)
+    primes = trial_division_primes(320)
     limits = set(range(301)) | {rng.randrange(2 * 10 ** 5) for _ in range(16)}
     for p, q in zip(primes, primes[1:]):
         for v in (p * p, p * q):
@@ -171,8 +187,8 @@ def test_members_equal_the_cofactor_oracle(universe):
         assert np.array_equal(got, want), (universe, limit)
 
 
-def test_prime_mask_equals_the_byte_sieve():
-    primes = primes_up_to(max(_member_limits()))
+def test_prime_mask_equals_trial_division():
+    primes = trial_division_primes(max(_member_limits()))
     for n in _member_limits():   # every n to 300, so n = 0...3 too
         mask = _prime_mask(n)
         assert mask.dtype == bool and mask.shape == (n,), n
@@ -277,7 +293,7 @@ def test_gap_scan_witnesses():
 @pytest.mark.parametrize("universe", UNIVERSES)
 def test_gap_scan_matches_a_plain_loop(universe, rho):
     limit = 5000
-    primes = primes_up_to(limit)
+    primes = trial_division_primes(limit)
     seq = {"E2": _prime_pairs(limit), "P2": sorted(primes + _prime_pairs(limit)),
            "primes": primes}[universe]
     gaps = [seq[i + rho] - seq[i] for i in range(len(seq) - rho)]
@@ -340,7 +356,7 @@ def test_factor_table_matches_primes_and_beta_on_a_window():
     spf = factor_table(hi)
     assert len(spf) == hi and spf.dtype == np.int32
     window_primes = set(primes_in_range(lo, hi))
-    base = primes_up_to(hi)
+    base = trial_division_primes(hi)
     for v in range(lo, hi):
         p = int(spf[v])
         assert (p == v) == (v in window_primes), v
@@ -360,7 +376,7 @@ def _spf_by_trial_division(v: int) -> int:
 def test_factor_table_equals_trial_division():
     # the odd strides start at p^2 and step 2p, so their edges are the limits
     # p^2 and p^2 + 2p and one past each
-    edges = {v + e for p in primes_up_to(97)[1:] for v in (p * p, p * p + 2 * p) for e in (0, 1)}
+    edges = {v + e for p in trial_division_primes(97)[1:] for v in (p * p, p * p + 2 * p) for e in (0, 1)}
     limits = sorted(set(range(601)) | edges)
     want = [_spf_by_trial_division(v) for v in range(max(limits))]
     for limit in limits:
@@ -412,7 +428,7 @@ def _bv_rows_by_brute_count(N, eta, theta, universe):
     if universe == "beta":
         values = [n for n in range(N + 1, 2 * N + 1) if beta(n, N, eta)]
     else:
-        values = [p for p in primes_up_to(2 * N - 1) if p >= N]
+        values = [p for p in trial_division_primes(2 * N - 1) if p >= N]
     rows = {}
     for q in range(1, floor_rational_power(N, theta) + 1):
         if not is_squarefree(q):

@@ -54,6 +54,13 @@ def make_ctx_k2(**overrides) -> SieveContext:
     return SieveContext(**kwargs)
 
 
+def make_ctx_desk_k2() -> SieveContext:
+    """The benchmark's desk context at k = 2: N = 10^4, theta = 1, W from N."""
+    F = TestFunction(k=2, poly=parse_poly("(1-u1)*(1-u2)", 2))
+    return SieveContext(N=10 ** 4, shifts=(0, 2), F=F, theta=Fraction(1), delta=Fraction(149, 2000),
+                        eta=Fraction(1, 10))
+
+
 def make_ctx_desk_k3() -> SieveContext:
     """The benchmark's desk context at k = 3: N = 10^4, theta = 1, W from N."""
     F = TestFunction(k=3, poly=parse_poly("(1-u1)*(1-u2)*(1-u3)", 3))
@@ -76,14 +83,7 @@ def test_context_derived_quantities():
     assert (ctx.R, ctx.Y, ctx.W, ctx.nu0) == (10, 1, 1, 0)
     ctx2 = make_ctx_k2()
     assert ctx2.R == 30
-    big = SieveContext(
-        N=10_000,
-        shifts=(0, 2),
-        F=TestFunction(k=2, poly=parse_poly("(1-u1)*(1-u2)", 2)),
-        theta=Fraction(1),
-        delta=Fraction(149, 2000),
-        eta=Fraction(1, 10),
-    )
+    big = make_ctx_desk_k2()
     # default W = 2 at this size; nu0 makes n, n+2 coprime to 2
     assert (big.R, big.Y, big.W, big.nu0) == (50, 2, 2, 1)
     assert big.nu0 % 2 == 1
@@ -123,19 +123,29 @@ def test_supported_tuples_k2_pairwise_coprime():
 
 
 K3 = dict(shifts=(0, 2, 6), F=TestFunction(k=3, poly=parse_poly("(1-u1)*(1-u2)*(1-u3)", 3)))
+K3_R36 = dict(K3, N=1500)   # R = 36 at W = 1, so v = 2 * 3 * 5 takes all 27 placements
 
 
 @pytest.mark.parametrize("make, overrides", [
     (make_ctx_k1, {}), (make_ctx_k2, {}), (make_ctx_k2, dict(W=6)),
-    (make_ctx_k2, K3), (make_ctx_k2, dict(K3, W=6)),
-], ids=["k1", "k2", "k2-W6", "k3", "k3-W6"])
+    (make_ctx_k2, K3), (make_ctx_k2, dict(K3, W=6)), (make_ctx_k2, K3_R36),
+], ids=["k1", "k2", "k2-W6", "k3", "k3-W6", "k3-R36"])
 def test_supported_tuples_are_every_tuple_the_predicate_accepts(make, overrides):
     ctx = make(**overrides)
     accepted = {t for t in iter_product(range(1, ctx.R), repeat=ctx.k) if supported_by_predicate(ctx, t)}
     assert len(accepted) > ctx.R // 2
-    assert sorted(ctx.supported_tuples()) == sorted(accepted)   # each tuple once
+    assert ctx.supported_tuples() == sorted(accepted)   # each tuple once, ascending
     for t in iter_product(range(ctx.R + 1), repeat=ctx.k):     # 0 and R included
         assert ctx.is_supported(t) == supported_by_predicate(ctx, t), t
+
+
+def test_tuple_budget_is_held_at_the_exact_count(monkeypatch):
+    count = len(make_ctx_k2(**K3).supported_tuples())
+    monkeypatch.setattr(sieveweights, "_TUPLE_BUDGET", count)
+    assert len(make_ctx_k2(**K3).supported_tuples()) == count
+    monkeypatch.setattr(sieveweights, "_TUPLE_BUDGET", count - 1)
+    with pytest.raises(ValueError, match="^supported-tuple enumeration exceeds budget$"):
+        make_ctx_k2(**K3)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +202,23 @@ def test_lambda_matches_brute_force(ctx_maker):
         assert lambda_weight(ctx, d) == brute_force_lambda(ctx, d)
     off = (ctx.R + 1,) + (1,) * (ctx.k - 1)
     assert lambda_weight(ctx, off) == 0
+
+
+# SHA-256 of repr((_lambda_den, sorted(_lambda_numerators.items()))) per context
+LAMBDA_PINS = [
+    (make_ctx_desk_k2, "b9756f2804693a1d9e6f635f4c23bddd77252959f69525b38378f50120259a3b"),
+    (make_ctx_desk_k3, "ba80afdc70f8c77ccb4f16c4c3cc6fd9da5ee81d261d64545d78191c20f08f18"),
+    (lambda: make_ctx_k2(W=6), "5a38cc8837dce458612335e9a53150aca546497065884be8ae4ce69947329e7c"),
+]
+
+
+@pytest.mark.parametrize("ctx_maker, digest", LAMBDA_PINS, ids=["desk-k2", "desk-k3", "k2-W6"])
+def test_lambda_is_pinned_and_y_is_F_at_the_surrogate_logs(ctx_maker, digest):
+    ctx = ctx_maker()
+    table = repr((ctx._lambda_den, sorted(ctx._lambda_numerators.items())))
+    assert hashlib.sha256(table.encode()).hexdigest() == digest
+    for r in ctx.supported_tuples():
+        assert ctx.y_table_value(r) == ctx.F.poly.eval([ctx.surrogate_log(v) for v in r]), r
 
 
 @pytest.mark.parametrize("ctx_maker", [make_ctx_k1, make_ctx_k2])
